@@ -5,7 +5,8 @@ For each error-model cell the study synthesizes a capture of a known truth
 path, filters it, fuses it with the CAD polyline, and compares the fused path
 against the truth.  Positions are expected to stay pinned to the CAD waypoints
 regardless of tracker error (that is the point of taking positions from CAD);
-orientation error grows with orientation noise and is reported per cell.
+orientation error grows with orientation noise and is reported per cell as
+the geodesic angle between the truth and fused rotations.
 """
 
 import argparse
@@ -22,12 +23,24 @@ from pathfuse import (
     fuse,
     synth_demo,
 )
+from pathfuse.geometry import rots_from_euler_zyx
 
 
 def make_truth(n=9, length=400.0):
     pos = np.column_stack([np.linspace(0.0, length, n), np.zeros(n), np.zeros(n)])
     ang = np.column_stack([np.zeros(n), np.zeros(n), np.linspace(0.0, np.pi / 2, n)])
     return FusedPath(pos, ang, np.full(n, 100.0), Frame.S)
+
+
+def geodesic_deg(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Angle in degrees of R_a^T R_b per row of fixed-axis (rx, ry, rz) angles.
+
+    A raw Euler difference is wrong at the +/-180 degree wrap; this is not.
+    """
+    ra = rots_from_euler_zyx(a[:, ::-1])
+    rb = rots_from_euler_zyx(b[:, ::-1])
+    cos = (np.einsum("nij,nij->n", ra, rb) - 1.0) / 2.0  # trace(R_a^T R_b) = sum R_a * R_b
+    return np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
 def one_cell(truth, cad, xy_sigma, orient_sigma, spike_rate, seeds, rate):
@@ -44,8 +57,7 @@ def one_cell(truth, cad, xy_sigma, orient_sigma, spike_rate, seeds, rate):
         series = filter_outliers(synth_demo(truth, model, rate))
         fused = fuse(cad, series)
         positions_pinned &= fused.positions.tobytes() == cad.waypoints.tobytes()
-        err = np.degrees(np.max(np.abs(fused.orientations - truth.orientations)))
-        orient_errs.append(float(err))
+        orient_errs.append(float(np.max(geodesic_deg(truth.orientations, fused.orientations))))
     return float(np.mean(orient_errs)), float(np.max(orient_errs)), positions_pinned
 
 

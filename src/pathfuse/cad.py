@@ -73,33 +73,19 @@ class CadPath:
         return float(np.sum(self.segment_lengths()))
 
 
-@dataclass(frozen=True, eq=False)
-class ArcParams:
-    """Normalized arc-length parameters: non-decreasing, params[0]=0, params[-1]=1."""
+def arc_params(path: CadPath) -> np.ndarray:
+    """Normalized arc-length parameter of every traversed point of ``path``.
 
-    params: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.params, dtype=float).reshape(-1).copy()
-        if len(p) < 2:
-            raise ValueError("need at least 2 parameters")
-        if p[0] != 0.0 or p[-1] != 1.0:
-            raise ValueError("parameters must start at 0 and end at 1")
-        if np.any(np.diff(p) < 0.0):
-            raise ValueError("parameters must be non-decreasing")
-        p.flags.writeable = False
-        object.__setattr__(self, "params", p)
-
-
-def arc_params(path: CadPath) -> ArcParams:
-    """Arc-length parameter of every traversed point of ``path``.
-
-    For an open path there is one entry per waypoint.  For a closed path the
-    traversal returns to the start, so a final entry for that virtual closing
-    point is included and the result has ``len(path) + 1`` values.
+    The read-only result is non-decreasing, starts at exactly 0 and ends at
+    exactly 1.  For an open path there is one entry per waypoint.  For a
+    closed path the traversal returns to the start, so a final entry for that
+    virtual closing point is included and the result has ``len(path) + 1``
+    values.
     """
     cum = np.concatenate([[0.0], np.cumsum(path.segment_lengths())])
-    return ArcParams(cum / cum[-1])
+    params = cum / cum[-1]
+    params.flags.writeable = False
+    return params
 
 
 def resample_cad(path: CadPath, spacing_mm: float) -> CadPath:

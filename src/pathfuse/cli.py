@@ -69,6 +69,22 @@ def _require_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
             raise ValueError(f"unknown {where} key {k!r} (known: {', '.join(allowed)})")
 
 
+def _typed(key: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a TypeError from a JSON value of the
+    wrong type reported as a ValueError naming the config key."""
+    try:
+        return build(*args, **kwargs)
+    except TypeError as e:
+        raise ValueError(f"config {key} has a value of the wrong type: {e}") from None
+
+
+def _typed_fields(key: str, cls, fields: dict, **fixed):
+    """``cls(**fixed, **fields)``; a field of the wrong type is named in the error."""
+    for name, value in fields.items():
+        _typed(f"{key}.{name}", cls, **fixed, **{name: value})
+    return cls(**fixed, **fields)
+
+
 def load_config(data: bytes | str) -> PipelineConfig:
     """Parse pipeline configuration JSON."""
     obj = json.loads(data)
@@ -86,13 +102,15 @@ def load_config(data: bytes | str) -> PipelineConfig:
             raise ValueError("config 'filter' must be an object")
         _require_keys(f, ("window", "k"), "config filter")
         if "window" in f:
-            kwargs["filter_window"] = int(f["window"])
+            kwargs["filter_window"] = _typed("filter.window", int, f["window"])
         if "k" in f:
-            kwargs["filter_k"] = float(f["k"])
+            kwargs["filter_k"] = _typed("filter.k", float, f["k"])
     if obj.get("downsample_target") is not None:
-        kwargs["downsample_target"] = int(obj["downsample_target"])
+        kwargs["downsample_target"] = _typed("downsample_target", int, obj["downsample_target"])
     if obj.get("resample_spacing_mm") is not None:
-        kwargs["resample_spacing_mm"] = float(obj["resample_spacing_mm"])
+        kwargs["resample_spacing_mm"] = _typed(
+            "resample_spacing_mm", float, obj["resample_spacing_mm"]
+        )
     if "limits" in obj:
         lim = obj["limits"]
         if not isinstance(lim, dict):
@@ -102,9 +120,9 @@ def load_config(data: bytes | str) -> PipelineConfig:
             ("max_step_mm", "max_speed_mm_s", "workspace_center", "workspace_radius_mm", "max_orient_step_deg"),
             "config limits",
         )
-        kwargs["limits"] = PathLimits(**lim)
+        kwargs["limits"] = _typed_fields("limits", PathLimits, lim)
     if "tolerance_mm" in obj:
-        kwargs["tolerance_mm"] = float(obj["tolerance_mm"])
+        kwargs["tolerance_mm"] = _typed("tolerance_mm", float, obj["tolerance_mm"])
     if "process" in obj:
         p = obj["process"]
         if not isinstance(p, dict):
@@ -116,12 +134,9 @@ def load_config(data: bytes | str) -> PipelineConfig:
         )
         if "process_type" not in p:
             raise ValueError("config process requires 'process_type'")
-        kwargs["process"] = ProcessParameters(
-            process_type=p["process_type"],
-            glue_flow_rate=p.get("glue_flow_rate"),
-            wire_feed_rate=p.get("wire_feed_rate"),
-            layer_height=p.get("layer_height"),
-            extra=p.get("extra", ()),
+        fields = {k: v for k, v in p.items() if k != "process_type"}
+        kwargs["process"] = _typed_fields(
+            "process", ProcessParameters, fields, process_type=p["process_type"]
         )
     return PipelineConfig(**kwargs)
 

@@ -21,7 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _quat
 from .errors import ParseError, ValidationError
-from .geometry import EulerZyx, euler_zyx_from_rot, wrap_angle
+from .geometry import wrap_angle
 
 if TYPE_CHECKING:
     from .fusion import FusedPath
@@ -36,26 +36,6 @@ MIN_ARC_MM = 1.0
 
 # Position glitches injected by the synthetic tracker, worst case seen on hardware.
 SPIKE_MAGNITUDE_MM = 100.0
-
-
-@dataclass(frozen=True, eq=False)
-class PoseSample:
-    """One tracker sample: time, position (mm) and orientation."""
-
-    t: float
-    position: np.ndarray
-    orientation: EulerZyx
-
-    def __post_init__(self):
-        t = float(self.t)
-        if not math.isfinite(t):
-            raise ValueError(f"sample time must be finite, got {t!r}")
-        p = np.asarray(self.position, dtype=float).reshape(3).copy()
-        if not np.all(np.isfinite(p)):
-            raise ValueError("sample position contains non-finite entries")
-        p.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "position", p)
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,20 +77,6 @@ class PoseSeries:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def sample(self, i: int) -> PoseSample:
-        o = self.orientations[i]
-        return PoseSample(float(self.t[i]), self.positions[i], EulerZyx(o[0], o[1], o[2]))
-
-    @staticmethod
-    def from_samples(samples, source: str = "") -> "PoseSeries":
-        samples = list(samples)
-        return PoseSeries(
-            t=np.array([s.t for s in samples]),
-            positions=np.array([s.position for s in samples]),
-            orientations=np.array([s.orientation.as_array() for s in samples]),
-            source=source,
-        )
 
 
 def parse_demo(data: bytes | str, source: str = "") -> PoseSeries:
@@ -284,16 +250,7 @@ def downsample(series: PoseSeries, target_count: int) -> PoseSeries:
         [np.interp(u, params, series.positions[:, c]) for c in range(3)]
     )
 
-    quats = _quat.make_continuous(_quat.from_euler_zyx(series.orientations))
-    orient_new = np.empty((target_count, 3))
-    last = len(series) - 2
-    for i, ui in enumerate(u):
-        j = min(max(int(np.searchsorted(params, ui, side="right")) - 1, 0), last)
-        denom = params[j + 1] - params[j]
-        frac = 1.0 if denom <= 0.0 else min(max((ui - params[j]) / denom, 0.0), 1.0)
-        r = _quat.to_matrix(_quat.slerp(quats[j], quats[j + 1], frac))
-        e = euler_zyx_from_rot(r)
-        orient_new[i] = (e.psi, e.theta, e.phi)
+    orient_new = _quat.interpolate_zyx(params, series.orientations, u)
 
     # endpoints are copied verbatim, not interpolated
     t_new[0], t_new[-1] = series.t[0], series.t[-1]
@@ -365,17 +322,7 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
 
     # truth orientations are robot-style (rx, ry, rz); the tracker reports
     # the same rotations as (psi, theta, phi) = (rz, ry, rx)
-    zyx = truth.orientations[:, ::-1]
-    quats = _quat.make_continuous(_quat.from_euler_zyx(zyx))
-    orient = np.empty((len(ts), 3))
-    last = len(pts) - 2
-    for i, ti in enumerate(ts):
-        j = min(max(int(np.searchsorted(t_wp, ti, side="right")) - 1, 0), last)
-        denom = t_wp[j + 1] - t_wp[j]
-        frac = 1.0 if denom <= 0.0 else min(max((ti - t_wp[j]) / denom, 0.0), 1.0)
-        r = _quat.to_matrix(_quat.slerp(quats[j], quats[j + 1], frac))
-        e = euler_zyx_from_rot(r)
-        orient[i] = (e.psi, e.theta, e.phi)
+    orient = _quat.interpolate_zyx(t_wp, truth.orientations[:, ::-1], ts)
 
     rng = np.random.default_rng(model.seed)
     n = len(ts)

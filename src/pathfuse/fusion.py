@@ -20,24 +20,7 @@ from . import _quat
 from .errors import FrameMismatchError, ParseError, TimeParameterizationWarning
 from .cad import CadPath, arc_params
 from .demo import PoseSeries, estimate_speed, path_parameters
-from .geometry import (
-    CalibrationSet,
-    Frame,
-    Transform4,
-    chain_to_robot,
-    robot_angles_fixed_xyz,
-    rot_from_fixed_xyz,
-)
-
-
-@dataclass(frozen=True, eq=False)
-class FusedPoint:
-    """One fused waypoint: position (mm), fixed-axis X-Y-Z angles (radians), speed."""
-
-    position: np.ndarray
-    orientation: tuple[float, float, float]
-    speed: float
-    frame: Frame
+from .geometry import CalibrationSet, Frame, compose, euler_zyx_from_rots, rots_from_euler_zyx
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,13 +66,6 @@ class FusedPath:
     def __len__(self) -> int:
         return len(self.speeds)
 
-    def point(self, i: int) -> FusedPoint:
-        o = self.orientations[i]
-        return FusedPoint(
-            self.positions[i], (float(o[0]), float(o[1]), float(o[2])),
-            float(self.speeds[i]), self.frame,
-        )
-
 
 def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
     """Combine CAD positions with demonstrated orientation and speed.
@@ -108,21 +84,14 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
             TimeParameterizationWarning,
         )
 
-    cad_u = arc_params(cad).params
+    cad_u = arc_params(cad)
     if cad.closed:
         positions = np.vstack([cad.waypoints, cad.waypoints[:1]])
     else:
         positions = cad.waypoints.copy()
 
-    quats = _quat.make_continuous(_quat.from_euler_zyx(demo.orientations))
-    orientations = np.empty((len(cad_u), 3))
-    last = len(demo) - 2
-    for i, u in enumerate(cad_u):
-        j = min(max(int(np.searchsorted(demo_params, u, side="right")) - 1, 0), last)
-        denom = demo_params[j + 1] - demo_params[j]
-        frac = 1.0 if denom <= 0.0 else min(max((u - demo_params[j]) / denom, 0.0), 1.0)
-        r = _quat.to_matrix(_quat.slerp(quats[j], quats[j + 1], frac))
-        orientations[i] = robot_angles_fixed_xyz(r)
+    # (psi, theta, phi) reversed is the robot's fixed-axis (rx, ry, rz)
+    orientations = _quat.interpolate_zyx(demo_params, demo.orientations, cad_u)[:, ::-1]
 
     speeds = np.interp(cad_u, demo_params, estimate_speed(demo))
 
@@ -141,16 +110,11 @@ def to_robot_frame(path: FusedPath, calib: CalibrationSet) -> FusedPath:
     if path.frame != Frame.S:
         raise FrameMismatchError(f"expected a path in frame S, got {path.frame}")
 
-    positions = np.empty_like(path.positions)
-    orientations = np.empty_like(path.orientations)
-    for i in range(len(path)):
-        rx, ry, rz = path.orientations[i]
-        t_s_e = Transform4(
-            rot_from_fixed_xyz(rx, ry, rz), path.positions[i], Frame.S, Frame.E
-        )
-        t_r_e = chain_to_robot(calib, t_s_e)
-        positions[i] = t_r_e.translation
-        orientations[i] = robot_angles_fixed_xyz(t_r_e.rotation)
+    t_r_s = compose(calib.t_r_f, calib.t_f_s)
+    r, t = t_r_s.rotation, t_r_s.translation
+    positions = path.positions @ r.T + t
+    rotations = r @ rots_from_euler_zyx(path.orientations[:, ::-1])
+    orientations = euler_zyx_from_rots(rotations)[:, ::-1]
 
     return FusedPath(
         positions=positions,

@@ -77,41 +77,60 @@ def wrap_angle(a):
     return r
 
 
-def rot_from_euler_zyx(angles: EulerZyx) -> np.ndarray:
-    """Rotation matrix for intrinsic z-y'-x'' angles.
+def rots_from_euler_zyx(angles: np.ndarray) -> np.ndarray:
+    """Rotation matrices (..., 3, 3) for (..., 3) intrinsic z-y'-x'' angles.
 
-    Closed form of ``Rz(psi) @ Ry(theta) @ Rx(phi)``.
+    Angles are (psi, theta, phi) radians; closed form of
+    ``Rz(psi) @ Ry(theta) @ Rx(phi)``.
     """
-    cz, sz = math.cos(angles.psi), math.sin(angles.psi)
-    cy, sy = math.cos(angles.theta), math.sin(angles.theta)
-    cx, sx = math.cos(angles.phi), math.sin(angles.phi)
-    return np.array(
-        [
-            [cz * cy, cz * sy * sx - sz * cx, cz * sy * cx + sz * sx],
-            [sz * cy, sz * sy * sx + cz * cx, sz * sy * cx - cz * sx],
-            [-sy, cy * sx, cy * cx],
-        ]
-    )
+    a = np.asarray(angles, dtype=float)
+    (cz, cy, cx), (sz, sy, sx) = np.cos(a).T, np.sin(a).T
+    m = np.empty(a.shape[:-1] + (3, 3))
+    m[..., 0, 0] = cz * cy
+    m[..., 0, 1] = cz * sy * sx - sz * cx
+    m[..., 0, 2] = cz * sy * cx + sz * sx
+    m[..., 1, 0] = sz * cy
+    m[..., 1, 1] = sz * sy * sx + cz * cx
+    m[..., 1, 2] = sz * sy * cx - cz * sx
+    m[..., 2, 0] = -sy
+    m[..., 2, 1] = cy * sx
+    m[..., 2, 2] = cy * cx
+    return m
 
 
-def euler_zyx_from_rot(r: np.ndarray) -> EulerZyx:
-    """Recover intrinsic z-y'-x'' angles from a rotation matrix.
+def rot_from_euler_zyx(angles: EulerZyx) -> np.ndarray:
+    """Rotation matrix for intrinsic z-y'-x'' angles (see ``rots_from_euler_zyx``)."""
+    return rots_from_euler_zyx(angles.as_array())
+
+
+def _euler_zyx(r: np.ndarray) -> tuple:
+    """(psi, theta, phi) for a checked 3x3 rotation or (m, 3, 3) stack of them."""
+    rt = r.T  # rt[j, i] is entry (i, j) of every matrix
+    # r[2,0] = -sin(theta); the hypot keeps cos(theta) >= 0.
+    theta = np.arctan2(-rt[0, 2], np.hypot(rt[1, 2], rt[2, 2]))
+    lock = np.cos(theta) < GIMBAL_EPS
+    psi = np.where(lock, np.arctan2(-rt[1, 0], rt[1, 1]), np.arctan2(rt[0, 1], rt[0, 0]))
+    phi = np.where(lock, 0.0, np.arctan2(rt[1, 2], rt[2, 2]))
+    return psi, theta, phi
+
+
+def euler_zyx_from_rots(r: np.ndarray) -> np.ndarray:
+    """Intrinsic z-y'-x'' angles (m, 3) as (psi, theta, phi) for an (m, 3, 3) stack.
 
     theta is taken in [-pi/2, pi/2].  At gimbal lock (|cos theta| < 1e-7)
     the roll/yaw split is ambiguous; phi is set to 0 and the whole z-axis
-    rotation is reported as psi.
+    rotation is reported as psi.  The whole stack is checked as rotations
+    first; one bad matrix raises ValueError.
     """
-    r = np.asarray(r, dtype=float)
-    check_rotation(r)
-    # r[2,0] = -sin(theta); the sqrt keeps cos(theta) >= 0.
-    theta = math.atan2(-r[2, 0], math.hypot(r[2, 1], r[2, 2]))
-    if math.cos(theta) < GIMBAL_EPS:
-        psi = math.atan2(-r[0, 1], r[1, 1])
-        phi = 0.0
-    else:
-        psi = math.atan2(r[1, 0], r[0, 0])
-        phi = math.atan2(r[2, 1], r[2, 2])
-    return EulerZyx(psi, theta, phi)
+    return np.stack(_euler_zyx(check_rotations(r)), axis=-1)
+
+
+def euler_zyx_from_rot(r: np.ndarray) -> EulerZyx:
+    """Recover intrinsic z-y'-x'' angles from one rotation matrix.
+
+    Same convention as ``euler_zyx_from_rots``.
+    """
+    return EulerZyx(*_euler_zyx(check_rotation(r)))
 
 
 def rot_from_fixed_xyz(rx: float, ry: float, rz: float) -> np.ndarray:
@@ -129,10 +148,13 @@ def robot_angles_fixed_xyz(r: np.ndarray) -> tuple[float, float, float]:
 
 
 def orthonormality_error(r: np.ndarray) -> float:
-    """max(|R^T R - I|) plus any determinant defect, as a single scalar."""
+    """max(|R^T R - I|) plus any determinant defect, as a single scalar.
+
+    For a (..., 3, 3) stack it is the worst value over the stack.
+    """
     r = np.asarray(r, dtype=float)
-    err = float(np.max(np.abs(r.T @ r - np.eye(3))))
-    return max(err, abs(float(np.linalg.det(r)) - 1.0))
+    err = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max()
+    return float(max(err, np.abs(np.linalg.det(r) - 1.0).max()))
 
 
 def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
@@ -140,7 +162,15 @@ def check_rotation(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
     r = np.asarray(r, dtype=float)
     if r.shape != (3, 3):
         raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-    if not np.all(np.isfinite(r)):
+    return check_rotations(r[None], tol)[0]
+
+
+def check_rotations(r: np.ndarray, tol: float = ORTHONORMAL_TOL) -> np.ndarray:
+    """Validate an (m, 3, 3) stack of rotation matrices; returns it as float64."""
+    r = np.asarray(r, dtype=float)
+    if r.ndim != 3 or r.shape[1:] != (3, 3):
+        raise ValueError(f"rotations must be (m, 3, 3), got shape {r.shape}")
+    if not np.isfinite(r).all():
         raise ValueError("rotation contains non-finite entries")
     err = orthonormality_error(r)
     if err > tol:
@@ -204,16 +234,6 @@ class Transform4:
         if not np.array_equal(m[3], [0.0, 0.0, 0.0, 1.0]):
             raise ValueError("bottom row of a homogeneous transform must be (0,0,0,1)")
         return Transform4(m[:3, :3], m[:3, 3], parent, child)
-
-
-def make_transform(
-    rotation: np.ndarray,
-    translation: np.ndarray,
-    parent: Frame | None = None,
-    child: Frame | None = None,
-) -> Transform4:
-    """Build a validated Transform4."""
-    return Transform4(rotation, translation, parent, child)
 
 
 def compose(a: Transform4, b: Transform4) -> Transform4:

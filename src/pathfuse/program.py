@@ -16,18 +16,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import FrameMismatchError
 from .fusion import FusedPath
-from .geometry import rot_from_fixed_xyz, rotation_angle
+from .geometry import rotation_angle, rots_from_euler_zyx
 from .pathml import PathMLDocument
-
-
-class Dialect(str, Enum):
-    NEUTRAL = "neutral"
 
 
 @dataclass(frozen=True)
@@ -98,10 +93,14 @@ def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
     out: list[LimitViolation] = []
     for li, layer in enumerate(doc.layers):
         for ti, track in enumerate(layer.tracks):
+            zyx = np.radians([(pt.rz, pt.ry, pt.rx) for pt in track.points]).reshape(-1, 3)
+            if not np.isfinite(zyx).all():
+                raise ValueError(f"layer {li} track {ti} has non-finite angles")
+            rots = rots_from_euler_zyx(zyx)
             prev = None
             for pi, pt in enumerate(track.points):
                 pos = np.array([pt.x, pt.y, pt.z])
-                rot = _point_rot(pt)
+                rot = rots[pi]
                 if prev is not None:
                     step = float(np.linalg.norm(pos - prev[0]))
                     if step > limits.max_step_mm:
@@ -124,13 +123,8 @@ def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
     return ValidationReport(tuple(out))
 
 
-def _point_rot(pt) -> np.ndarray:
-    return rot_from_fixed_xyz(math.radians(pt.rx), math.radians(pt.ry), math.radians(pt.rz))
-
-
 @dataclass(frozen=True)
 class RobotProgram:
-    dialect: Dialect
     lines: tuple[str, ...]
 
     @property
@@ -187,7 +181,7 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
             if track.tool_active:
                 lines.append("SET_IO TOOL 0")
 
-    return RobotProgram(Dialect.NEUTRAL, tuple(lines))
+    return RobotProgram(tuple(lines))
 
 
 @dataclass(frozen=True)

@@ -72,3 +72,72 @@ def point_to_polyline(p, poly):
 def polyline_length(poly):
     poly = np.asarray(poly, dtype=float)
     return float(np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1)))
+
+
+def quat_mul(a, b):
+    """Hamilton product of [w, x, y, z] quaternions."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    return np.array(
+        [
+            aw * bw - ax * bx - ay * by - az * bz,
+            aw * bx + ax * bw + ay * bz - az * by,
+            aw * by - ax * bz + ay * bw + az * bx,
+            aw * bz + ax * by - ay * bx + az * bw,
+        ]
+    )
+
+
+def quat_intrinsic_zyx(psi, theta, phi):
+    """Quaternion of Rz(psi) Ry(theta) Rx(phi): the three axis quaternions in order."""
+
+    def about(axis, a):
+        q = np.zeros(4)
+        q[0], q[axis] = math.cos(a / 2.0), math.sin(a / 2.0)
+        return q
+
+    return quat_mul(quat_mul(about(3, psi), about(2, theta)), about(1, phi))
+
+
+def quat_to_rot(q):
+    w, x, y, z = np.asarray(q, dtype=float) / np.linalg.norm(q)
+    return np.array(
+        [
+            [w * w + x * x - y * y - z * z, 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), w * w - x * x + y * y - z * z, 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), w * w - x * x - y * y + z * z],
+        ]
+    )
+
+
+def slerp(qa, qb, u):
+    """Shoemake's slerp in power form, qa (qa^-1 qb)^u, along the shorter arc."""
+    qa = np.asarray(qa, dtype=float) / np.linalg.norm(qa)
+    qb = np.asarray(qb, dtype=float) / np.linalg.norm(qb)
+    rel = quat_mul(qa * np.array([1.0, -1.0, -1.0, -1.0]), qb)
+    if rel[0] < 0.0:
+        rel = -rel  # q and -q are one rotation; the shorter arc has w >= 0
+    s = float(np.linalg.norm(rel[1:]))
+    if s == 0.0:
+        return qa
+    half = math.atan2(s, rel[0])
+    step = np.concatenate([[math.cos(u * half)], math.sin(u * half) * rel[1:] / s])
+    return quat_mul(qa, step)
+
+
+def make_continuous(qs):
+    """Walk a quaternion chain, negating each one that points away from its aligned predecessor."""
+    out = [np.array(q, dtype=float) for q in qs]
+    for i in range(1, len(out)):
+        if float(out[i - 1] @ out[i]) < 0.0:
+            out[i] = -out[i]
+    return np.array(out)
+
+
+def rotation_distance(ra, rb):
+    """Angle in radians between two rotations, accurate near zero.
+
+    ||Ra - Rb||_F = 2 sqrt(2) sin(angle / 2).
+    """
+    chord = float(np.linalg.norm(np.asarray(ra) - np.asarray(rb))) / (2.0 * math.sqrt(2.0))
+    return 2.0 * math.asin(min(1.0, chord))

@@ -445,6 +445,11 @@ def test_11_cli_determinism_and_exit_contract(tmp_path, capsys):
         ("calib_not_json.json", b"nope", ["fuse", "--calib"]),
         ("config_unknown.json", b'{"filter_windw": 5}', ["fuse", "--config"]),
         ("config_window.json", b'{"filter": {"window": 4}}', ["fuse", "--config"]),
+        # JSON values of the wrong type must not escape as a TypeError
+        ("config_window_null.json", b'{"filter": {"window": null}}', ["emit", "--config"]),
+        ("config_center.json", b'{"limits": {"workspace_center": 5}}', ["emit", "--config"]),
+        ("config_step_null.json", b'{"limits": {"max_step_mm": null}}', ["emit", "--config"]),
+        ("config_extra.json", b'{"process": {"process_type": "adhesive", "extra": 5}}', ["emit", "--config"]),
         ("fused_missing.json", json.dumps({"frame": "R", "closed": False, "points": [{"x_mm": 0}]}).encode(), ["gen", "--fused"]),
         ("fused_frame.json", (tmp_path / "a" / "fused.json").read_text().replace('"R"', '"Q"').encode(), ["gen", "--fused"]),
         ("fused_short.json", json.dumps({"frame": "R", "closed": False, "points": json.loads((tmp_path / "a" / "fused.json").read_text())["points"][:1]}).encode(), ["gen", "--fused"]),
@@ -463,6 +468,8 @@ def test_11_cli_determinism_and_exit_contract(tmp_path, capsys):
                 argv += ["--config", str(path)]
             else:
                 argv[argv.index(argv_kind[1]) + 1] = str(path)
+        elif argv_kind[0] == "emit":
+            argv = ["emit", str(tmp_path / "a" / "doc.aml"), "--config", str(path)]
         elif argv_kind[0] == "gen":
             argv = ["pathml", "gen", "--fused", str(path), "--project", "p", "--process-type", "other"]
         else:

@@ -59,22 +59,23 @@ class TestCadPath:
 class TestArcParams:
     def test_open_values(self):
         p = CadPath(np.array([[0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]]))
-        a = arc_params(p)
-        assert np.allclose(a.params, [0.0, 3.0 / 7.0, 1.0])
+        assert np.allclose(arc_params(p), [0.0, 3.0 / 7.0, 1.0])
 
     def test_closed_adds_virtual_closing_point(self):
         p = CadPath(SQUARE, closed=True)
         a = arc_params(p)
-        assert len(a.params) == 5
-        assert np.allclose(a.params, [0.0, 0.25, 0.5, 0.75, 1.0])
+        assert len(a) == 5
+        assert np.allclose(a, [0.0, 0.25, 0.5, 0.75, 1.0])
 
     def test_endpoints_pinned(self):
         rng = np.random.default_rng(1)
         p = CadPath(np.cumsum(rng.uniform(0.1, 3.0, (12, 3)), axis=0))
         a = arc_params(p)
-        assert a.params[0] == 0.0
-        assert a.params[-1] == 1.0
-        assert np.all(np.diff(a.params) >= 0)
+        assert a[0] == 0.0
+        assert a[-1] == 1.0
+        assert np.all(np.diff(a) >= 0)
+        with pytest.raises(ValueError):
+            a[1] = 0.5
 
 
 class TestResample:

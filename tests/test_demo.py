@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from pathfuse import (
-    EulerZyx,
     Frame,
     FusedPath,
     ParseError,
-    PoseSample,
     PoseSeries,
     TrackerErrorModel,
     ValidationError,
@@ -57,21 +55,6 @@ class TestSeriesType:
         s = make_series()
         with pytest.raises(ValueError):
             s.positions[0, 0] = 1.0
-
-    def test_sample_accessor_and_from_samples(self):
-        s = make_series(n=10)
-        samples = [s.sample(i) for i in range(len(s))]
-        assert isinstance(samples[3].orientation, EulerZyx)
-        rebuilt = PoseSeries.from_samples(samples, source=s.source)
-        assert np.array_equal(rebuilt.t, s.t)
-        assert np.array_equal(rebuilt.positions, s.positions)
-        assert np.array_equal(rebuilt.orientations, s.orientations)
-
-    def test_pose_sample_validates(self):
-        with pytest.raises(ValueError):
-            PoseSample(math.nan, np.zeros(3), EulerZyx(0, 0, 0))
-        with pytest.raises(ValueError):
-            PoseSample(0.0, [1.0, math.inf, 0.0], EulerZyx(0, 0, 0))
 
 
 class TestCsv:

@@ -15,7 +15,6 @@ from pathfuse import (
     compose,
     euler_zyx_from_rot,
     invert,
-    make_transform,
     robot_angles_fixed_xyz,
     rot_from_euler_zyx,
     rot_from_fixed_xyz,
@@ -219,12 +218,6 @@ class TestComposeInvert:
     def test_invert_swaps_tags(self):
         t = Transform4.identity(Frame.F, Frame.S)
         assert (invert(t).parent, invert(t).child) == (Frame.S, Frame.F)
-
-    def test_make_transform_is_validated_constructor(self):
-        t = make_transform(oracles.rot_z(0.2), [1, 2, 3], Frame.F, Frame.S)
-        assert (t.parent, t.child) == (Frame.F, Frame.S)
-        with pytest.raises(ValueError):
-            make_transform(np.zeros((3, 3)), [0, 0, 0])
 
 
 class TestCalibrationChain:

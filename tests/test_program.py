@@ -7,7 +7,6 @@ import pytest
 
 from conftest import make_doc
 from pathfuse import (
-    Dialect,
     Frame,
     FrameMismatchError,
     FusedPath,
@@ -153,7 +152,6 @@ class TestEmit:
 
     def test_matches_golden_file(self):
         prog = emit_program(self._golden_doc())
-        assert prog.dialect is Dialect.NEUTRAL
         assert prog.text == GOLDEN.read_text()
 
     def test_layers_emitted_by_index_not_listing_order(self):
