@@ -85,35 +85,36 @@ class ProcessParameters:
         )
 
 
-@dataclass(frozen=True)
-class PathPoint:
-    """One commanded pose: position in mm, fixed-axis X-Y-Z angles in degrees."""
-
-    x: float
-    y: float
-    z: float
-    rx: float
-    ry: float
-    rz: float
-    velocity: float
-
-    def __post_init__(self):
-        for name in ("x", "y", "z", "rx", "ry", "rz", "velocity"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Track:
-    """A continuous tool motion; ``tool_active`` says whether the tool works here."""
+    """A continuous tool motion; ``tool_active`` says whether the tool works here.
+
+    ``points`` is a read-only float array of shape (n, 7), one commanded pose
+    per row, columns in ``POINT_ATTRS`` order: position in mm, fixed-axis
+    X-Y-Z angles in degrees, speed in mm/s.  Any (n, 7) array-like is copied
+    in; empty input becomes (0, 7), any other shape raises ValueError.
+    """
 
     name: str
-    points: tuple[PathPoint, ...]
+    points: np.ndarray
     tool_active: bool
 
     def __post_init__(self):
         object.__setattr__(self, "name", str(self.name))
-        object.__setattr__(self, "points", tuple(self.points))
+        pts = np.array(self.points, dtype=float)
+        if pts.size == 0:
+            pts = pts.reshape(0, len(POINT_ATTRS))
+        if pts.ndim != 2 or pts.shape[1] != len(POINT_ATTRS):
+            raise ValueError(f"track points must have shape (n, {len(POINT_ATTRS)}), got {pts.shape}")
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
         object.__setattr__(self, "tool_active", bool(self.tool_active))
+
+    def __eq__(self, other):
+        if not isinstance(other, Track):
+            return NotImplemented
+        same = (self.name, self.tool_active) == (other.name, other.tool_active)
+        return same and np.array_equal(self.points, other.points)
 
 
 @dataclass(frozen=True)
@@ -166,15 +167,11 @@ def build_document(
         raise FrameMismatchError(
             f"documents hold robot-frame paths; got frame {path.frame}"
         )
-    points = []
-    for i in range(len(path)):
-        x, y, z = path.positions[i]
-        rx, ry, rz = (math.degrees(a) for a in path.orientations[i])
-        points.append(PathPoint(x, y, z, rx, ry, rz, float(path.speeds[i])))
+    points = np.column_stack([path.positions, np.degrees(path.orientations), path.speeds])
     doc = PathMLDocument(
         project_name=project_name,
         process=process,
-        layers=(Layer("Layer_0", 0, (Track("Track_0", tuple(points), True),)),),
+        layers=(Layer("Layer_0", 0, (Track("Track_0", points, True),)),),
     )
     bad = validate_document(doc)
     if bad:
@@ -238,23 +235,24 @@ def validate_document(doc: PathMLDocument) -> list[Violation]:
                 out.append(
                     Violation(tpath, "structure", f"track has {len(track.points)} point(s), needs at least 2")
                 )
-            for k, pt in enumerate(track.points):
+            speed = track.points[:, -1]
+            finite = np.isfinite(track.points).all(axis=1)
+            for k in np.flatnonzero(~finite | (speed < 0.0)):
                 ppath = f"{tpath}/Point_{k}"
-                vals = (pt.x, pt.y, pt.z, pt.rx, pt.ry, pt.rz, pt.velocity)
-                if not all(math.isfinite(v) for v in vals):
+                if not finite[k]:
                     out.append(Violation(ppath, "finite", "point has a non-finite field"))
-                elif pt.velocity < 0.0:
-                    out.append(
-                        Violation(ppath, "velocity", f"velocity must be >= 0, got {pt.velocity}")
-                    )
+                else:
+                    out.append(Violation(ppath, "velocity", f"velocity must be >= 0, got {float(speed[k])}"))
     return out
 
 
-def _fmt6(v: float) -> str:
-    s = f"{v:.6f}"
-    if s.startswith("-") and float(s) == 0.0:
-        s = s[1:]  # -0.000000 and 0.000000 mean the same number
-    return s
+def unsign_zeros(text: str, places: int) -> str:
+    """Write each ``-0.0…0`` in ``text`` as ``0.0…0``; every number there has ``places`` decimals.
+
+    The sign goes after formatting, not by rounding first: -0.0005 still
+    prints -0.001 at three places.
+    """
+    return text.replace("-0." + "0" * places, "0." + "0" * places)
 
 
 _TEXT_ENTITIES = {"\r": "&#13;"}
@@ -263,6 +261,14 @@ _TEXT_ENTITIES = {"\r": "&#13;"}
 def _attr_line(indent: int, name: str, text: str) -> str:
     body = escape(text, _TEXT_ENTITIES)
     return f'{" " * indent}<Attribute Name={quoteattr(name)}><Value>{body}</Value></Attribute>'
+
+
+# One Point element; filled with the point index and a row of ``Track.points``.
+_POINT_XML = "\n".join(
+    ['          <InternalElement Name="Point_{}">']
+    + [_attr_line(12, name, "{:.6f}") for name in POINT_ATTRS]
+    + ["          </InternalElement>"]
+)
 
 
 def write_xml(doc: PathMLDocument) -> bytes:
@@ -284,12 +290,13 @@ def write_xml(doc: PathMLDocument) -> bytes:
 
     p = doc.process
     lines.append(_attr_line(6, "ProcessType", p.process_type.value))
-    if p.glue_flow_rate is not None:
-        lines.append(_attr_line(6, "GlueFlowRate_ml_min", _fmt6(p.glue_flow_rate)))
-    if p.wire_feed_rate is not None:
-        lines.append(_attr_line(6, "WireFeedRate_mm_s", _fmt6(p.wire_feed_rate)))
-    if p.layer_height is not None:
-        lines.append(_attr_line(6, "LayerHeight_mm", _fmt6(p.layer_height)))
+    for name, v in (
+        ("GlueFlowRate_ml_min", p.glue_flow_rate),
+        ("WireFeedRate_mm_s", p.wire_feed_rate),
+        ("LayerHeight_mm", p.layer_height),
+    ):
+        if v is not None:
+            lines.append(_attr_line(6, name, unsign_zeros(f"{v:.6f}", 6)))
     for k, v in p.extra:
         lines.append(_attr_line(6, k, v))
 
@@ -299,11 +306,9 @@ def write_xml(doc: PathMLDocument) -> bytes:
         for track in layer.tracks:
             lines.append(f"        <InternalElement Name={quoteattr(track.name)}>")
             lines.append(_attr_line(10, "ToolActive", "true" if track.tool_active else "false"))
-            for k, pt in enumerate(track.points):
-                lines.append(f'          <InternalElement Name="Point_{k}">')
-                for attr, val in zip(POINT_ATTRS, (pt.x, pt.y, pt.z, pt.rx, pt.ry, pt.rz, pt.velocity)):
-                    lines.append(_attr_line(12, attr, _fmt6(val)))
-                lines.append("          </InternalElement>")
+            for k, row in enumerate(track.points.tolist()):
+                # kept as short lines: Python's small-object pool reuses them, which holds peak memory down
+                lines.extend(unsign_zeros(_POINT_XML.format(k, *row), 6).split("\n"))
             lines.append("        </InternalElement>")
         lines.append("      </InternalElement>")
 
@@ -355,6 +360,13 @@ def _parse_float(text: str, key: str, where: str) -> float:
         raise SchemaError(f"{where}: {key} is not a number: {text!r}") from None
 
 
+def _no_point_attrs(attrs: dict[str, str], where: str, level: str) -> None:
+    stray = next((k for k in POINT_ATTRS if k in attrs), None)
+    if stray is not None:
+        raise SchemaError(f"{where}: point attribute {stray!r} at {level} level; "
+                          "point attributes belong inside a Point element")
+
+
 def parse_xml(data: bytes | str) -> PathMLDocument:
     """Parse PathML XML into a document.
 
@@ -390,10 +402,7 @@ def parse_xml(data: bytes | str) -> PathMLDocument:
     project_name = _named(project, "project")
 
     attrs = _attributes(project, "project")
-    stray = [k for k in POINT_ATTRS if k in attrs]
-    if stray:
-        raise SchemaError(f"project: point attribute {stray[0]!r} at project level; "
-                          "point attributes belong inside a Point element")
+    _no_point_attrs(attrs, "project", "project")
     if "ProcessType" not in attrs:
         raise SchemaError("project: missing ProcessType attribute")
     try:
@@ -416,10 +425,7 @@ def parse_xml(data: bytes | str) -> PathMLDocument:
     for ordinal, layer_elem in enumerate(_internal_elements(project, "project")):
         lname = _named(layer_elem, "layer")
         lattrs = _attributes(layer_elem, lname)
-        stray = [k for k in POINT_ATTRS if k in lattrs]
-        if stray:
-            raise SchemaError(f"{lname}: point attribute {stray[0]!r} at layer level; "
-                              "point attributes belong inside a Point element")
+        _no_point_attrs(lattrs, lname, "layer")
         index = ordinal
         if "Index" in lattrs:
             text = lattrs.pop("Index")
@@ -435,10 +441,7 @@ def parse_xml(data: bytes | str) -> PathMLDocument:
             tname = _named(track_elem, f"{lname}/track")
             where = f"{lname}/{tname}"
             tattrs = _attributes(track_elem, where)
-            stray = [k for k in POINT_ATTRS if k in tattrs]
-            if stray:
-                raise SchemaError(f"{where}: point attribute {stray[0]!r} at track level; "
-                                  "point attributes belong inside a Point element")
+            _no_point_attrs(tattrs, where, "track")
             if "ToolActive" not in tattrs:
                 raise SchemaError(f"{where}: missing ToolActive attribute")
             flag = tattrs.pop("ToolActive").strip().lower()
@@ -447,7 +450,7 @@ def parse_xml(data: bytes | str) -> PathMLDocument:
             if tattrs:
                 raise SchemaError(f"{where}: unexpected track attribute {next(iter(tattrs))!r}")
 
-            points = []
+            rows = []
             for point_elem in _internal_elements(track_elem, where):
                 pname = _named(point_elem, f"{where}/point")
                 pwhere = f"{where}/{pname}"
@@ -457,12 +460,11 @@ def parse_xml(data: bytes | str) -> PathMLDocument:
                 for key in POINT_ATTRS:
                     if key not in pattrs:
                         raise SchemaError(f"{pwhere}: missing point attribute {key}")
-                vals = [_parse_float(pattrs[key], key, pwhere) for key in POINT_ATTRS]
+                rows.append([_parse_float(pattrs[key], key, pwhere) for key in POINT_ATTRS])
                 for key in pattrs:
                     if key not in POINT_ATTRS:
                         raise SchemaError(f"{pwhere}: unexpected point attribute {key!r}")
-                points.append(PathPoint(*vals))
-            tracks.append(Track(tname, tuple(points), flag == "true"))
+            tracks.append(Track(tname, rows, flag == "true"))
         layers.append(Layer(lname, index, tuple(tracks)))
 
     return PathMLDocument(project_name, process, tuple(layers))
@@ -498,18 +500,18 @@ def expand_layers(doc: PathMLDocument, n_layers: int, direction) -> PathMLDocume
         return doc
 
     base = doc.layers[0]
-    layers = []
-    for k in range(n_layers):
-        off = k * h * d
-        tracks = []
-        for track in base.tracks:
-            points = tuple(
-                PathPoint(
-                    pt.x + off[0], pt.y + off[1], pt.z + off[2],
-                    pt.rx, pt.ry, pt.rz, pt.velocity,
-                )
-                for pt in track.points
-            )
-            tracks.append(Track(track.name, points, track.tool_active))
-        layers.append(Layer(_numbered_name(base.name, k), k, tuple(tracks)))
-    return PathMLDocument(doc.project_name, doc.process, tuple(layers))
+    lift = np.arange(n_layers)[:, None] * h * d  # row k is (k * h) * d
+    stacks = []
+    for track in base.tracks:
+        stack = np.repeat(track.points[None], n_layers, axis=0)
+        stack[:, :, :3] += lift[:, None, :]
+        stacks.append(stack)
+    layers = tuple(
+        Layer(
+            _numbered_name(base.name, k),
+            k,
+            tuple(Track(t.name, s[k], t.tool_active) for t, s in zip(base.tracks, stacks)),
+        )
+        for k in range(n_layers)
+    )
+    return PathMLDocument(doc.project_name, doc.process, layers)

@@ -22,7 +22,7 @@ import numpy as np
 from .errors import FrameMismatchError
 from .fusion import FusedPath
 from .geometry import rotation_angle, rots_from_euler_zyx
-from .pathml import PathMLDocument
+from .pathml import PathMLDocument, unsign_zeros
 
 
 @dataclass(frozen=True)
@@ -89,37 +89,26 @@ def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
     then points); for one point the pair rules (step, orient_step) precede
     the point rules (reachability, speed).
     """
-    center = np.array(limits.workspace_center)
+    rules = ("step", "orient_step", "reachability", "speed")
+    limit = (limits.max_step_mm, limits.max_orient_step_deg, limits.workspace_radius_mm, limits.max_speed_mm_s)
     out: list[LimitViolation] = []
     for li, layer in enumerate(doc.layers):
         for ti, track in enumerate(layer.tracks):
-            zyx = np.radians([(pt.rz, pt.ry, pt.rx) for pt in track.points]).reshape(-1, 3)
+            pts = track.points
+            zyx = np.radians(pts[:, 5:2:-1])  # (rz, ry, rx) columns
             if not np.isfinite(zyx).all():
                 raise ValueError(f"layer {li} track {ti} has non-finite angles")
             rots = rots_from_euler_zyx(zyx)
-            prev = None
-            for pi, pt in enumerate(track.points):
-                pos = np.array([pt.x, pt.y, pt.z])
-                rot = rots[pi]
-                if prev is not None:
-                    step = float(np.linalg.norm(pos - prev[0]))
-                    if step > limits.max_step_mm:
-                        out.append(LimitViolation(li, ti, pi, "step", step, limits.max_step_mm))
-                    turn = math.degrees(rotation_angle(prev[1].T @ rot))
-                    if turn > limits.max_orient_step_deg:
-                        out.append(
-                            LimitViolation(li, ti, pi, "orient_step", turn, limits.max_orient_step_deg)
-                        )
-                reach = float(np.linalg.norm(pos - center))
-                if reach > limits.workspace_radius_mm:
-                    out.append(
-                        LimitViolation(li, ti, pi, "reachability", reach, limits.workspace_radius_mm)
-                    )
-                if pt.velocity > limits.max_speed_mm_s:
-                    out.append(
-                        LimitViolation(li, ti, pi, "speed", pt.velocity, limits.max_speed_mm_s)
-                    )
-                prev = (pos, rot)
+            # one row per point, one column per rule; NaN where a rule does not apply
+            measured = np.full((len(pts), 4), np.nan)
+            measured[1:, 0] = np.linalg.norm(np.diff(pts[:, :3], axis=0), axis=1)
+            measured[1:, 1] = np.degrees(rotation_angle(np.swapaxes(rots[:-1], 1, 2) @ rots[1:]))
+            measured[:, 2] = np.linalg.norm(pts[:, :3] - limits.workspace_center, axis=1)
+            measured[:, 3] = pts[:, 6]
+            out.extend(
+                LimitViolation(li, ti, int(pi), rules[ri], float(measured[pi, ri]), limit[ri])
+                for pi, ri in zip(*np.nonzero(measured > limit))
+            )
     return ValidationReport(tuple(out))
 
 
@@ -132,11 +121,7 @@ class RobotProgram:
         return "\n".join(self.lines) + "\n"
 
 
-def _fmt3(v: float) -> str:
-    s = f"{v:.3f}"
-    if s.startswith("-") and float(s) == 0.0:
-        s = s[1:]
-    return s
+_MOVEL = "MOVEL {:.3f} {:.3f} {:.3f} {:.3f} {:.3f} {:.3f} V={:.3f}"
 
 
 def _comment(text: str) -> str:
@@ -161,12 +146,13 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
 
     p = doc.process
     lines = [_comment(f"program: {doc.project_name}"), _comment(f"process_type: {p.process_type.value}")]
-    if p.glue_flow_rate is not None:
-        lines.append(_comment(f"glue_flow_rate_ml_min: {_fmt3(p.glue_flow_rate)}"))
-    if p.wire_feed_rate is not None:
-        lines.append(_comment(f"wire_feed_rate_mm_s: {_fmt3(p.wire_feed_rate)}"))
-    if p.layer_height is not None:
-        lines.append(_comment(f"layer_height_mm: {_fmt3(p.layer_height)}"))
+    for label, v in (
+        ("glue_flow_rate_ml_min", p.glue_flow_rate),
+        ("wire_feed_rate_mm_s", p.wire_feed_rate),
+        ("layer_height_mm", p.layer_height),
+    ):
+        if v is not None:
+            lines.append(_comment(f"{label}: " + unsign_zeros(f"{v:.3f}", 3)))
     for k, v in p.extra:
         lines.append(_comment(f"{k}: {v}"))
 
@@ -175,9 +161,7 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
         for track in layer.tracks:
             if track.tool_active:
                 lines.append("SET_IO TOOL 1")
-            for pt in track.points:
-                coords = " ".join(_fmt3(v) for v in (pt.x, pt.y, pt.z, pt.rx, pt.ry, pt.rz))
-                lines.append(f"MOVEL {coords} V={_fmt3(pt.velocity)}")
+            lines.extend(unsign_zeros(_MOVEL.format(*row), 3) for row in track.points.tolist())
             if track.tool_active:
                 lines.append("SET_IO TOOL 0")
 
@@ -220,18 +204,24 @@ class DeviationReport:
 
 
 def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Min distance of each point to any segment of a polyline."""
+    """Min distance of each point to any segment of a polyline.
+
+    Points go 16 at a time, so the (16, segments, 3) temporaries stay small
+    enough to work in cache on long paths.
+    """
+    chunk = 16
     a = poly[:-1]
     d = poly[1:] - a
     dd = np.einsum("ij,ij->i", d, d)
     dd_safe = np.where(dd > 0.0, dd, 1.0)  # zero-length segments act as points
     out = np.empty(len(points))
-    for i, p in enumerate(points):
-        ap = p - a
-        t = np.clip(np.einsum("ij,ij->i", ap, d) / dd_safe, 0.0, 1.0)
+    for start in range(0, len(points), chunk):
+        p = points[start : start + chunk, None, :]
+        t = np.clip(np.einsum("kij,ij->ki", p - a, d) / dd_safe, 0.0, 1.0)
         t = np.where(dd > 0.0, t, 0.0)
-        closest = a + t[:, None] * d
-        out[i] = np.min(np.linalg.norm(p - closest, axis=1))
+        gap = p - (a + t[..., None] * d)
+        sq = gap * gap
+        out[start : start + chunk] = np.sqrt(np.min(sq[..., 0] + sq[..., 1] + sq[..., 2], axis=1))
     return out
 
 

@@ -1,12 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pathfuse
 from pathfuse import (
     Frame,
     FusedPath,
     Layer,
     PathMLDocument,
-    PathPoint,
     ProcessParameters,
     Track,
 )
@@ -31,7 +34,13 @@ def make_doc(
     """Small valid single-layer document along the x axis."""
     if process is None:
         process = ProcessParameters("other", layer_height=2.0)
-    points = tuple(PathPoint(x, 0.0, 0.0, 0.0, 0.0, 0.0, velocity) for x in xs)
+    points = [(x, 0.0, 0.0, 0.0, 0.0, 0.0, velocity) for x in xs]
     return PathMLDocument(
         project, process, (Layer("Layer_0", 0, (Track("Track_0", points, tool_active),)),)
     )
+
+
+def child_env():
+    """Environment for a child Python process that imports this checkout's pathfuse."""
+    paths = [str(Path(pathfuse.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}

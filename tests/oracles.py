@@ -141,3 +141,35 @@ def rotation_distance(ra, rb):
     """
     chord = float(np.linalg.norm(np.asarray(ra) - np.asarray(rb))) / (2.0 * math.sqrt(2.0))
     return 2.0 * math.asin(min(1.0, chord))
+
+
+def validate_path(doc, limits):
+    """Per-point kinematic limit check, walking every point in order.
+
+    Returns (layer, track, point, rule, measured) tuples in traversal order;
+    for one point the pair rules (step, orient_step) come before the point
+    rules (reachability, speed), and a track's first point has no pair rules.
+    Rows are (x, y, z, rx, ry, rz, speed) with fixed X-Y-Z angles in degrees.
+    """
+    center = np.asarray(limits.workspace_center, dtype=float)
+    out = []
+    for li, layer in enumerate(doc.layers):
+        for ti, track in enumerate(layer.tracks):
+            prev = None
+            for pi, (x, y, z, rx, ry, rz, v) in enumerate(np.asarray(track.points).tolist()):
+                pos = np.array([x, y, z])
+                rot = rot_extrinsic_xyz(math.radians(rx), math.radians(ry), math.radians(rz))
+                if prev is not None:
+                    step = float(np.linalg.norm(pos - prev[0]))
+                    if step > limits.max_step_mm:
+                        out.append((li, ti, pi, "step", step))
+                    turn = math.degrees(rotation_distance(prev[1], rot))
+                    if turn > limits.max_orient_step_deg:
+                        out.append((li, ti, pi, "orient_step", turn))
+                reach = float(np.linalg.norm(pos - center))
+                if reach > limits.workspace_radius_mm:
+                    out.append((li, ti, pi, "reachability", reach))
+                if v > limits.max_speed_mm_s:
+                    out.append((li, ti, pi, "speed", v))
+                prev = (pos, rot)
+    return out

@@ -20,7 +20,6 @@ from pathfuse import (
     Layer,
     PathLimits,
     PathMLDocument,
-    PathPoint,
     PoseSeries,
     ProcessParameters,
     Track,
@@ -234,10 +233,10 @@ def _random_grid_doc(rng):
     for li in range(int(rng.integers(1, 4))):
         tracks = []
         for ti in range(int(rng.integers(1, 3))):
-            points = tuple(
-                PathPoint(num(), num(), num(), num(), num(), num(), abs(num()))
+            points = [
+                (num(), num(), num(), num(), num(), num(), abs(num()))
                 for _ in range(int(rng.integers(2, 5)))
-            )
+            ]
             tracks.append(Track(f"t{ti}_{name('')}", points, bool(rng.random() < 0.5)))
         layers.append(Layer(f"l{li}_{name('')}", li, tuple(tracks)))
     return PathMLDocument(name("p"), process, tuple(layers))
@@ -256,9 +255,7 @@ def test_07_pathml_round_trip_and_canonical_bytes():
 
 def test_08_multi_layer_expansion_offsets():
     """5 layers, 2 mm height, direction (0,0,1): layer k offset exactly k*2 mm within 1e-12."""
-    points = tuple(
-        PathPoint(float(x), float(x) * 0.5, 1.0, 0.0, 0.0, 10.0 * x, 40.0) for x in range(4)
-    )
+    points = [(float(x), float(x) * 0.5, 1.0, 0.0, 0.0, 10.0 * x, 40.0) for x in range(4)]
     doc = PathMLDocument(
         "stack",
         ProcessParameters("welding", wire_feed_rate=8.0, layer_height=2.0),
@@ -267,11 +264,11 @@ def test_08_multi_layer_expansion_offsets():
     out = expand_layers(doc, 5, (0.0, 0.0, 1.0))
     assert len(out.layers) == 5
     assert validate_document(out) == []
-    base = np.array([[p.x, p.y, p.z] for p in doc.layers[0].tracks[0].points])
+    base = doc.layers[0].tracks[0].points[:, :3]
     worst = 0.0
     for k, layer in enumerate(out.layers):
         assert layer.index == k
-        got = np.array([[p.x, p.y, p.z] for p in layer.tracks[0].points])
+        got = layer.tracks[0].points[:, :3]
         offset = got - base
         want = np.array([0.0, 0.0, 2.0 * k])
         worst = max(worst, float(np.max(np.abs(offset - want))))
@@ -324,9 +321,7 @@ def test_10_limit_validation_exact_accounting():
     n = 30
 
     def build(pos, rz, v):
-        points = tuple(
-            PathPoint(pos[i, 0], pos[i, 1], pos[i, 2], 0.0, 0.0, rz[i], v[i]) for i in range(n)
-        )
+        points = np.column_stack([pos, np.zeros((n, 2)), rz, v])
         return PathMLDocument(
             "probe", ProcessParameters("other"), (Layer("L0", 0, (Track("T0", points, True),)),)
         )

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import child_env
 from pathfuse import Frame, FusedPath, fused_path_to_json, parse_xml
 from pathfuse.cli import main
 
@@ -237,7 +238,7 @@ class TestExitCodes:
 
 def test_module_entry_point_smoke():
     proc = subprocess.run(
-        [sys.executable, "-m", "pathfuse", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "pathfuse", "--help"], capture_output=True, text=True, env=child_env()
     )
     assert proc.returncode == 0
     assert "pathfuse" in proc.stdout

@@ -135,6 +135,17 @@ class TestRotationChecks:
         assert math.isclose(rotation_angle(oracles.rot_z(1.2)), 1.2, abs_tol=1e-12)
         assert math.isclose(rotation_angle(oracles.rot_x(math.pi)), math.pi, abs_tol=1e-12)
 
+    def test_rotation_angle_of_a_stack(self):
+        rng = np.random.default_rng(5)
+        stack = np.array([oracles.rand_rotation(rng) for _ in range(20)])
+        got = rotation_angle(stack)
+        assert isinstance(rotation_angle(stack[0]), float)
+        assert got.shape == (20,)
+        assert got.tolist() == [rotation_angle(r) for r in stack]
+        ref = [oracles.rotation_distance(np.eye(3), r) for r in stack]
+        assert np.max(np.abs(got - ref)) < 1e-7
+        assert rotation_angle(np.empty((0, 3, 3))).shape == (0,)
+
 
 class TestTransform4:
     def test_apply_matches_homogeneous_oracle(self):

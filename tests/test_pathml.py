@@ -11,13 +11,13 @@ from pathfuse import (
     Layer,
     ParseError,
     PathMLDocument,
-    PathPoint,
     ProcessParameters,
     ProcessType,
     SchemaError,
     Track,
     ValidationError,
     build_document,
+    emit_program,
     expand_layers,
     fuse,
     parse_xml,
@@ -48,10 +48,10 @@ class TestBuild:
     def test_values_in_degrees(self):
         path = robot_path()
         doc = build_document(path, ProcessParameters("other"), "p")
-        pt = doc.layers[0].tracks[0].points[2]
-        assert math.isclose(pt.x, path.positions[2, 0])
-        assert math.isclose(pt.rx, math.degrees(path.orientations[2, 0]))
-        assert math.isclose(pt.velocity, path.speeds[2])
+        x, _, _, rx, _, _, v = doc.layers[0].tracks[0].points[2]
+        assert math.isclose(x, path.positions[2, 0])
+        assert math.isclose(rx, math.degrees(path.orientations[2, 0]))
+        assert math.isclose(v, path.speeds[2])
 
     def test_requires_robot_frame(self):
         fused = fuse(CadPath(SQUARE), ramp_demo())
@@ -61,6 +61,36 @@ class TestBuild:
     def test_refuses_inconsistent_process(self):
         with pytest.raises(ValidationError):
             build_document(robot_path(), ProcessParameters("adhesive"), "p")
+
+
+class TestTrack:
+    def test_points_are_a_read_only_copy(self):
+        rows = np.arange(14.0).reshape(2, 7)
+        track = Track("T", rows, True)
+        rows[0, 0] = 99.0
+        assert track.points[0, 0] == 0.0
+        assert track.points.shape == (2, 7) and track.points.dtype == np.float64
+        with pytest.raises(ValueError):
+            track.points[0, 0] = 1.0
+
+    def test_empty_input_is_zero_rows(self):
+        assert Track("T", (), True).points.shape == (0, 7)
+        assert Track("T", np.empty((0, 3)), True).points.shape == (0, 7)
+
+    @pytest.mark.parametrize(
+        "points", [np.zeros(7), np.zeros((2, 6)), np.zeros((2, 8)), np.zeros((1, 2, 7)), [(1.0, 2.0)]]
+    )
+    def test_wrong_shape_rejected(self, points):
+        with pytest.raises(ValueError, match="shape"):
+            Track("T", points, True)
+
+    def test_value_equality(self):
+        rows = [(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
+        assert Track("T", rows, True) == Track("T", np.array(rows), True)
+        assert Track("T", rows, True) != Track("T", rows, False)
+        assert Track("T", rows, True) != Track("U", rows, True)
+        assert Track("T", rows, True) != Track("T", [(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0)], True)
+        assert Track("T", rows, True) != Track("T", rows * 2, True)
 
 
 class TestProcessParameters:
@@ -139,7 +169,7 @@ class TestValidate:
         assert any("at least 2" in d for d in self._details(doc))
 
     def test_non_finite_coordinate(self):
-        pts = (PathPoint(0, 0, 0, 0, 0, 0, 10), PathPoint(math.nan, 0, 0, 0, 0, 0, 10))
+        pts = [(0, 0, 0, 0, 0, 0, 10), (math.nan, 0, 0, 0, 0, 0, 10)]
         doc = PathMLDocument(
             "p", ProcessParameters("other"), (Layer("L", 0, (Track("T", pts, True),)),)
         )
@@ -187,6 +217,30 @@ class TestWriter:
         text = write_xml(doc).decode()
         assert "<Value>0.000000</Value>" in text
         assert "-0.000000" not in text
+
+    # expected strings come from the per-value formatters these writers replaced
+    @pytest.mark.parametrize(
+        "value, three, six",
+        [
+            (-0.0, "0.000", "0.000000"),
+            (-1e-9, "0.000", "0.000000"),
+            (-4e-4, "0.000", "-0.000400"),
+            (-5e-4, "-0.001", "-0.000500"),
+            (-4e-7, "0.000", "0.000000"),
+            (-5e-7, "0.000", "0.000000"),
+        ],
+    )
+    def test_negative_zero_dropped_after_rounding(self, value, three, six):
+        doc = PathMLDocument(
+            "p",
+            ProcessParameters("other"),
+            (Layer("L", 0, (Track("T", [(value,) * 6 + (-0.0,)] * 2, True),)),),
+        )
+        values = [line.split("<Value>")[1].split("</Value>")[0]
+                  for line in write_xml(doc).decode().splitlines() if "_mm" in line or "_deg" in line]
+        assert values == [six] * 6 + ["0.000000"] + [six] * 6 + ["0.000000"]
+        moves = [line for line in emit_program(doc).lines if line.startswith("MOVEL")]
+        assert moves == [f"MOVEL {' '.join([three] * 6)} V=0.000"] * 2
 
     def test_special_characters_escaped(self):
         doc = make_doc(project='a<b>&"c\'')
@@ -272,6 +326,20 @@ class TestParse:
         with pytest.raises(SchemaError, match="X_mm"):
             parse_xml(text.encode())
 
+    @pytest.mark.parametrize(
+        "level, needle",
+        [
+            ("project", '<Attribute Name="ProcessType">'),
+            ("layer", '<Attribute Name="Index">'),
+            ("track", '<Attribute Name="ToolActive">'),
+        ],
+    )
+    def test_point_attribute_at_each_level_rejected(self, level, needle):
+        good = write_xml(make_doc()).decode()
+        text = good.replace(needle, '<Attribute Name="X_mm"><Value>1.000000</Value></Attribute>' + needle, 1)
+        with pytest.raises(SchemaError, match=f"point attribute 'X_mm' at {level} level"):
+            parse_xml(text.encode())
+
     def test_two_hierarchies_rejected(self):
         good = write_xml(make_doc()).decode()
         start = good.index("  <InstanceHierarchy")
@@ -301,9 +369,9 @@ class TestExpand:
         doc = self._doc()
         out = expand_layers(doc, 4, (0.0, 0.0, 1.0))
         assert len(out.layers) == 4
-        base = np.array([[p.x, p.y, p.z] for p in doc.layers[0].tracks[0].points])
+        base = doc.layers[0].tracks[0].points[:, :3]
         for k, layer in enumerate(out.layers):
-            got = np.array([[p.x, p.y, p.z] for p in layer.tracks[0].points])
+            got = layer.tracks[0].points[:, :3]
             assert np.max(np.abs(got - (base + np.array([0, 0, 2.0 * k])))) < 1e-12
             assert layer.index == k
 
@@ -311,10 +379,9 @@ class TestExpand:
         doc = self._doc()
         d = np.array([1.0, 2.0, 2.0]) / 3.0
         out = expand_layers(doc, 3, tuple(d))
-        p0 = doc.layers[0].tracks[0].points[0]
-        p2 = out.layers[2].tracks[0].points[0]
-        want = np.array([p0.x, p0.y, p0.z]) + 2 * 2.0 * d
-        assert np.max(np.abs(np.array([p2.x, p2.y, p2.z]) - want)) < 1e-12
+        p0 = doc.layers[0].tracks[0].points[0, :3]
+        p2 = out.layers[2].tracks[0].points[0, :3]
+        assert np.max(np.abs(p2 - (p0 + 2 * 2.0 * d))) < 1e-12
 
     def test_numbered_names_continue_pattern(self):
         out = expand_layers(self._doc(), 3, (0, 0, 1))
@@ -331,8 +398,7 @@ class TestExpand:
         src = self._doc().layers[0].tracks[0]
         dst = out.layers[1].tracks[0]
         assert dst.tool_active == src.tool_active
-        for a, b in zip(src.points, dst.points):
-            assert (a.rx, a.ry, a.rz, a.velocity) == (b.rx, b.ry, b.rz, b.velocity)
+        assert np.array_equal(src.points[:, 3:], dst.points[:, 3:])
 
     def test_single_copy_unchanged(self):
         doc = self._doc()
@@ -374,7 +440,7 @@ name_chars = st.text(
     st.booleans(),
 )
 def test_round_trip_property(values, project, tool_active):
-    pts = (PathPoint(*values[:6], abs(values[6])), PathPoint(*values[7:13], abs(values[13])))
+    pts = [(*values[:6], abs(values[6])), (*values[7:13], abs(values[13]))]
     doc = PathMLDocument(
         project,
         ProcessParameters("other", extra={"note": project}),
