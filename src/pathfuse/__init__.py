@@ -19,15 +19,9 @@ from .errors import (
 )
 from .geometry import (
     CalibrationSet,
-    EulerZyx,
     Frame,
     Transform4,
-    chain_to_robot,
     compose,
-    euler_zyx_from_rot,
-    invert,
-    robot_angles_fixed_xyz,
-    rot_from_euler_zyx,
     rot_from_fixed_xyz,
     rotation_angle,
     wrap_angle,
@@ -83,7 +77,6 @@ __all__ = [
     "CalibrationSet",
     "DegeneratePathError",
     "DeviationReport",
-    "EulerZyx",
     "Frame",
     "FrameMismatchError",
     "FusedPath",
@@ -109,27 +102,22 @@ __all__ = [
     "Violation",
     "arc_params",
     "build_document",
-    "chain_to_robot",
     "compose",
     "deviation_report",
     "downsample",
     "emit_program",
     "estimate_speed",
-    "euler_zyx_from_rot",
     "expand_layers",
     "filter_outliers",
     "format_demo_csv",
     "fuse",
     "fused_path_from_json",
     "fused_path_to_json",
-    "invert",
     "parse_cad",
     "parse_demo",
     "parse_xml",
     "path_parameters",
     "resample_cad",
-    "robot_angles_fixed_xyz",
-    "rot_from_euler_zyx",
     "rot_from_fixed_xyz",
     "rotation_angle",
     "synth_demo",

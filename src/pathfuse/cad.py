@@ -64,13 +64,24 @@ class CadPath:
 
     def segment_lengths(self) -> np.ndarray:
         """Lengths of every traversed segment, closing one included if closed."""
-        pts = self.waypoints
-        if self.closed:
-            pts = np.vstack([pts, pts[:1]])
-        return np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        return np.linalg.norm(np.diff(traverse(self.waypoints, self.closed), axis=0), axis=1)
 
     def total_length(self) -> float:
         return float(np.sum(self.segment_lengths()))
+
+
+def traverse(points: np.ndarray, closed: bool) -> np.ndarray:
+    """Polyline vertices in traversal order: a closed one returns to its first point."""
+    return np.vstack([points, points[:1]]) if closed else points
+
+
+def arc_fraction(points: np.ndarray) -> np.ndarray:
+    """Cumulative arc length over total arc length at each vertex of a polyline.
+
+    Starts at 0 and ends at exactly 1; all zeros for a zero-length polyline.
+    """
+    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+    return cum / cum[-1] if cum[-1] > 0.0 else np.zeros(len(cum))
 
 
 def arc_params(path: CadPath) -> np.ndarray:
@@ -82,8 +93,7 @@ def arc_params(path: CadPath) -> np.ndarray:
     virtual closing point is included and the result has ``len(path) + 1``
     values.
     """
-    cum = np.concatenate([[0.0], np.cumsum(path.segment_lengths())])
-    params = cum / cum[-1]
+    params = arc_fraction(traverse(path.waypoints, path.closed))
     params.flags.writeable = False
     return params
 
@@ -111,18 +121,16 @@ def resample_cad(path: CadPath, spacing_mm: float) -> CadPath:
             return path  # endpoints coincide; nothing coarser exists
         return CadPath(np.vstack([first, last]), closed=False)
 
-    pts = path.waypoints
-    loop = np.vstack([pts, pts[:1]]) if path.closed else pts
-    out = []
-    for a, b in zip(loop[:-1], loop[1:]):
-        out.append(a)
-        length = float(np.linalg.norm(b - a))
-        pieces = math.ceil(length / spacing_mm)
-        for i in range(1, pieces):
-            out.append(a + (i / pieces) * (b - a))
+    loop = traverse(path.waypoints, path.closed)
+    a, d = loop[:-1], np.diff(loop, axis=0)
+    pieces = np.ceil(path.segment_lengths() / spacing_mm).astype(np.intp)
+    seg = np.repeat(np.arange(len(d)), pieces)  # segment of every output point
+    i = np.arange(len(seg)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    out = a[seg] + (i / pieces[seg])[:, None] * d[seg]
+    out[i == 0] = a  # piece 0 is the waypoint itself: 0.0 * d would unsign a -0.0
     if not path.closed:
-        out.append(pts[-1])
-    return CadPath(np.array(out), closed=path.closed)
+        out = np.vstack([out, loop[-1:]])
+    return CadPath(out, closed=path.closed)
 
 
 def _parse_cad_json(text: str) -> CadPath:

@@ -169,6 +169,8 @@ def load_calibration(data: bytes | str) -> CalibrationSet:
             raise ValueError(
                 f"calibration {key!r} needs 3-vectors translation_mm and rotation_deg_fixed_xyz"
             ) from None
+        if not np.isfinite(deg).all():
+            raise ValueError(f"calibration {key!r} rotation_deg_fixed_xyz must be finite")
         rx, ry, rz = np.radians(deg)
         return Transform4(rot_from_fixed_xyz(rx, ry, rz), t, parent, child)
 

@@ -20,6 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _quat
+from .cad import arc_fraction
 from .errors import ParseError, ValidationError
 from .geometry import wrap_angle
 
@@ -50,7 +51,6 @@ class PoseSeries:
     t: np.ndarray
     positions: np.ndarray
     orientations: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float).reshape(-1).copy()
@@ -79,7 +79,7 @@ class PoseSeries:
         return len(self.t)
 
 
-def parse_demo(data: bytes | str, source: str = "") -> PoseSeries:
+def parse_demo(data: bytes | str) -> PoseSeries:
     """Parse demonstration CSV text.  Raises ParseError/ValidationError."""
     if isinstance(data, bytes):
         try:
@@ -119,7 +119,7 @@ def parse_demo(data: bytes | str, source: str = "") -> PoseSeries:
 
     if len(t) < 2:
         raise ValidationError("a demonstration needs at least 2 samples")
-    return PoseSeries(np.array(t), np.array(pos), np.array(orient), source=source)
+    return PoseSeries(np.array(t), np.array(pos), np.array(orient))
 
 
 def format_demo_csv(series: PoseSeries) -> bytes:
@@ -186,7 +186,7 @@ def filter_outliers(series: PoseSeries, window: int = 11, k: float = 3.0) -> Pos
         med, flags = _hampel(unwrapped, window, k)
         orient[flags, c] = wrap_angle(med[flags])
 
-    return PoseSeries(series.t, pos, orient, source=series.source)
+    return PoseSeries(series.t, pos, orient)
 
 
 def estimate_speed(series: PoseSeries) -> np.ndarray:
@@ -206,24 +206,19 @@ def estimate_speed(series: PoseSeries) -> np.ndarray:
     return v
 
 
-def path_parameters(
-    positions: np.ndarray, t: np.ndarray, min_arc_mm: float = MIN_ARC_MM
-) -> tuple[np.ndarray, bool]:
+def path_parameters(positions: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, bool]:
     """Normalized progress in [0, 1] for each sample.
 
     Progress is cumulative arc length over total arc length.  When the total
-    travel is below ``min_arc_mm`` (a near-stationary capture) normalized time
+    travel is below ``MIN_ARC_MM`` (a near-stationary capture) normalized time
     is used instead; the second return value says which happened (True means
     time).  The result is non-decreasing with first value 0 and last value 1.
     """
     positions = np.asarray(positions, dtype=float)
     t = np.asarray(t, dtype=float)
-    seg = np.linalg.norm(np.diff(positions, axis=0), axis=1)
-    total = float(np.sum(seg))
-    if total < min_arc_mm:
+    if float(np.sum(np.linalg.norm(np.diff(positions, axis=0), axis=1))) < MIN_ARC_MM:
         return (t - t[0]) / (t[-1] - t[0]), True
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    return cum / cum[-1], False
+    return arc_fraction(positions), False
 
 
 def downsample(series: PoseSeries, target_count: int) -> PoseSeries:
@@ -257,7 +252,7 @@ def downsample(series: PoseSeries, target_count: int) -> PoseSeries:
     pos_new[0], pos_new[-1] = series.positions[0], series.positions[-1]
     orient_new[0], orient_new[-1] = series.orientations[0], series.orientations[-1]
 
-    return PoseSeries(t_new, pos_new, orient_new, source=series.source)
+    return PoseSeries(t_new, pos_new, orient_new)
 
 
 @dataclass(frozen=True)
@@ -341,4 +336,4 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
             sign = 1.0 if rng.random() < 0.5 else -1.0
             noisy[i, axis] += sign * SPIKE_MAGNITUDE_MM
 
-    return PoseSeries(ts, noisy, orient, source=f"synth:seed={model.seed}")
+    return PoseSeries(ts, noisy, orient)

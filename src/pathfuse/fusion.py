@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _quat
 from .errors import FrameMismatchError, ParseError, TimeParameterizationWarning
-from .cad import CadPath, arc_params
+from .cad import CadPath, arc_params, traverse
 from .demo import PoseSeries, estimate_speed, path_parameters
 from .geometry import CalibrationSet, Frame, compose, euler_zyx_from_rots, rots_from_euler_zyx
 
@@ -85,10 +85,7 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
         )
 
     cad_u = arc_params(cad)
-    if cad.closed:
-        positions = np.vstack([cad.waypoints, cad.waypoints[:1]])
-    else:
-        positions = cad.waypoints.copy()
+    positions = traverse(cad.waypoints, cad.closed)
 
     # (psi, theta, phi) reversed is the robot's fixed-axis (rx, ry, rz)
     orientations = _quat.interpolate_zyx(demo_params, demo.orientations, cad_u)[:, ::-1]

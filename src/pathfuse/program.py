@@ -19,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FrameMismatchError
+from .cad import arc_fraction, traverse
+from .errors import FrameMismatchError, ValidationError
 from .fusion import FusedPath
 from .geometry import rotation_angle, rots_from_euler_zyx
-from .pathml import PathMLDocument, unsign_zeros
+from .pathml import PathMLDocument, unsign_zeros, validate_document
 
 
 @dataclass(frozen=True)
@@ -133,7 +134,8 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
     """Emit the neutral-dialect program for a document.
 
     If a validation report is supplied it must have passed; emission refuses
-    to encode a path known to violate limits.  Layers are emitted in index
+    to encode a path known to violate limits, and raises ValidationError for
+    a document that breaks the document rules.  Layers are emitted in index
     order; tool-active tracks are wrapped in SET_IO TOOL 1/0.
     """
     if validation is not None and not validation.passed:
@@ -143,6 +145,9 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
     total_points = sum(len(t.points) for l in doc.layers for t in l.tracks)
     if total_points == 0:
         raise ValueError("document has no points to emit")
+    bad = validate_document(doc)
+    if bad:
+        raise ValidationError("refusing to emit an invalid document: " + "; ".join(str(v) for v in bad))
 
     p = doc.process
     lines = [_comment(f"program: {doc.project_name}"), _comment(f"process_type: {p.process_type.value}")]
@@ -253,18 +258,10 @@ def deviation_report(
     if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
         raise ValueError(f"section breaks must strictly increase, got {breaks}")
 
-    nom_poly = nominal.positions
-    if nominal.closed:
-        nom_poly = np.vstack([nom_poly, nom_poly[:1]])
-    devs = _point_to_polyline_mm(executed.positions, nom_poly)
+    devs = _point_to_polyline_mm(executed.positions, traverse(nominal.positions, nominal.closed))
 
     # executed progress for sectioning; degenerate (zero-length) paths land in section 1
-    seg = np.linalg.norm(np.diff(executed.positions, axis=0), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(seg)])
-    total = cum[-1]
-    if executed.closed:
-        total = total + float(np.linalg.norm(executed.positions[0] - executed.positions[-1]))
-    params = cum / total if total > 0.0 else np.zeros(len(cum))
+    params = arc_fraction(traverse(executed.positions, executed.closed))[: len(executed)]
 
     idx = np.searchsorted(np.array(breaks), params, side="right") if breaks else np.zeros(
         len(params), dtype=int

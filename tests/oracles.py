@@ -74,6 +74,25 @@ def polyline_length(poly):
     return float(np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1)))
 
 
+def split_polyline(points, closed, spacing):
+    """Vertices with every segment cut into ceil(length / spacing) equal pieces.
+
+    One segment at a time; a closed polyline includes its closing segment and
+    does not repeat the first vertex at the end.
+    """
+    points = np.asarray(points, dtype=float)
+    loop = np.vstack([points, points[:1]]) if closed else points
+    out = []
+    for a, b in zip(loop[:-1], loop[1:]):
+        out.append(a)
+        pieces = math.ceil(float(np.linalg.norm(b - a)) / spacing)
+        for i in range(1, pieces):
+            out.append(a + (i / pieces) * (b - a))
+    if not closed:
+        out.append(points[-1])
+    return np.array(out)
+
+
 def quat_mul(a, b):
     """Hamilton product of [w, x, y, z] quaternions."""
     aw, ax, ay, az = a

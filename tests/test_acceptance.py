@@ -14,7 +14,6 @@ import oracles
 from pathfuse import (
     CadPath,
     CalibrationSet,
-    EulerZyx,
     Frame,
     FusedPath,
     Layer,
@@ -25,16 +24,12 @@ from pathfuse import (
     Track,
     TrackerErrorModel,
     Transform4,
-    chain_to_robot,
     compose,
-    euler_zyx_from_rot,
     expand_layers,
     filter_outliers,
     fuse,
     fused_path_to_json,
-    invert,
     parse_xml,
-    rot_from_euler_zyx,
     rot_from_fixed_xyz,
     synth_demo,
     to_robot_frame,
@@ -43,6 +38,7 @@ from pathfuse import (
     write_xml,
 )
 from pathfuse.cli import main
+from pathfuse.geometry import euler_zyx_from_rots, rots_from_euler_zyx
 
 
 def _pass(label):
@@ -56,17 +52,11 @@ def test_01_euler_round_trip_accuracy_and_speed():
     psis = rng.uniform(-math.pi, math.pi, n)
     thetas = rng.uniform(-math.radians(85.0), math.radians(85.0), n)
     phis = rng.uniform(-math.pi, math.pi, n)
+    triples = np.column_stack([psis, thetas, phis])
     start = time.perf_counter()
-    worst = 0.0
-    for psi, theta, phi in zip(psis, thetas, phis):
-        back = euler_zyx_from_rot(rot_from_euler_zyx(EulerZyx(psi, theta, phi)))
-        worst = max(
-            worst,
-            abs(back.psi - psi),
-            abs(back.theta - theta),
-            abs(back.phi - phi),
-        )
+    back = euler_zyx_from_rots(rots_from_euler_zyx(triples))
     elapsed = time.perf_counter() - start
+    worst = float(np.max(np.abs(back - triples)))
     assert worst < 1e-9, f"worst angle error {worst:.3e}"
     assert elapsed < 1.0, f"took {elapsed:.2f}s"
     _pass(f"euler round trip (max err {worst:.2e}, {elapsed * 1e3:.0f} ms)")
@@ -75,52 +65,50 @@ def test_01_euler_round_trip_accuracy_and_speed():
 def test_02_intrinsic_extrinsic_equivalence():
     """10,000 triples: fixed-XYZ composition equals intrinsic ZYX matrix < 1e-12."""
     rng = np.random.default_rng(202)
+    triples = rng.uniform(-math.pi, math.pi, (10_000, 3))  # (rx, ry, rz) rows
+    intrinsic = rots_from_euler_zyx(triples[:, ::-1])
     worst = 0.0
-    for _ in range(10_000):
-        rx, ry, rz = rng.uniform(-math.pi, math.pi, 3)
+    for (rx, ry, rz), r in zip(triples, intrinsic):
         reference = oracles.rot_extrinsic_xyz(rx, ry, rz)
-        intrinsic = rot_from_euler_zyx(EulerZyx(rz, ry, rx))
         fixed = rot_from_fixed_xyz(rx, ry, rz)
         worst = max(
             worst,
-            float(np.max(np.abs(intrinsic - reference))),
+            float(np.max(np.abs(r - reference))),
             float(np.max(np.abs(fixed - reference))),
         )
     assert worst < 1e-12, f"worst element error {worst:.3e}"
     _pass(f"rotation convention equivalence (max err {worst:.2e})")
 
 
+def _hom(t):
+    return oracles.hom(t.rotation, t.translation)
+
+
 def test_03_transform_algebra():
-    """1,000 transforms: compose(T, invert(T)) = identity < 1e-12; frame chain vs 4x4 oracle < 1e-9."""
+    """1,000 transforms: compose vs 4x4 oracle < 1e-9, robot<-world<-receiver chain included."""
     rng = np.random.default_rng(303)
-    worst_inv = 0.0
+    worst_compose = 0.0
     worst_chain = 0.0
     for _ in range(1000):
-        t = Transform4(oracles.rand_rotation(rng), rng.uniform(-1000, 1000, 3))
-        ident = compose(t, invert(t))
-        worst_inv = max(
-            worst_inv,
-            float(np.max(np.abs(ident.rotation - np.eye(3)))),
-            float(np.max(np.abs(ident.translation))),
-        )
+        a = Transform4(oracles.rand_rotation(rng), rng.uniform(-1000, 1000, 3))
+        b = Transform4(oracles.rand_rotation(rng), rng.uniform(-1000, 1000, 3))
+        worst_compose = max(worst_compose, float(np.max(np.abs(_hom(compose(a, b)) - _hom(a) @ _hom(b)))))
 
+        # the transform to_robot_frame applies to every receiver-frame point
         t_r_f = Transform4(oracles.rand_rotation(rng), rng.uniform(-1000, 1000, 3), Frame.R, Frame.F)
         t_f_s = Transform4(oracles.rand_rotation(rng), rng.uniform(-1000, 1000, 3), Frame.F, Frame.S)
-        t_s_e = Transform4(oracles.rand_rotation(rng), rng.uniform(-1000, 1000, 3), Frame.S, Frame.E)
-        got = chain_to_robot(CalibrationSet(t_r_f, t_f_s), t_s_e)
-        want = (
-            oracles.hom(t_r_f.rotation, t_r_f.translation)
-            @ oracles.hom(t_f_s.rotation, t_f_s.translation)
-            @ oracles.hom(t_s_e.rotation, t_s_e.translation)
-        )
+        p = rng.uniform(-1000, 1000, 3)
+        t_r_s = compose(t_r_f, t_f_s)
+        assert (t_r_s.parent, t_r_s.child) == (Frame.R, Frame.S)
+        want = _hom(t_r_f) @ _hom(t_f_s)
         worst_chain = max(
             worst_chain,
-            float(np.max(np.abs(got.rotation - want[:3, :3]))),
-            float(np.max(np.abs(got.translation - want[:3, 3]))),
+            float(np.max(np.abs(_hom(t_r_s) - want))),
+            float(np.max(np.abs(t_r_s.rotation @ p + t_r_s.translation - oracles.apply_hom(want, p)))),
         )
-    assert worst_inv < 1e-12, f"inverse defect {worst_inv:.3e}"
+    assert worst_compose < 1e-9, f"compose defect {worst_compose:.3e}"
     assert worst_chain < 1e-9, f"chain defect {worst_chain:.3e}"
-    _pass(f"transform algebra (inv {worst_inv:.2e}, chain {worst_chain:.2e})")
+    _pass(f"transform algebra (compose {worst_compose:.2e}, chain {worst_chain:.2e})")
 
 
 def _line_truth(n=5, length=400.0):

@@ -16,6 +16,7 @@ from pathfuse import (
     parse_cad,
     resample_cad,
 )
+from pathfuse.cad import arc_fraction, traverse
 
 HEADER = "x_mm,y_mm,z_mm"
 
@@ -78,7 +79,46 @@ class TestArcParams:
             a[1] = 0.5
 
 
+class TestTraversal:
+    def test_open_is_the_points_closed_returns_to_start(self):
+        assert traverse(SQUARE, False) is SQUARE
+        loop = traverse(SQUARE, True)
+        assert np.array_equal(loop, np.vstack([SQUARE, SQUARE[:1]]))
+
+    def test_arc_fraction_values(self):
+        pts = np.array([[0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]])
+        f = arc_fraction(pts)
+        assert f.tolist() == [0.0, 3.0 / 7.0, 1.0]
+
+    def test_arc_fraction_of_zero_length_is_zeros(self):
+        f = arc_fraction(np.ones((4, 3)))
+        assert f.tolist() == [0.0] * 4
+
+
 class TestResample:
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_matches_per_segment_loop_bitwise(self, closed):
+        rng = np.random.default_rng(41 if closed else 40)
+        for _ in range(50):
+            n = int(rng.integers(2, 12))
+            pts = rng.uniform(-300.0, 300.0, (n, 3))
+            pts[rng.random((n, 3)) < 0.2] = -0.0
+            p = CadPath(pts, closed=closed)
+            spacing = float(rng.uniform(1.0, 80.0))
+            if spacing > p.total_length():
+                continue
+            got = resample_cad(p, spacing).waypoints
+            want = CadPath(oracles.split_polyline(p.waypoints, closed, spacing), closed).waypoints
+            assert got.tobytes() == want.tobytes()
+
+    def test_negative_zero_waypoint_kept(self):
+        # a + 0.0 * (b - a) would turn these -0.0 coordinates into +0.0
+        pts = np.array([[-0.0, 0.0, -0.0], [40.0, 0.0, 10.0], [40.0, -0.0, 50.0]])
+        for closed in (False, True):
+            r = resample_cad(CadPath(pts, closed=closed), 5.0)
+            kept = [w for w in r.waypoints if any(np.array_equal(w, p) for p in pts)]
+            assert np.array(kept).tobytes() == pts.tobytes()
+
     def test_corners_kept_bitwise(self):
         p = CadPath(SQUARE)
         r = resample_cad(p, 30.0)

@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,19 @@ class TestExitCodes:
                      "--calib", str(ws / "calib.json")])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("angle", ["NaN", "Infinity"])
+    def test_non_finite_calibration_angle(self, ws, capsys, angle):
+        run_chain(ws)
+        calib = dict(CALIB, t_f_s={"translation_mm": [0, 0, 0], "rotation_deg_fixed_xyz": [0, 0, 0]})
+        text = json.dumps(calib).replace("[0, 0, 0]}", f"[0, {angle}, 0]}}")
+        (ws / "bad_calib.json").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way to the error
+            code = main(["fuse", "--cad", str(ws / "cad.csv"), "--demo", str(ws / "demo.csv"),
+                         "--calib", str(ws / "bad_calib.json")])
+        assert code == 2
+        assert "rotation_deg_fixed_xyz must be finite" in capsys.readouterr().err
 
     def test_expand_zero_direction(self, ws, capsys):
         run_chain(ws)

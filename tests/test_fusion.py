@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,3 +210,50 @@ class TestJson:
         doc["points"][0]["v_mm_s"] = -5.0
         with pytest.raises(ValueError):
             fused_path_from_json(json.dumps(doc))
+
+
+# Fused orientation error of scripts/noise_study.py's grid at 2 seeds, 100 Hz:
+# (xy sigma mm, orientation sigma deg, spike rate) -> (mean, max) degrees,
+# each the measured value rounded up at the third decimal.  These bounds may
+# be tightened as fusion improves; they must never be loosened.
+NOISE_BOUNDS_DEG = {
+    (0.0, 0.0, 0.0): (0.001, 0.001),
+    (0.0, 0.0, 0.02): (0.060, 0.107),
+    (0.0, 0.5, 0.0): (1.483, 1.727),
+    (0.0, 0.5, 0.02): (1.406, 1.572),
+    (0.0, 1.0, 0.0): (2.971, 3.459),
+    (0.0, 1.0, 0.02): (2.822, 3.161),
+    (0.0, 2.0, 0.0): (5.963, 6.945),
+    (0.0, 2.0, 0.02): (5.670, 6.359),
+    (1.0, 0.0, 0.0): (1.269, 1.735),
+    (1.0, 0.0, 0.02): (1.287, 1.699),
+    (1.0, 0.5, 0.0): (1.581, 1.923),
+    (1.0, 0.5, 0.02): (1.808, 2.162),
+    (1.0, 1.0, 0.0): (2.802, 3.121),
+    (1.0, 1.0, 0.02): (2.799, 2.812),
+    (1.0, 2.0, 0.0): (5.356, 5.732),
+    (1.0, 2.0, 0.02): (4.926, 5.497),
+    (2.0, 0.0, 0.0): (1.433, 1.995),
+    (2.0, 0.0, 0.02): (1.414, 1.876),
+    (2.0, 0.5, 0.0): (1.781, 2.192),
+    (2.0, 0.5, 0.02): (1.899, 2.404),
+    (2.0, 1.0, 0.0): (2.670, 2.858),
+    (2.0, 1.0, 0.02): (2.831, 3.180),
+    (2.0, 2.0, 0.0): (4.971, 4.980),
+    (2.0, 2.0, 0.02): (5.121, 5.263),
+}
+
+
+def test_noise_study_within_pinned_bounds():
+    path = Path(__file__).parents[1] / "scripts" / "noise_study.py"
+    spec = importlib.util.spec_from_file_location("noise_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    truth = study.make_truth()
+    cad = CadPath(truth.positions)
+    worse = []
+    for (xy, orient, spike), (mean_bound, max_bound) in NOISE_BOUNDS_DEG.items():
+        mean_err, max_err, pinned = study.one_cell(truth, cad, xy, orient, spike, [0, 1], 100.0)
+        if not (pinned and mean_err <= mean_bound and max_err <= max_bound):
+            worse.append((xy, orient, spike, pinned, mean_err, max_err))
+    assert not worse, f"cells off CAD or above their bounds: {worse}"

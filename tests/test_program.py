@@ -20,6 +20,7 @@ from pathfuse import (
     PathMLDocument,
     ProcessParameters,
     Track,
+    ValidationError,
     deviation_report,
     emit_program,
     parse_xml,
@@ -254,6 +255,20 @@ class TestEmit:
     def test_refuses_empty_document(self):
         doc = PathMLDocument("p", ProcessParameters("other"), (Layer("L", 0, (Track("T", (), True),)),))
         with pytest.raises(ValueError, match="no points"):
+            emit_program(doc)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"velocity": -1.0},
+            {"xs": (0.0, math.nan, 20.0)},
+            {"process": ProcessParameters("adhesive", layer_height=2.0)},
+        ],
+        ids=["negative_velocity", "nan_coordinate", "adhesive_without_glue_rate"],
+    )
+    def test_refuses_invalid_document(self, kwargs):
+        doc = make_doc(**kwargs)
+        with pytest.raises(ValidationError, match="refusing to emit an invalid document"):
             emit_program(doc)
 
     def test_multiline_names_collapsed_in_comments(self):
