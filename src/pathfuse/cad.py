@@ -23,6 +23,10 @@ CAD_CSV_HEADER = "x_mm,y_mm,z_mm"
 # Consecutive waypoints closer than this merge into one.
 MERGE_EPS_MM = 1e-6
 
+# Most points resampling or layer expansion may produce; a larger request is
+# refused as bad input before anything is allocated.
+MAX_POINTS = 10**6
+
 
 @dataclass(frozen=True, eq=False)
 class CadPath:
@@ -102,9 +106,10 @@ def resample_cad(path: CadPath, spacing_mm: float) -> CadPath:
     """Insert intermediate points so adjacent spacing is at most ``spacing_mm``.
 
     Every original waypoint is kept exactly; each segment is split into
-    ``ceil(length / spacing)`` equal pieces.  If the requested spacing exceeds
-    the total path length, resampling is pointless: a ResampleWarning is
-    emitted and the two endpoints are returned as an open path.
+    ``ceil(length / spacing)`` equal pieces, and more than ``MAX_POINTS``
+    pieces in all raise ValueError.  If the requested spacing exceeds the
+    total path length, resampling is pointless: a ResampleWarning is emitted
+    and the two endpoints are returned as an open path.
     """
     if not (spacing_mm > 0.0):
         raise ValueError(f"spacing_mm must be positive, got {spacing_mm}")
@@ -123,7 +128,13 @@ def resample_cad(path: CadPath, spacing_mm: float) -> CadPath:
 
     loop = traverse(path.waypoints, path.closed)
     a, d = loop[:-1], np.diff(loop, axis=0)
-    pieces = np.ceil(path.segment_lengths() / spacing_mm).astype(np.intp)
+    pieces = np.ceil(path.segment_lengths() / spacing_mm)
+    total = float(np.sum(pieces))  # in float, so an infinite or NaN count is over the limit
+    if not total <= MAX_POINTS:
+        raise ValueError(
+            f"resampling at {spacing_mm} mm would make {total:.4g} points; the limit is {MAX_POINTS}"
+        )
+    pieces = pieces.astype(np.intp)
     seg = np.repeat(np.arange(len(d)), pieces)  # segment of every output point
     i = np.arange(len(seg)) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     out = a[seg] + (i / pieces[seg])[:, None] * d[seg]

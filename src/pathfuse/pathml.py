@@ -32,6 +32,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
+from .cad import MAX_POINTS
 from .errors import FrameMismatchError, ParseError, SchemaError, ValidationError
 from .fusion import FusedPath
 from .geometry import Frame
@@ -263,11 +264,30 @@ def _attr_line(indent: int, name: str, text: str) -> str:
     return f'{" " * indent}<Attribute Name={quoteattr(name)}><Value>{body}</Value></Attribute>'
 
 
+def _open_line(indent: int, name: str) -> str:
+    return f'{" " * indent}<InternalElement Name={quoteattr(name)}>'
+
+
+def _close_line(indent: int) -> str:
+    return f'{" " * indent}</InternalElement>'
+
+
+def _head_xml(project_name: str) -> str:
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f"<CAEXFile FileName={quoteattr(project_name + '.aml')}>",
+        '  <InstanceHierarchy Name="PathML">',
+        _open_line(4, project_name),
+    ])
+
+
+_TAIL_XML = "\n".join([_close_line(4), "  </InstanceHierarchy>", "</CAEXFile>", ""])
+
 # One Point element; filled with the point index and a row of ``Track.points``.
 _POINT_XML = "\n".join(
-    ['          <InternalElement Name="Point_{}">']
+    [_open_line(10, "Point_{}")]
     + [_attr_line(12, name, "{:.6f}") for name in POINT_ATTRS]
-    + ["          </InternalElement>"]
+    + [_close_line(10)]
 )
 
 
@@ -283,11 +303,7 @@ def write_xml(doc: PathMLDocument) -> bytes:
             "cannot serialize an invalid document: " + "; ".join(str(v) for v in bad)
         )
 
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    lines.append(f"<CAEXFile FileName={quoteattr(doc.project_name + '.aml')}>")
-    lines.append('  <InstanceHierarchy Name="PathML">')
-    lines.append(f"    <InternalElement Name={quoteattr(doc.project_name)}>")
-
+    lines = [_head_xml(doc.project_name)]
     p = doc.process
     lines.append(_attr_line(6, "ProcessType", p.process_type.value))
     for name, v in (
@@ -301,21 +317,123 @@ def write_xml(doc: PathMLDocument) -> bytes:
         lines.append(_attr_line(6, k, v))
 
     for layer in doc.layers:
-        lines.append(f"      <InternalElement Name={quoteattr(layer.name)}>")
+        lines.append(_open_line(6, layer.name))
         lines.append(_attr_line(8, "Index", str(layer.index)))
         for track in layer.tracks:
-            lines.append(f"        <InternalElement Name={quoteattr(track.name)}>")
+            lines.append(_open_line(8, track.name))
             lines.append(_attr_line(10, "ToolActive", "true" if track.tool_active else "false"))
             for k, row in enumerate(track.points.tolist()):
                 # kept as short lines: Python's small-object pool reuses them, which holds peak memory down
                 lines.extend(unsign_zeros(_POINT_XML.format(k, *row), 6).split("\n"))
-            lines.append("        </InternalElement>")
-        lines.append("      </InternalElement>")
+            lines.append(_close_line(8))
+        lines.append(_close_line(6))
+    lines.append(_TAIL_XML)
+    return "\n".join(lines).encode("utf-8")
 
-    lines.append("    </InternalElement>")
-    lines.append("  </InstanceHierarchy>")
-    lines.append("</CAEXFile>")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+
+# The scanner reads back exactly the layout above.  A name or text may hold
+# any character but markup (& < > "), control characters, lone surrogates
+# and U+FFFE/U+FFFF: XML neither escapes nor normalises the rest, so quoteattr
+# and escape leave it alone and the tree parser returns it unchanged.  A
+# number is the writer's six-decimal form.
+_TEXT = '[^\x00-\x1f\x7f-\x9f&<>"\ud800-\udfff\ufffe\uffff]*'
+_NUMBER = r"-?[0-9]+\.[0-9]{6}"
+
+
+def _layout_re(template: str, name: str = f"({_TEXT})", number: str = f"({_NUMBER})") -> str:
+    """Regex of a piece of the writer's layout: ``{}`` holes match ``name``, ``{:.6f}`` holes ``number``."""
+    esc = re.escape(template)
+    return esc.replace(re.escape("{:.6f}"), number).replace(re.escape("{}"), name)
+
+
+_HEAD_RE = re.compile(_layout_re(_head_xml("{}") + "\n"))
+_PROCESS_ATTR_RE = re.compile(_layout_re(_attr_line(6, "{}", "{}") + "\n"))
+_LAYER_RE = re.compile(_layout_re(_open_line(6, "{}") + "\n" + _attr_line(8, "Index", "{}") + "\n"))
+_LAYER_END = _close_line(6) + "\n"
+# A track whose body is nothing but point blocks.  No point block can match
+# the start of the closing line, so on a mismatch the repetition gives back
+# each block once: linear, like the possessive ``*+`` that Python 3.10 lacks.
+_TRACK_RE = re.compile(
+    _layout_re(_open_line(8, "{}") + "\n" + _attr_line(10, "ToolActive", "{}") + "\n")
+    + "((?:" + _layout_re(_POINT_XML + "\n", "[0-9]+", _NUMBER) + ")*)"
+    + re.escape(_close_line(8) + "\n")
+)
+_POINT_ROW_RE = re.compile(_layout_re(_POINT_XML + "\n", "[0-9]+"))
+_NUMBER_RE = re.compile(_NUMBER)
+_INDEX_RE = re.compile("[0-9]{1,18}")
+
+
+def _scan_process(attrs: list[tuple[str, str]]) -> ProcessParameters | None:
+    """The process of the scanned project attributes, or None where _parse_tree could object."""
+    values = dict(attrs)
+    if len(values) != len(attrs) or any(k in values for k in POINT_ATTRS):
+        return None
+    try:
+        process_type = ProcessType(values.pop("ProcessType"))
+    except (KeyError, ValueError):
+        return None
+    kwargs = {}
+    for field, key in (
+        ("glue_flow_rate", "GlueFlowRate_ml_min"),
+        ("wire_feed_rate", "WireFeedRate_mm_s"),
+        ("layer_height", "LayerHeight_mm"),
+    ):
+        if key in values:
+            text = values.pop(key)
+            if not _NUMBER_RE.fullmatch(text):
+                return None
+            kwargs[field] = float(text)
+    return ProcessParameters(process_type=process_type, extra=tuple(values.items()), **kwargs)
+
+
+def _scan_canonical(data: bytes | str) -> PathMLDocument | None:
+    """Read the exact layout write_xml emits without building a tree.
+
+    Returns None on any deviation from that layout, the character set and
+    number form above, or the process rules, so that _parse_tree reads the
+    input instead and every error comes from there.  Where it returns a
+    document, that document equals _parse_tree's.
+    """
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    else:
+        text = data
+    m = _HEAD_RE.match(text)
+    if m is None or m[1] != m[2]:
+        return None
+    project_name, pos = m[2], m.end()
+    attrs = []
+    while m := _PROCESS_ATTR_RE.match(text, pos):
+        attrs.append(m.groups())
+        pos = m.end()
+    process = _scan_process(attrs)
+    if process is None:
+        return None
+
+    layers = []
+    while m := _LAYER_RE.match(text, pos):
+        lname, index = m.groups()
+        if not _INDEX_RE.fullmatch(index):
+            return None
+        pos = m.end()
+        tracks = []
+        while m := _TRACK_RE.match(text, pos):
+            tname, flag, _ = m.groups()
+            if flag not in ("true", "false"):
+                return None
+            rows = _POINT_ROW_RE.findall(text, m.start(3), m.end(3))
+            tracks.append(Track(tname, np.array(rows, dtype=float), flag == "true"))
+            pos = m.end()
+        if not text.startswith(_LAYER_END, pos):
+            return None
+        pos += len(_LAYER_END)
+        layers.append(Layer(lname, int(index), tuple(tracks)))
+    if text[pos:] != _TAIL_XML:
+        return None
+    return PathMLDocument(project_name, process, tuple(layers))
 
 
 def _attributes(elem: ET.Element, where: str) -> dict[str, str]:
@@ -373,7 +491,15 @@ def parse_xml(data: bytes | str) -> PathMLDocument:
     Structural problems raise SchemaError (a ParseError subtype); malformed
     XML raises ParseError with the line number.  Semantic rules are *not*
     checked here; run validate_document on the result.
+
+    The exact layout write_xml emits is read by a scanner; every other
+    layout by an ElementTree walk, with the same result and the same errors.
     """
+    doc = _scan_canonical(data)
+    return doc if doc is not None else _parse_tree(data)
+
+
+def _parse_tree(data: bytes | str) -> PathMLDocument:
     if isinstance(data, str):
         data = data.encode("utf-8")
     try:
@@ -381,6 +507,8 @@ def parse_xml(data: bytes | str) -> PathMLDocument:
     except ET.ParseError as e:
         line = e.position[0] if e.position else None
         raise ParseError(f"malformed XML: {e}", line=line) from None
+    except LookupError as e:  # the XML declaration names an unknown encoding
+        raise ParseError(f"malformed XML: {e}", line=1) from None
 
     if root.tag != "CAEXFile":
         raise SchemaError(f"root element must be <CAEXFile>, got <{root.tag}>")
@@ -483,7 +611,8 @@ def expand_layers(doc: PathMLDocument, n_layers: int, direction) -> PathMLDocume
     Layer k is the base layer translated by ``k * layer_height * direction``
     (direction must be a unit vector).  Layers are (re)numbered 0..n-1 and
     named by the base layer's name pattern.  ``n_layers == 1`` returns the
-    document unchanged.
+    document unchanged; a result of more than ``MAX_POINTS`` points raises
+    ValueError.
     """
     n_layers = int(n_layers)
     if n_layers < 1:
@@ -500,6 +629,9 @@ def expand_layers(doc: PathMLDocument, n_layers: int, direction) -> PathMLDocume
         return doc
 
     base = doc.layers[0]
+    total = n_layers * sum(len(t.points) for t in base.tracks)
+    if total > MAX_POINTS:
+        raise ValueError(f"{n_layers} layers would hold {total} points; the limit is {MAX_POINTS}")
     lift = np.arange(n_layers)[:, None] * h * d  # row k is (k * h) * d
     stacks = []
     for track in base.tracks:

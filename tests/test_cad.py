@@ -170,6 +170,15 @@ class TestResample:
         with pytest.raises(ValueError):
             resample_cad(p, -3.0)
 
+    # 5e11 points (12 TB) and infinitely many: refused before any allocation
+    @pytest.mark.parametrize("far", [1e12, 1e308])
+    def test_refuses_more_than_max_points(self, far):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # 1e308 overflows the lengths to inf
+            p = CadPath(np.array([[0.0, 0.0, 0.0], [far, 0.0, 0.0], [-far, 0.0, 0.0]]))
+            with pytest.raises(ValueError, match="the limit is 1000000"):
+                resample_cad(p, 2.0)
+
 
 class TestParse:
     def test_csv_open(self):

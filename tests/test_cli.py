@@ -249,6 +249,21 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    def test_expand_beyond_the_point_limit(self, ws, capsys):
+        run_chain(ws)
+        code = main(["pathml", "expand", str(ws / "doc.aml"), "--layers", str(10**12)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_fuse_resampling_beyond_the_point_limit(self, ws, capsys):
+        demo, *_ = run_chain(ws)
+        (ws / "far.csv").write_text("x_mm,y_mm,z_mm\n0,0,0\n1e12,0,0\n")  # 5e11 points at 2 mm
+        (ws / "fine.json").write_text(json.dumps({"resample_spacing_mm": 2.0}))
+        code = main(["fuse", "--cad", str(ws / "far.csv"), "--demo", demo,
+                     "--calib", str(ws / "calib.json"), "--config", str(ws / "fine.json")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
 
 def test_module_entry_point_smoke():
     proc = subprocess.run(

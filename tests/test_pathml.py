@@ -1,4 +1,6 @@
 import math
+import random
+import re
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from pathfuse import (
     validate_document,
     write_xml,
 )
+from pathfuse.pathml import POINT_ATTRS, _parse_tree, _scan_canonical
+from test_acceptance import _random_grid_doc
 from test_fusion import SQUARE, make_calib, ramp_demo
 
 
@@ -424,6 +428,119 @@ class TestExpand:
         with pytest.raises(ValueError, match="single-layer"):
             expand_layers(two, 2, (0, 0, 1))
 
+    def test_refuses_more_than_max_points(self):
+        # 10**12 layers of 3 points would be 24 TB of coordinates
+        with pytest.raises(ValueError, match="the limit is 1000000"):
+            expand_layers(self._doc(), 10**12, (0, 0, 1))
+
+
+def same_document(a, b):
+    """Equal documents whose numbers are also equal bit for bit (so NaN matches NaN)."""
+    def key(doc):
+        return doc.project_name, repr(doc.process), [
+            (layer.name, layer.index, [(t.name, t.tool_active, t.points.tobytes()) for t in layer.tracks])
+            for layer in doc.layers
+        ]
+
+    return key(a) == key(b)
+
+
+def outcome(parse, data):
+    """The parsed document, or the type and message of the exception raised."""
+    try:
+        return parse(data)
+    except Exception as e:
+        return type(e), str(e)
+
+
+def plain(doc):
+    """``doc`` with every character the scanner leaves to the tree parser replaced by '_'."""
+    def fix(text):
+        return re.sub('[&<>"\t\n]', "_", text)
+
+    p = doc.process
+    process = ProcessParameters(p.process_type, p.glue_flow_rate, p.wire_feed_rate, p.layer_height,
+                                tuple((fix(k), fix(v)) for k, v in p.extra))
+    layers = tuple(
+        Layer(fix(layer.name), layer.index,
+              tuple(Track(fix(t.name), t.points, t.tool_active) for t in layer.tracks))
+        for layer in doc.layers
+    )
+    return PathMLDocument(fix(doc.project_name), process, layers)
+
+
+MUTATION_BASE = PathMLDocument(
+    "cell 7",
+    ProcessParameters("adhesive", glue_flow_rate=12.5, layer_height=2.0,
+                      extra=(("Nozzle", "N-2 é"), ("Note", ""))),
+    (
+        Layer("Layer_0", 0, (
+            Track("Track_0", [(0.0, -1.5, 20.25, 0.0, 90.0, -179.999999, 50.0),
+                              (10.0, -1.5, 20.25, 0.5, 90.0, 180.0, 50.0)], True),
+            Track("Track_1", [(10.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)] * 2, False),
+        )),
+        Layer("Layer_1", 1, (Track("Track_0", [(1e6, -2e6, 3.000001, 1.0, 2.0, 3.0, 4.0)] * 2, True),)),
+    ),
+)
+
+
+def mutations(data: bytes, rng: random.Random):
+    """Seeded variants of canonical PathML ``data``, most of them off the writer's layout."""
+    text = data.decode()
+    digits = [m.start() for m in re.finditer("[0-9]", text)]
+    values = list(re.finditer("<Value>([^<]*)</Value>", text))
+    attrs = [m.start() for m in re.finditer("(?m)^ *<Attribute", text)]
+    process_end = text.index("\n", text.index('"ProcessType"')) + 1
+    for _ in range(60):
+        k = rng.randrange(len(data))
+        yield data[:k] + data[k + 1:]
+    for char in ["&", "<", ">", '"', "'", "\r", "\t", "\x00", "\ufffe", "é", "\x85", "\U0001f600"]:
+        for name in ["cell 7", "Nozzle", "N-2 é", "Layer_1", "Track_1", "12.500000"]:
+            yield text.replace(name, name[:2] + char + name[2:]).encode()
+        for k in rng.sample(range(len(text)), 3):
+            yield (text[:k] + char + text[k:]).encode()
+    for k in rng.sample(digits, 40):
+        yield (text[:k] + rng.choice("0123456789".replace(text[k], "")) + text[k + 1:]).encode()
+    for m in rng.sample(values, 20):
+        yield (text[:m.start(1)] + "nan" + text[m.end(1):]).encode()
+    for k in rng.sample(attrs, 20):  # swap an Attribute line with the line after it
+        first_end = text.index("\n", k) + 1
+        second_end = text.index("\n", first_end) + 1
+        yield (text[:k] + text[first_end:second_end] + text[k:first_end] + text[second_end:]).encode()
+    for name in (*POINT_ATTRS, "ProcessType", "GlueFlowRate_ml_min", "Nozzle", "Index", "ToolActive"):
+        line = f'      <Attribute Name="{name}"><Value>1.000000</Value></Attribute>\n'
+        yield (text[:process_end] + line + text[process_end:]).encode()
+    yield data.replace(b"\n", b"\r\n")
+    yield b"\xef\xbb\xbf" + data
+    yield data.replace("é".encode(), b"\xe9")  # Latin-1, not UTF-8
+
+
+class TestScanner:
+    def test_reads_writer_output_like_the_tree_parser(self):
+        rng = np.random.default_rng(707)
+        for i in range(100):
+            doc = _random_grid_doc(rng)
+            for d in (doc, plain(doc)):
+                data = write_xml(d)
+                got = _scan_canonical(data)
+                assert (got is not None) == (d == plain(d)), f"document {i}"
+                assert got is None or same_document(got, _parse_tree(data)), f"document {i}"
+                assert same_document(parse_xml(data), d)
+
+    def test_mutated_input_reads_as_with_the_tree_parser(self):
+        rng = random.Random(17)
+        scanned = 0
+        for data in mutations(write_xml(MUTATION_BASE), rng):
+            # as text too: undecodable bytes become lone surrogates, which UTF-8 cannot encode
+            for given in (data, data.decode("utf-8", "surrogateescape")):
+                got, want = outcome(parse_xml, given), outcome(_parse_tree, given)
+                if isinstance(want, PathMLDocument):
+                    assert isinstance(got, PathMLDocument) and same_document(got, want), given
+                else:
+                    assert got == want, given
+            scanned += _scan_canonical(data) is not None
+        assert scanned >= 40  # the changed digits and the names that stay plain
+
 
 grid_floats = st.integers(-10 ** 12, 10 ** 12).map(lambda n: n / 1e6)
 name_chars = st.text(
@@ -449,3 +566,6 @@ def test_round_trip_property(values, project, tool_active):
     data = write_xml(doc)
     assert parse_xml(data) == doc
     assert write_xml(parse_xml(data)) == data
+    scanned = _scan_canonical(data)
+    assert (scanned is not None) == (doc == plain(doc))
+    assert scanned is None or same_document(scanned, _parse_tree(data))
