@@ -80,7 +80,19 @@ class PoseSeries:
 
 
 def parse_demo(data: bytes | str) -> PoseSeries:
-    """Parse demonstration CSV text.  Raises ParseError/ValidationError."""
+    """Parse demonstration CSV text.  Raises ParseError/ValidationError.
+
+    A plain capture (seven fields on every line, at least two rows, finite
+    values, strictly increasing time) is read as one array.  Any other input
+    goes to the line reader, which raises every error with its line number.
+    """
+    lines = _lines(data)
+    series = _parse_array(lines[1:])
+    return series if series is not None else _parse_lines(lines)
+
+
+def _lines(data: bytes | str) -> list[str]:
+    """Decode the input and split it into lines; the first must be the header."""
     if isinstance(data, bytes):
         try:
             text = data.decode("utf-8-sig")
@@ -94,7 +106,40 @@ def parse_demo(data: bytes | str) -> PoseSeries:
         raise ParseError("empty input", line=1)
     if lines[0].strip() != DEMO_CSV_HEADER:
         raise ParseError(f"expected header {DEMO_CSV_HEADER!r}", line=1)
+    return lines
 
+
+# Rows converted per call in _parse_array: bounds the temporary strings.
+_BLOCK_ROWS = 8192
+
+
+def _parse_array(body: list[str]) -> PoseSeries | None:
+    """Read the body lines as one (n, 7) array, or None if they are not plain.
+
+    numpy converts a ``str`` exactly as ``float()`` does, and ``np.radians``
+    matches ``math.radians`` bit for bit, so a plain body gives the same
+    series as ``_parse_lines``.
+    """
+    n = len(body)
+    if n < 2 or any(line.count(",") != 6 for line in body):
+        return None
+    rows = np.empty((n, 7))
+    for i in range(0, n, _BLOCK_ROWS):
+        block = body[i : i + _BLOCK_ROWS]
+        try:
+            rows[i : i + len(block)] = np.array(
+                ",".join(block).split(","), dtype=float
+            ).reshape(-1, 7)
+        except ValueError:
+            return None
+    t = rows[:, 0]
+    if not (np.all(np.isfinite(rows)) and np.all(t[1:] > t[:-1])):
+        return None
+    return PoseSeries(t, rows[:, 1:4], np.radians(rows[:, 4:7]))
+
+
+def _parse_lines(lines: list[str]) -> PoseSeries:
+    """Read the rows after the header one line at a time, skipping blank lines."""
     t, pos, orient = [], [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -124,14 +169,11 @@ def parse_demo(data: bytes | str) -> PoseSeries:
 
 def format_demo_csv(series: PoseSeries) -> bytes:
     """Render a series back to CSV bytes (9 decimals, LF line endings)."""
-    out = [DEMO_CSV_HEADER]
-    for i in range(len(series)):
-        x, y, z = series.positions[i]
-        az, el, roll = (math.degrees(a) for a in series.orientations[i])
-        out.append(
-            f"{series.t[i]:.9f},{x:.9f},{y:.9f},{z:.9f},"
-            f"{az:.9f},{el:.9f},{roll:.9f}"
-        )
+    rows = np.column_stack(
+        [series.t, series.positions, np.degrees(series.orientations)]
+    ).tolist()
+    row = ",".join(["%.9f"] * 7)
+    out = [DEMO_CSV_HEADER] + [row % tuple(r) for r in rows]
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
@@ -146,10 +188,12 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
     h = window // 2
     med = np.empty(n)
     mad = np.empty(n)
+    # The full windows have odd length, so their median is the middle order
+    # statistic; ``+ 0.0`` turns a -0.0 into 0.0 as np.median's mean does.
     wins = sliding_window_view(x, window)
-    core = np.median(wins, axis=1)
+    core = np.partition(wins, h, axis=1)[:, h] + 0.0
     med[h : n - h] = core
-    mad[h : n - h] = np.median(np.abs(wins - core[:, None]), axis=1)
+    mad[h : n - h] = np.partition(np.abs(wins - core[:, None]), h, axis=1)[:, h]
     for i in list(range(h)) + list(range(n - h, n)):
         w = x[max(0, i - h) : min(n, i + h + 1)]
         m = np.median(w)

@@ -192,3 +192,29 @@ def validate_path(doc, limits):
                     out.append((li, ti, pi, "speed", v))
                 prev = (pos, rot)
     return out
+
+
+def demo_csv(t, positions, orientations):
+    """Demonstration CSV bytes, one f-string per row: 9 decimals, angles in degrees."""
+    out = ["t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg"]
+    for ti, (x, y, z), angles in zip(np.asarray(t).tolist(), np.asarray(positions).tolist(),
+                                     np.asarray(orientations).tolist()):
+        az, el, roll = (math.degrees(a) for a in angles)
+        out.append(f"{ti:.9f},{x:.9f},{y:.9f},{z:.9f},{az:.9f},{el:.9f},{roll:.9f}")
+    return ("\n".join(out) + "\n").encode("utf-8")
+
+
+def hampel(x, window, k, scale=1.4826):
+    """Hampel filter of one channel, one window at a time with np.median.
+
+    Windows are centred and truncated at the ends.  Returns (medians, flags);
+    a sample is flagged when it lies more than k * scale * MAD from its median.
+    """
+    x = np.asarray(x, dtype=float)
+    h = window // 2
+    med, flags = np.empty(len(x)), np.zeros(len(x), dtype=bool)
+    for i in range(len(x)):
+        w = x[max(0, i - h) : i + h + 1]
+        med[i] = np.median(w)
+        flags[i] = abs(x[i] - med[i]) > k * scale * np.median(np.abs(w - med[i]))
+    return med, flags

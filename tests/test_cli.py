@@ -192,6 +192,17 @@ class TestConfig:
         doc = parse_xml((ws / "ex.aml").read_bytes())
         assert doc.process.extra == (("B_key", "2"), ("A_key", "1"))
 
+    def test_calls_share_no_parsed_state(self, ws, capsys):
+        run_chain(ws)
+        gen = ["pathml", "gen", "--fused", str(ws / "fused.json"), "--project", "p", "--process-type", "other"]
+        assert main(gen + ["--extra", "a=1", "-o", str(ws / "with.aml")]) == 0
+        assert main(gen + ["-o", str(ws / "without.aml")]) == 0
+        assert parse_xml((ws / "with.aml").read_bytes()).process.extra == (("a", "1"),)
+        assert parse_xml((ws / "without.aml").read_bytes()).process.extra == ()
+        assert main(gen + ["--layers", "2"]) == 2
+        assert main(["pathml", "validate", str(ws / "without.aml")]) == 0
+        capsys.readouterr()
+
     def test_unknown_config_key_rejected(self, ws, capsys):
         (ws / "bad.json").write_text(json.dumps({"filter_windw": 5}))
         code = main(["fuse", "--cad", str(ws / "cad.csv"), "--demo", str(ws / "cad.csv"),

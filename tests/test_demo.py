@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pathfuse import (
     path_parameters,
     synth_demo,
 )
+from pathfuse import demo
 
 HEADER = "t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg"
 
@@ -114,6 +116,107 @@ class TestCsv:
             parse_demo(b"\xff\xfe\x00bad")
 
 
+# Text the mutations insert: line breaks that splitlines honours (float()
+# strips several of them as whitespace), blank and whitespace-only lines, a
+# BOM, number syntax float() accepts or rejects, and a comma.
+INSERTS = ["\r", "\n", "\x85", "\u2028", "\x1c", "\v", "\f", "\t", " ", "\n\n", "\n  \t\n",
+           "\ufeff", "1_0", "_", "\u0661\u0662", "nan", "1e400", "e5", ","]
+
+
+def mutate_capture(rows, rng):
+    """One or two seeded edits of a capture's rows, returned as CSV text."""
+    rows = [list(r) for r in rows]
+    for _ in range(rng.randint(1, 2)):
+        op = rng.randrange(6)  # 3 to 5 leave the rows as they are
+        r = rng.randrange(len(rows))
+        if op == 0:  # a repeated or a decreasing timestamp
+            rows[r][0] = rows[r - 1][0] if rng.random() < 0.5 else rows[r][0] - 1.0
+        elif op == 1:  # a single data row
+            rows = rows[r : r + 1]
+        elif op == 2:  # replace a whole field
+            rows[r][rng.randrange(7)] = rng.choice(["1_0", "\u0661\u0662", " 3 ", "nan", "1e400", "-0"])
+    text = f"{HEADER}\n" + "".join(",".join(map(str, r)) + "\n" for r in rows)
+    for _ in range(rng.randint(0, 2)):
+        op = rng.randrange(4)
+        if op == 0:  # delete one character
+            k = rng.randrange(len(text))
+            text = text[:k] + text[k + 1 :]
+        elif op == 1:  # drop one comma
+            k = rng.choice([i for i, c in enumerate(text) if c == ","])
+            text = text[:k] + text[k + 1 :]
+        else:  # insert anywhere, or at the end of a field where float() ignores whitespace
+            ends = [i for i, c in enumerate(text) if c in ",\n"]
+            k = rng.randrange(len(text) + 1) if op == 2 else rng.choice(ends)
+            text = text[:k] + rng.choice(INSERTS) + text[k:]
+    return text.encode() if rng.random() < 0.5 else text
+
+
+def read_by_lines(data):
+    """The line reader alone, as parse_demo runs it on every input that is not plain."""
+    return demo._parse_lines(demo._lines(data))
+
+
+def read_array_split_on_lf(data):
+    """parse_demo with a fast path fed split("\\n") lines instead of splitlines()."""
+    lines = demo._lines(data)
+    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.lstrip("\ufeff")
+    series = demo._parse_array(text.rstrip("\n").split("\n")[1:])
+    return series if series is not None else demo._parse_lines(lines)
+
+
+def outcome(parse, data):
+    try:
+        s = parse(data)
+    except (ParseError, ValidationError) as e:
+        return type(e).__name__, str(e), getattr(e, "line", None)
+    return s.t.tobytes(), s.positions.tobytes(), s.orientations.tobytes()
+
+
+def mutated_captures(cases=600, seed=5):
+    s = make_series(n=8, seed=1)
+    rows = np.column_stack([s.t, s.positions, np.degrees(s.orientations)]).tolist()
+    rng = random.Random(seed)
+    return [mutate_capture(rows, rng) for _ in range(cases)]
+
+
+def is_plain(data):
+    try:
+        return demo._parse_array(demo._lines(data)[1:]) is not None
+    except ParseError:
+        return False
+
+
+class TestArrayReader:
+    def test_matches_the_line_reader_on_mutated_captures(self):
+        cases = mutated_captures()
+        mismatches = [d for d in cases if outcome(parse_demo, d) != outcome(read_by_lines, d)]
+        assert mismatches == []
+        assert sum(map(is_plain, cases)) >= 40
+        kinds = {outcome(read_by_lines, d)[0] for d in cases}
+        assert {"ParseError", "ValidationError"} <= kinds
+
+    def test_a_fast_path_split_on_lf_is_caught(self):
+        cases = mutated_captures()
+        assert any(outcome(read_array_split_on_lf, d) != outcome(read_by_lines, d) for d in cases)
+
+    def test_reads_past_one_block(self):
+        s = make_series(n=2 * demo._BLOCK_ROWS + 5, seed=4)
+        data = format_demo_csv(s)
+        assert is_plain(data)
+        assert outcome(parse_demo, data) == outcome(read_by_lines, data)
+
+
+class TestFormat:
+    def test_bytes_match_per_row_formatting(self):
+        rng = np.random.default_rng(8)
+        n = 300
+        t = np.cumsum(rng.uniform(1e-3, 5.0, n)) + np.where(np.arange(n) > n // 2, 2e6, 0.0)
+        vals = rng.choice([-0.0, 0.0, 1e-12, -1e-12, 4.9999999995e-10, 1e6, -3.5e7, 123456.75], (n, 6))
+        vals = np.where(rng.random((n, 6)) < 0.5, vals, rng.normal(0.0, 500.0, (n, 6)))
+        s = PoseSeries(t, vals[:, :3], vals[:, 3:])
+        assert format_demo_csv(s) == oracles.demo_csv(s.t, s.positions, s.orientations)
+
+
 class TestFilter:
     def _spiked(self, n=200, spikes=(30, 90, 150)):
         t = np.arange(n) * 0.01
@@ -190,6 +293,40 @@ class TestFilter:
             filter_outliers(s, window=21)
         with pytest.raises(ValueError):
             filter_outliers(s, k=0.0)
+
+
+class TestHampel:
+    @staticmethod
+    def assert_matches_oracle(x, window, k=3.0):
+        med, flags = demo._hampel(x, window, k)
+        want_med, want_flags = oracles.hampel(x, window, k)
+        assert med.tobytes() == want_med.tobytes()
+        assert np.array_equal(flags, want_flags)
+
+    @pytest.mark.parametrize("window", [3, 5, 7, 9, 11, 13, 15])
+    def test_random_series(self, window):
+        rng = np.random.default_rng(window)
+        x = rng.normal(0.0, 1.0, 80)
+        x[rng.integers(0, 80, 6)] += 40.0
+        self.assert_matches_oracle(x, window)
+
+    @pytest.mark.parametrize("window", [3, 7, 15])
+    def test_series_as_long_as_the_window(self, window):
+        self.assert_matches_oracle(np.random.default_rng(1).normal(0.0, 1.0, window), window)
+
+    @pytest.mark.parametrize("window", [3, 5, 11])
+    def test_heavy_ties_and_signed_zeros(self, window):
+        rng = np.random.default_rng(window + 100)
+        x = rng.choice([-0.0, 0.0, 1.0, -2.0], 120)
+        self.assert_matches_oracle(x, window)
+        self.assert_matches_oracle(x, window, k=0.5)
+
+    def test_constant_windows_flag_nothing(self):
+        x = np.concatenate([np.full(20, 3.25), np.full(20, -0.0)])
+        med, flags = demo._hampel(x, 5, 3.0)
+        self.assert_matches_oracle(x, 5)
+        assert not flags[:17].any() and not flags[-17:].any()
+        assert np.all(med[:17] == 3.25)
 
 
 class TestSpeed:

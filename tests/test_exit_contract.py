@@ -60,7 +60,7 @@ def mutate(data: bytes, rng: random.Random) -> bytes:
 
 
 def _inputs(work: Path, main) -> dict[str, bytes]:
-    """Small valid inputs: CAD, demonstration, config, calibration and PathML."""
+    """Small valid inputs: CAD, demonstration, config, calibration, fused path and PathML."""
     import numpy as np
 
     from pathfuse import Frame, FusedPath, TrackerErrorModel, format_demo_csv, synth_demo
@@ -89,6 +89,7 @@ def _inputs(work: Path, main) -> dict[str, bytes]:
     assert main(["pathml", "gen", "--fused", str(work / "fused.json"), "--project", "part",
                  "--process-type", "welding", "--wire-feed-rate", "8", "--layer-height", "2",
                  "-o", str(work / "part.aml")]) == 0
+    files["fused.json"] = (work / "fused.json").read_bytes()
     files["part.aml"] = (work / "part.aml").read_bytes()
     return files
 
@@ -112,23 +113,31 @@ def run_cases(seed: int, cases_per_input: int) -> dict:
         flags = {"cad.csv": "--cad", "demo.csv": "--demo", "calib.json": "--calib", "config.json": "--config"}
         for name, flag in flags.items():
             argv = ["fuse"] + [a for n, f in flags.items() for a in (f, str(bad) if n == name else good[n])]
-            runs[name] = [argv + ["-o", str(work / "fused.json")]]
-        for i in range(cases_per_input):
-            for name, argvs in runs.items():
-                data = mutate(base[name], rng)
-                bad.write_bytes(data)
-                for argv in argvs:
-                    cases += 1
-                    sink = io.StringIO()
-                    try:
-                        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-                            code = main(argv)
-                    except Exception as e:  # the contract under test: nothing escapes main
-                        escapes.append(f"{name} case {i} {argv[:2]}: {type(e).__name__}: {str(e)[:200]} "
-                                       f"input={data[:80]!r}")
-                        continue
-                    if code not in (0, 1, 2):
-                        escapes.append(f"{name} case {i} {argv[:2]}: exit code {code!r}")
+            runs[name] = [argv + ["-o", str(work / "fuse_out.json")]]
+        # The fused-path cases come after the others, so those keep the mutations SEED gives them.
+        order = [(i, name) for i in range(cases_per_input) for name in runs]
+        order += [(i, "fused.json") for i in range(cases_per_input)]
+        runs["fused.json"] = [
+            ["pathml", "gen", "--fused", str(bad), "--project", "part", "--process-type", "other",
+             "-o", str(work / "gen.aml")],
+            ["report", "--executed", str(bad), "--nominal", good["fused.json"], "-o", str(work / "rep.json")],
+            ["report", "--executed", good["fused.json"], "--nominal", str(bad), "-o", str(work / "rep.json")],
+        ]
+        for i, name in order:
+            data = mutate(base[name], rng)
+            bad.write_bytes(data)
+            for argv in runs[name]:
+                cases += 1
+                sink = io.StringIO()
+                try:
+                    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                        code = main(argv)
+                except Exception as e:  # the contract under test: nothing escapes main
+                    escapes.append(f"{name} case {i} {argv[:2]}: {type(e).__name__}: {str(e)[:200]} "
+                                   f"input={data[:80]!r}")
+                    continue
+                if code not in (0, 1, 2):
+                    escapes.append(f"{name} case {i} {argv[:2]}: exit code {code!r}")
     return {"cases": cases, "escapes": escapes}
 
 
@@ -137,7 +146,7 @@ def test_mutated_inputs_keep_the_exit_code_contract():
     proc = subprocess.run([sys.executable, __file__], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.splitlines()[-1])
-    assert result["cases"] == CASES_PER_INPUT * 7
+    assert result["cases"] == CASES_PER_INPUT * 10
     assert result["escapes"] == []
 
 
