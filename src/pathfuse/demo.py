@@ -82,9 +82,10 @@ class PoseSeries:
 def parse_demo(data: bytes | str) -> PoseSeries:
     """Parse demonstration CSV text.  Raises ParseError/ValidationError.
 
-    A plain capture (seven fields on every line, at least two rows, finite
-    values, strictly increasing time) is read as one array.  Any other input
-    goes to the line reader, which raises every error with its line number.
+    A plain capture (seven fields on every line that is not blank, at least
+    two rows, finite values, strictly increasing time) is read as one array.
+    Any other input goes to the line reader, which raises every error with
+    its line number.
     """
     lines = _lines(data)
     series = _parse_array(lines[1:])
@@ -116,10 +117,12 @@ _BLOCK_ROWS = 8192
 def _parse_array(body: list[str]) -> PoseSeries | None:
     """Read the body lines as one (n, 7) array, or None if they are not plain.
 
-    numpy converts a ``str`` exactly as ``float()`` does, and ``np.radians``
-    matches ``math.radians`` bit for bit, so a plain body gives the same
-    series as ``_parse_lines``.
+    Blank lines are dropped, as ``_parse_lines`` skips them.  numpy converts
+    a ``str`` exactly as ``float()`` does, and ``np.radians`` matches
+    ``math.radians`` bit for bit, so a plain body gives the same series as
+    ``_parse_lines``.
     """
+    body = [line for line in body if line.strip()]
     n = len(body)
     if n < 2 or any(line.count(",") != 6 for line in body):
         return None

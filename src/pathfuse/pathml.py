@@ -610,9 +610,12 @@ def expand_layers(doc: PathMLDocument, n_layers: int, direction) -> PathMLDocume
 
     Layer k is the base layer translated by ``k * layer_height * direction``
     (direction must be a unit vector).  Layers are (re)numbered 0..n-1 and
-    named by the base layer's name pattern.  ``n_layers == 1`` returns the
-    document unchanged; a result of more than ``MAX_POINTS`` points raises
-    ValueError.
+    named by the base layer's name pattern.  When the base layer is open (its
+    last position is not its first), odd layers run it backwards, tracks and
+    points in reverse order, so that each layer change of the emitted program
+    is one layer-height step; a closed base keeps its direction in every
+    layer.  ``n_layers == 1`` returns the document unchanged; a result of
+    more than ``MAX_POINTS`` points raises ValueError.
     """
     n_layers = int(n_layers)
     if n_layers < 1:
@@ -633,17 +636,17 @@ def expand_layers(doc: PathMLDocument, n_layers: int, direction) -> PathMLDocume
     if total > MAX_POINTS:
         raise ValueError(f"{n_layers} layers would hold {total} points; the limit is {MAX_POINTS}")
     lift = np.arange(n_layers)[:, None] * h * d  # row k is (k * h) * d
+    ends = [t.points[:, :3] for t in base.tracks if len(t.points)]
+    serpentine = bool(ends) and not np.array_equal(ends[0][0], ends[-1][-1])
     stacks = []
     for track in base.tracks:
         stack = np.repeat(track.points[None], n_layers, axis=0)
         stack[:, :, :3] += lift[:, None, :]
+        if serpentine:
+            stack[1::2] = stack[1::2, ::-1]
         stacks.append(stack)
-    layers = tuple(
-        Layer(
-            _numbered_name(base.name, k),
-            k,
-            tuple(Track(t.name, s[k], t.tool_active) for t, s in zip(base.tracks, stacks)),
-        )
-        for k in range(n_layers)
-    )
-    return PathMLDocument(doc.project_name, doc.process, layers)
+    layers = []
+    for k in range(n_layers):
+        tracks = tuple(Track(t.name, s[k], t.tool_active) for t, s in zip(base.tracks, stacks))
+        layers.append(Layer(_numbered_name(base.name, k), k, tracks[::-1] if serpentine and k % 2 else tracks))
+    return PathMLDocument(doc.project_name, doc.process, tuple(layers))

@@ -23,7 +23,7 @@ from .cad import arc_fraction, traverse
 from .errors import FrameMismatchError, ValidationError
 from .fusion import FusedPath
 from .geometry import rotation_angle, rots_from_euler_zyx
-from .pathml import PathMLDocument, unsign_zeros, validate_document
+from .pathml import Layer, PathMLDocument, unsign_zeros, validate_document
 
 
 @dataclass(frozen=True)
@@ -83,34 +83,54 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
-    """Check every point of a document against kinematic limits.
+def _traverse(doc: PathMLDocument) -> tuple[list[tuple[int, Layer]], np.ndarray, np.ndarray]:
+    """The moves of a document in the one order they are checked and emitted.
 
-    Violations come out in traversal order (layers as listed, then tracks,
-    then points); for one point the pair rules (step, orient_step) precede
-    the point rules (reachability, speed).
+    Layers go by ``Index`` (a stable sort, so equal indices keep their listing
+    order), then tracks as listed, then points.  Returns the layers as
+    (position in ``doc.layers``, layer) pairs in that order, every point
+    joined into one ``(N, 7)`` array, and each point's (layer position,
+    track, point) address as an ``(N, 3)`` integer array.
+    """
+    layers = sorted(enumerate(doc.layers), key=lambda pair: pair[1].index)
+    tracks = [(li, ti, t.points) for li, layer in layers for ti, t in enumerate(layer.tracks)]
+    points = np.concatenate([np.empty((0, 7))] + [pts for _, _, pts in tracks])
+    li, ti, n = np.array([(li, ti, len(pts)) for li, ti, pts in tracks], dtype=np.intp).reshape(-1, 3).T
+    first = np.repeat(np.cumsum(n) - n, n)  # row where each point's track starts
+    address = np.column_stack([np.repeat(li, n), np.repeat(ti, n), np.arange(len(points)) - first])
+    return layers, points, address
+
+
+def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
+    """Check every move of a document against kinematic limits.
+
+    The moves are those ``emit_program`` emits, in its order: layers by
+    ``Index`` (equal indices in listing order), then tracks, then points.
+    The pair rules (step, orient_step) apply to every point after the
+    program's first, so the moves between tracks and between layers are
+    checked too.  Violations come out in that order, and for one point the
+    pair rules precede the point rules (reachability, speed).  A violation's
+    ``layer`` is the layer's position in ``doc.layers``.
     """
     rules = ("step", "orient_step", "reachability", "speed")
     limit = (limits.max_step_mm, limits.max_orient_step_deg, limits.workspace_radius_mm, limits.max_speed_mm_s)
-    out: list[LimitViolation] = []
-    for li, layer in enumerate(doc.layers):
-        for ti, track in enumerate(layer.tracks):
-            pts = track.points
-            zyx = np.radians(pts[:, 5:2:-1])  # (rz, ry, rx) columns
-            if not np.isfinite(zyx).all():
-                raise ValueError(f"layer {li} track {ti} has non-finite angles")
-            rots = rots_from_euler_zyx(zyx)
-            # one row per point, one column per rule; NaN where a rule does not apply
-            measured = np.full((len(pts), 4), np.nan)
-            measured[1:, 0] = np.linalg.norm(np.diff(pts[:, :3], axis=0), axis=1)
-            measured[1:, 1] = np.degrees(rotation_angle(np.swapaxes(rots[:-1], 1, 2) @ rots[1:]))
-            measured[:, 2] = np.linalg.norm(pts[:, :3] - limits.workspace_center, axis=1)
-            measured[:, 3] = pts[:, 6]
-            out.extend(
-                LimitViolation(li, ti, int(pi), rules[ri], float(measured[pi, ri]), limit[ri])
-                for pi, ri in zip(*np.nonzero(measured > limit))
-            )
-    return ValidationReport(tuple(out))
+    _, pts, address = _traverse(doc)
+    zyx = np.radians(pts[:, 5:2:-1])  # (rz, ry, rx) columns
+    finite = np.isfinite(zyx).all(axis=1)
+    if not finite.all():
+        li, ti, _ = address[np.argmin(finite)]  # the first point with a non-finite angle
+        raise ValueError(f"layer {li} track {ti} has non-finite angles")
+    rots = rots_from_euler_zyx(zyx)
+    # one row per point, one column per rule; NaN where a rule does not apply
+    measured = np.full((len(pts), 4), np.nan)
+    measured[1:, 0] = np.linalg.norm(np.diff(pts[:, :3], axis=0), axis=1)
+    measured[1:, 1] = np.degrees(rotation_angle(np.swapaxes(rots[:-1], 1, 2) @ rots[1:]))
+    measured[:, 2] = np.linalg.norm(pts[:, :3] - limits.workspace_center, axis=1)
+    measured[:, 3] = pts[:, 6]
+    return ValidationReport(tuple(
+        LimitViolation(*address[pi].tolist(), rules[ri], float(measured[pi, ri]), limit[ri])
+        for pi, ri in zip(*np.nonzero(measured > limit))
+    ))
 
 
 @dataclass(frozen=True)
@@ -135,15 +155,17 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
 
     If a validation report is supplied it must have passed; emission refuses
     to encode a path known to violate limits, and raises ValidationError for
-    a document that breaks the document rules.  Layers are emitted in index
-    order; tool-active tracks are wrapped in SET_IO TOOL 1/0.
+    a document that breaks the document rules.  The moves are emitted in the
+    order ``validate_path`` checks them: layers by ``Index`` (equal indices
+    in listing order), then tracks, then points.  Tool-active tracks are
+    wrapped in SET_IO TOOL 1/0.
     """
     if validation is not None and not validation.passed:
         raise ValueError(
             f"refusing to emit: validation failed with {len(validation.violations)} violation(s)"
         )
-    total_points = sum(len(t.points) for l in doc.layers for t in l.tracks)
-    if total_points == 0:
+    layers, points, _ = _traverse(doc)
+    if not len(points):
         raise ValueError("document has no points to emit")
     bad = validate_document(doc)
     if bad:
@@ -161,7 +183,7 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
     for k, v in p.extra:
         lines.append(_comment(f"{k}: {v}"))
 
-    for layer in sorted(doc.layers, key=lambda l: l.index):
+    for _, layer in layers:
         lines.append(_comment(f"layer: {layer.name}"))
         for track in layer.tracks:
             if track.tool_active:

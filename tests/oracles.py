@@ -163,18 +163,22 @@ def rotation_distance(ra, rb):
 
 
 def validate_path(doc, limits):
-    """Per-point kinematic limit check, walking every point in order.
+    """Per-point kinematic limit check, walking every point in program order.
 
-    Returns (layer, track, point, rule, measured) tuples in traversal order;
-    for one point the pair rules (step, orient_step) come before the point
-    rules (reachability, speed), and a track's first point has no pair rules.
-    Rows are (x, y, z, rx, ry, rz, speed) with fixed X-Y-Z angles in degrees.
+    Layers go by index, equal indices in listing order, then tracks, then
+    points.  Returns (layer, track, point, rule, measured) tuples in that
+    order, with the layer's listing position; for one point the pair rules
+    (step, orient_step) come before the point rules (reachability, speed).
+    The previous point carries across tracks and layers, so only the
+    program's first point has no pair rules.  Rows are (x, y, z, rx, ry, rz,
+    speed) with fixed X-Y-Z angles in degrees.
     """
     center = np.asarray(limits.workspace_center, dtype=float)
     out = []
-    for li, layer in enumerate(doc.layers):
-        for ti, track in enumerate(layer.tracks):
-            prev = None
+    prev = None
+    by_index = sorted(range(len(doc.layers)), key=lambda li: (doc.layers[li].index, li))
+    for li in by_index:
+        for ti, track in enumerate(doc.layers[li].tracks):
             for pi, (x, y, z, rx, ry, rz, v) in enumerate(np.asarray(track.points).tolist()):
                 pos = np.array([x, y, z])
                 rot = rot_extrinsic_xyz(math.radians(rx), math.radians(ry), math.radians(rz))

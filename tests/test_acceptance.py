@@ -242,7 +242,8 @@ def test_07_pathml_round_trip_and_canonical_bytes():
 
 
 def test_08_multi_layer_expansion_offsets():
-    """5 layers, 2 mm height, direction (0,0,1): layer k offset exactly k*2 mm within 1e-12."""
+    """5 layers, 2 mm height, direction (0,0,1): layer k offset exactly k*2 mm within 1e-12;
+    the base is open, so odd layers run it backwards."""
     points = [(float(x), float(x) * 0.5, 1.0, 0.0, 0.0, 10.0 * x, 40.0) for x in range(4)]
     doc = PathMLDocument(
         "stack",
@@ -257,7 +258,7 @@ def test_08_multi_layer_expansion_offsets():
     for k, layer in enumerate(out.layers):
         assert layer.index == k
         got = layer.tracks[0].points[:, :3]
-        offset = got - base
+        offset = got - (base[::-1] if k % 2 else base)
         want = np.array([0.0, 0.0, 2.0 * k])
         worst = max(worst, float(np.max(np.abs(offset - want))))
     assert worst < 1e-12, f"offset error {worst:.3e} mm"

@@ -199,6 +199,13 @@ class TestArrayReader:
         cases = mutated_captures()
         assert any(outcome(read_array_split_on_lf, d) != outcome(read_by_lines, d) for d in cases)
 
+    def test_blank_lines_keep_the_array_path(self):
+        plain = format_demo_csv(make_series(n=30, seed=6)).decode()
+        lines = plain.splitlines()
+        gappy = "\n".join(lines[:5] + ["", "  \t"] + lines[5:20] + [""] + lines[20:]) + "\n\n \n"
+        assert is_plain(gappy)
+        assert outcome(parse_demo, gappy) == outcome(parse_demo, plain) == outcome(read_by_lines, gappy)
+
     def test_reads_past_one_block(self):
         s = make_series(n=2 * demo._BLOCK_ROWS + 5, seed=4)
         data = format_demo_csv(s)

@@ -376,8 +376,35 @@ class TestExpand:
         base = doc.layers[0].tracks[0].points[:, :3]
         for k, layer in enumerate(out.layers):
             got = layer.tracks[0].points[:, :3]
-            assert np.max(np.abs(got - (base + np.array([0, 0, 2.0 * k])))) < 1e-12
+            order = base[::-1] if k % 2 else base  # the base is open: odd layers run backwards
+            assert np.max(np.abs(got - (order + np.array([0, 0, 2.0 * k])))) < 1e-12
             assert layer.index == k
+
+    def _two_tracks(self, last_x):
+        a = [(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0), (10.0, 0.0, 0.0, 0.0, 0.0, 5.0, 60.0)]
+        b = [(10.0, 5.0, 0.0, 0.0, 0.0, 10.0, 70.0), (last_x, 0.0, 0.0, 0.0, 0.0, 15.0, 80.0)]
+        base = Layer("Layer_0", 0, (Track("a", a, True), Track("b", b, False)))
+        return PathMLDocument("p", self._doc().process, (base,))
+
+    def test_open_base_runs_backwards_on_odd_layers(self):
+        doc = self._two_tracks(last_x=20.0)
+        a, b = doc.layers[0].tracks
+        out = expand_layers(doc, 3, (0.0, 0.0, 1.0))
+        lift = lambda k: np.array([0.0, 0.0, 2.0 * k, 0.0, 0.0, 0.0, 0.0])  # noqa: E731
+        assert out.layers[1].tracks == (
+            Track("b", b.points[::-1] + lift(1), False),
+            Track("a", a.points[::-1] + lift(1), True),
+        )
+        assert out.layers[2].tracks == (Track("a", a.points + lift(2), True), Track("b", b.points + lift(2), False))
+
+    def test_closed_base_keeps_its_direction(self):
+        doc = self._two_tracks(last_x=0.0)  # ends where it starts
+        out = expand_layers(doc, 3, (0.0, 0.0, 1.0))
+        for k, layer in enumerate(out.layers):
+            assert [t.name for t in layer.tracks] == ["a", "b"]
+            for got, src in zip(layer.tracks, doc.layers[0].tracks):
+                assert np.array_equal(got.points[:, 3:], src.points[:, 3:])
+                assert np.array_equal(got.points[:, :3], src.points[:, :3] + [0.0, 0.0, 2.0 * k])
 
     def test_oblique_direction(self):
         doc = self._doc()

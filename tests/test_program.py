@@ -43,6 +43,15 @@ def pt(x=0.0, y=0.0, z=0.0, rx=0.0, ry=0.0, rz=0.0, v=50.0):
     return (x, y, z, rx, ry, rz, v)
 
 
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    """Artifacts of one scripts/run_pipeline.py run (3-layer stack, 50 mm / 30 degree limits)."""
+    out = tmp_path_factory.mktemp("pipeline")
+    script = Path(__file__).parents[1] / "scripts" / "run_pipeline.py"
+    subprocess.run([sys.executable, str(script), "--out", str(out)], env=child_env(), check=True, capture_output=True)
+    return out
+
+
 class TestLimits:
     def test_defaults_valid(self):
         lim = PathLimits()
@@ -131,18 +140,39 @@ class TestValidatePath:
         keys = [(v.layer, v.track, v.point) for v in validate_path(doc, PathLimits()).violations]
         assert keys == sorted(keys)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="validate_path checks moves inside a track only: scripts/run_pipeline.py's "
-        "3-layer stack commands a 400.005 mm, ~89 degree MOVEL from Layer_0 to Layer_1",
-    )
-    def test_move_between_layers_is_checked(self, tmp_path):
-        script = Path(__file__).parents[1] / "scripts" / "run_pipeline.py"
-        subprocess.run([sys.executable, str(script), "--out", str(tmp_path)],
-                       env=child_env(), check=True, capture_output=True)
-        doc = parse_xml((tmp_path / "stack.aml").read_bytes())
-        assert not validate_path(doc, PathLimits(max_step_mm=50.0, max_orient_step_deg=30.0)).passed
+    def test_equal_indices_keep_listing_order(self):
+        fast = (pt(v=2000.0), pt(x=1.0, v=2000.0))
+        doc = PathMLDocument(
+            "p",
+            ProcessParameters("other"),
+            tuple(Layer(name, index, (Track("t", fast, True),)) for name, index in (("a", 1), ("b", 0), ("c", 0))),
+        )
+        keys = [(v.layer, v.point) for v in validate_path(doc, PathLimits()).violations]
+        assert keys == [(1, 0), (1, 1), (2, 0), (2, 1), (0, 0), (0, 1)]
+
+    def test_move_between_layers_is_checked(self, pipeline_out):
+        # stack run_pipeline's open base twice without running the second copy backwards
+        base = parse_xml((pipeline_out / "part.aml").read_bytes())
+        track = base.layers[0].tracks[0]
+        lifted = track.points + np.array([0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 0.0])
+        doc = PathMLDocument(
+            base.project_name,
+            base.process,
+            (base.layers[0], Layer("Layer_1", 1, (Track(track.name, lifted, True),))),
+        )
+        found = validate_path(doc, PathLimits(max_step_mm=50.0, max_orient_step_deg=30.0)).violations
+        assert [(v.layer, v.track, v.point, v.rule) for v in found] == [(1, 0, 0, "step"), (1, 0, 0, "orient_step")]
+        assert f"{found[0].measured:.3f}" == "400.005"
+        assert found[1].measured > 30.0
+
+    def test_pipeline_stack_passes_with_layer_height_changes(self, pipeline_out):
+        doc = parse_xml((pipeline_out / "stack.aml").read_bytes())
+        assert validate_path(doc, PathLimits(max_step_mm=50.0, max_orient_step_deg=30.0)).passed
+        layers = sorted(doc.layers, key=lambda l: l.index)
+        assert len(layers) == 3
+        for below, above in zip(layers, layers[1:]):
+            step = np.linalg.norm(above.tracks[0].points[0, :3] - below.tracks[-1].points[-1, :3])
+            assert f"{step:.3f}" == "2.000"
 
     def test_violation_str(self):
         v = LimitViolation(0, 0, 1, "step", 60.8276, 50.0)
@@ -175,14 +205,18 @@ limit_sets = st.builds(
 )
 
 
+# index per listed layer: out of listing order and with duplicates
+layer_indices = st.lists(st.integers(0, 2), min_size=3, max_size=3)
+
+
 @settings(deadline=None, max_examples=80)
-@given(stacks, limit_sets)
-def test_validate_path_matches_per_point_oracle(layers, limits):
+@given(stacks, layer_indices, limit_sets)
+def test_validate_path_matches_per_point_oracle(layers, indices, limits):
     doc = PathMLDocument(
         "p",
         ProcessParameters("other"),
         tuple(
-            Layer(f"L{li}", li, tuple(Track(f"T{ti}", pts, True) for ti, pts in enumerate(tracks)))
+            Layer(f"L{li}", indices[li], tuple(Track(f"T{ti}", pts, True) for ti, pts in enumerate(tracks)))
             for li, tracks in enumerate(layers)
         ),
     )
@@ -248,9 +282,19 @@ class TestEmit:
         assert not report.passed
         with pytest.raises(ValueError, match="refusing"):
             emit_program(doc, report)
-        ok = validate_path(doc, PathLimits(max_orient_step_deg=60.0))
+        # the base -> cap move is 50.040 mm and 90 degrees
+        ok = validate_path(doc, PathLimits(max_step_mm=51.0, max_orient_step_deg=91.0))
         assert ok.passed
         assert emit_program(doc, ok).lines
+
+    def test_golden_validates_in_emission_order(self):
+        found = validate_path(self._golden_doc(), PathLimits()).violations
+        assert [(v.layer, v.track, v.point, v.rule, f"{v.measured:.3f}") for v in found] == [
+            (1, 0, 1, "orient_step", "45.000"),
+            (1, 0, 2, "orient_step", "45.000"),
+            (0, 0, 0, "step", "50.040"),
+            (0, 0, 0, "orient_step", "90.000"),
+        ]
 
     def test_refuses_empty_document(self):
         doc = PathMLDocument("p", ProcessParameters("other"), (Layer("L", 0, (Track("T", (), True),)),))
