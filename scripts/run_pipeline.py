@@ -4,8 +4,10 @@
 Builds a small synthetic workspace (truth path, CAD polyline, calibration,
 config), then drives the CLI through every stage: simulate a tracker capture,
 fuse it with the CAD path, wrap the result as PathML, expand it into a layer
-stack, emit a neutral robot program, and write a deviation report.  Every
-artifact lands in --out so the whole run can be inspected afterwards.
+stack, emit a neutral robot program, and write a deviation report.  The
+report compares an executed path, the fused path plus seeded uniform jitter
+of at most 1 mm per axis, with the fused path.  Every artifact lands in --out
+so the whole run can be inspected afterwards.
 """
 
 import argparse
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pathfuse import Frame, FusedPath, fused_path_to_json
+from pathfuse import Frame, FusedPath, fused_path_from_json, fused_path_to_json
 from pathfuse.cli import main as cli
 
 CAD_CSV = "x_mm,y_mm,z_mm\n0,0,0\n100,0,0\n200,0,0\n300,0,0\n400,0,0\n"
@@ -39,6 +41,15 @@ def make_truth() -> str:
     pos = np.column_stack([np.linspace(0.0, 400.0, n), np.zeros(n), np.zeros(n)])
     ang = np.column_stack([np.zeros(n), np.zeros(n), np.linspace(0.0, np.pi / 2, n)])
     return fused_path_to_json(FusedPath(pos, ang, np.full(n, 100.0), Frame.S))
+
+
+def make_executed(fused_json: bytes, seed: int) -> str:
+    """The fused path as a robot would run it: each position jittered by at most 1 mm per axis."""
+    path = fused_path_from_json(fused_json)
+    jitter = np.random.default_rng(seed).uniform(-1.0, 1.0, path.positions.shape)
+    return fused_path_to_json(
+        FusedPath(path.positions + jitter, path.orientations, path.speeds, path.frame, path.closed)
+    )
 
 
 def run(argv: list[str]) -> None:
@@ -77,7 +88,8 @@ def main() -> int:
          "-o", str(out / "stack.aml")])
     run(["emit", str(out / "stack.aml"), "--config", str(out / "config.json"),
          "-o", str(out / "program.txt")])
-    run(["report", "--executed", str(out / "fused.json"), "--nominal", str(out / "fused.json"),
+    (out / "executed.json").write_text(make_executed((out / "fused.json").read_bytes(), args.seed))
+    run(["report", "--executed", str(out / "executed.json"), "--nominal", str(out / "fused.json"),
          "--sections", "0.25,0.5,0.75", "-o", str(out / "report.json")])
 
     program = (out / "program.txt").read_text().splitlines()

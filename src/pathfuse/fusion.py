@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quat
+from ._rows import fill_rows
 from .errors import FrameMismatchError, ParseError, TimeParameterizationWarning
 from .cad import CadPath, arc_params, traverse
 from .demo import PoseSeries, estimate_speed, path_parameters
@@ -123,21 +124,17 @@ def to_robot_frame(path: FusedPath, calib: CalibrationSet) -> FusedPath:
     )
 
 
+_JSON_KEYS = ("x_mm", "y_mm", "z_mm", "rx_deg", "ry_deg", "rz_deg", "v_mm_s")
+
+# One point of json.dumps(..., indent=2)'s layout; json writes a float as its repr.
+_JSON_POINT = "    {\n" + ",\n".join(f'      "{k}": %r' for k in _JSON_KEYS) + "\n    }"
+
+
 def fused_path_to_json(path: FusedPath) -> str:
     """Serialize to the fused-path JSON interchange form (degrees, mm)."""
-    points = []
-    for i in range(len(path)):
-        x, y, z = path.positions[i]
-        rx, ry, rz = (math.degrees(a) for a in path.orientations[i])
-        points.append(
-            {
-                "x_mm": x, "y_mm": y, "z_mm": z,
-                "rx_deg": rx, "ry_deg": ry, "rz_deg": rz,
-                "v_mm_s": float(path.speeds[i]),
-            }
-        )
-    obj = {"frame": path.frame.value, "closed": path.closed, "points": points}
-    return json.dumps(obj, indent=2) + "\n"
+    rows = np.column_stack([path.positions, np.degrees(path.orientations), path.speeds])
+    head = '{\n  "frame": "%s",\n  "closed": %s,\n  "points": [\n' % (path.frame.value, json.dumps(path.closed))
+    return head + fill_rows(_JSON_POINT, rows, ",\n") + "\n  ]\n}\n"
 
 
 def fused_path_from_json(data: bytes | str) -> FusedPath:
@@ -164,13 +161,12 @@ def fused_path_from_json(data: bytes | str) -> FusedPath:
     if not isinstance(points, list) or len(points) < 2:
         raise ParseError("'points' must be an array of at least 2 entries")
 
-    keys = ("x_mm", "y_mm", "z_mm", "rx_deg", "ry_deg", "rz_deg", "v_mm_s")
     rows = []
     for i, pt in enumerate(points):
         if not isinstance(pt, dict):
             raise ParseError(f"point {i} is not an object")
         try:
-            row = [float(pt[k]) for k in keys]
+            row = [float(pt[k]) for k in _JSON_KEYS]
         except KeyError as e:
             raise ParseError(f"point {i} is missing {e.args[0]!r}") from None
         except (TypeError, ValueError):

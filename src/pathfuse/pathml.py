@@ -32,6 +32,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
+from ._rows import fill_rows
 from .cad import MAX_POINTS
 from .errors import FrameMismatchError, ParseError, SchemaError, ValidationError
 from .fusion import FusedPath
@@ -285,10 +286,16 @@ _TAIL_XML = "\n".join([_close_line(4), "  </InstanceHierarchy>", "</CAEXFile>", 
 
 # One Point element; filled with the point index and a row of ``Track.points``.
 _POINT_XML = "\n".join(
-    [_open_line(10, "Point_{}")]
-    + [_attr_line(12, name, "{:.6f}") for name in POINT_ATTRS]
+    [_open_line(10, "Point_%d")]
+    + [_attr_line(12, name, "%.6f") for name in POINT_ATTRS]
     + [_close_line(10)]
 )
+
+
+def _points_xml(points: np.ndarray) -> str:
+    """The Point elements of a track's ``(n, 7)`` points, laid out as write_xml writes them."""
+    rows = np.column_stack([np.arange(len(points)), points])
+    return unsign_zeros(fill_rows(_POINT_XML, rows), 6)
 
 
 def write_xml(doc: PathMLDocument) -> bytes:
@@ -322,9 +329,7 @@ def write_xml(doc: PathMLDocument) -> bytes:
         for track in layer.tracks:
             lines.append(_open_line(8, track.name))
             lines.append(_attr_line(10, "ToolActive", "true" if track.tool_active else "false"))
-            for k, row in enumerate(track.points.tolist()):
-                # kept as short lines: Python's small-object pool reuses them, which holds peak memory down
-                lines.extend(unsign_zeros(_POINT_XML.format(k, *row), 6).split("\n"))
+            lines.append(_points_xml(track.points))
             lines.append(_close_line(8))
         lines.append(_close_line(6))
     lines.append(_TAIL_XML)
@@ -341,9 +346,11 @@ _NUMBER = r"-?[0-9]+\.[0-9]{6}"
 
 
 def _layout_re(template: str, name: str = f"({_TEXT})", number: str = f"({_NUMBER})") -> str:
-    """Regex of a piece of the writer's layout: ``{}`` holes match ``name``, ``{:.6f}`` holes ``number``."""
+    """Regex of a piece of the writer's layout: ``{}``, ``%d`` holes match ``name``, ``%.6f`` ``number``."""
     esc = re.escape(template)
-    return esc.replace(re.escape("{:.6f}"), number).replace(re.escape("{}"), name)
+    for hole, pattern in (("%.6f", number), ("%d", name), ("{}", name)):
+        esc = esc.replace(re.escape(hole), pattern)
+    return esc
 
 
 _HEAD_RE = re.compile(_layout_re(_head_xml("{}") + "\n"))
@@ -614,8 +621,11 @@ def expand_layers(doc: PathMLDocument, n_layers: int, direction) -> PathMLDocume
     last position is not its first), odd layers run it backwards, tracks and
     points in reverse order, so that each layer change of the emitted program
     is one layer-height step; a closed base keeps its direction in every
-    layer.  ``n_layers == 1`` returns the document unchanged; a result of
-    more than ``MAX_POINTS`` points raises ValueError.
+    layer.  ``Velocity_mm_s`` is the speed into a point, so a backwards track
+    gives each point the speed of the forward move out of it (forward point i
+    gets ``v[i+1]``), and its first row, the forward last point, gets the
+    approach speed ``v[0]``.  ``n_layers == 1`` returns the document
+    unchanged; a result of more than ``MAX_POINTS`` points raises ValueError.
     """
     n_layers = int(n_layers)
     if n_layers < 1:
@@ -643,6 +653,8 @@ def expand_layers(doc: PathMLDocument, n_layers: int, direction) -> PathMLDocume
         stack = np.repeat(track.points[None], n_layers, axis=0)
         stack[:, :, :3] += lift[:, None, :]
         if serpentine:
+            # backwards, forward point i is reached from point i+1 at v[i+1]; the last at v[0]
+            stack[1::2, :, 6] = np.roll(stack[1::2, :, 6], -1, axis=1)
             stack[1::2] = stack[1::2, ::-1]
         stacks.append(stack)
     layers = []

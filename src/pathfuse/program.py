@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._rows import fill_rows
 from .cad import arc_fraction, traverse
 from .errors import FrameMismatchError, ValidationError
 from .fusion import FusedPath
@@ -142,7 +143,12 @@ class RobotProgram:
         return "\n".join(self.lines) + "\n"
 
 
-_MOVEL = "MOVEL {:.3f} {:.3f} {:.3f} {:.3f} {:.3f} {:.3f} V={:.3f}"
+_MOVEL = "MOVEL %.3f %.3f %.3f %.3f %.3f %.3f V=%.3f"
+
+
+def _movel_lines(points: np.ndarray) -> list[str]:
+    """One MOVEL line per row of a track's ``(n, 7)`` points."""
+    return unsign_zeros(fill_rows(_MOVEL, points), 3).splitlines()
 
 
 def _comment(text: str) -> str:
@@ -188,7 +194,7 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
         for track in layer.tracks:
             if track.tool_active:
                 lines.append("SET_IO TOOL 1")
-            lines.extend(unsign_zeros(_MOVEL.format(*row), 3) for row in track.points.tolist())
+            lines.extend(_movel_lines(track.points))
             if track.tool_active:
                 lines.append("SET_IO TOOL 0")
 
@@ -230,26 +236,71 @@ class DeviationReport:
         return json.dumps(obj, indent=2) + "\n"
 
 
+_BLOCK = 16  # consecutive segments under one bounding ball
+_PAIRS = 1 << 18  # point-segment pairs per pass when no block can be pruned
+
+
 def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Min distance of each point to any segment of a polyline.
 
-    Points go 16 at a time, so the (16, segments, 3) temporaries stay small
-    enough to work in cache on long paths.
+    Each pair is measured by one formula: clamp the projection onto the
+    segment, take the squared gap; each point keeps the smallest, then
+    ``sqrt``.  Pairs that cannot hold the nearest segment are skipped.  The
+    segments go in blocks of ``_BLOCK`` consecutive ones, each inside a ball
+    (centre: the middle of its vertices' bounding box; radius: the farthest
+    vertex from there), so every segment of a block lies between
+    ``|p-c|-r`` and ``|p-c|+r`` from a point p.  A block is skipped when its
+    lower bound exceeds ``ub``, the smallest upper bound of any block, by a
+    margin: ``1e-12`` times the largest coordinate plus ``1e-150``, more
+    than the rounding of the bounds and of the measured distances.  So the
+    result is bit-identical to measuring every pair.  A NaN bound skips
+    nothing, and neither does a coordinate of 2**500 or more, where a square
+    could overflow.  Points go in chunks of at most ``_PAIRS`` pairs, so the
+    temporaries stay bounded however little is skipped.
     """
-    chunk = 16
     a = poly[:-1]
     d = poly[1:] - a
     dd = np.einsum("ij,ij->i", d, d)
     dd_safe = np.where(dd > 0.0, dd, 1.0)  # zero-length segments act as points
+
+    first = np.arange(0, len(a), _BLOCK)  # block b holds segments first[b]:last[b]
+    last = np.minimum(first + _BLOCK, len(a))
+    size = last - first
+    lo = np.minimum(np.minimum.reduceat(a, first), poly[last])
+    hi = np.maximum(np.maximum.reduceat(a, first), poly[last])
+    centre = (lo + hi) / 2.0
+    radius = np.maximum(
+        np.maximum.reduceat(_norm(a - np.repeat(centre, size, axis=0)), first), _norm(poly[last] - centre)
+    )
+    top = np.maximum(np.max(np.abs(poly)), np.max(np.abs(points), initial=0.0))  # NaN if any is
+    margin = 1e-12 * top + 1e-150 if top < 2.0**500 else np.inf  # inf: skip nothing
+
     out = np.empty(len(points))
+    chunk = max(1, _PAIRS // len(a))
     for start in range(0, len(points), chunk):
-        p = points[start : start + chunk, None, :]
-        t = np.clip(np.einsum("kij,ij->ki", p - a, d) / dd_safe, 0.0, 1.0)
-        t = np.where(dd > 0.0, t, 0.0)
-        gap = p - (a + t[..., None] * d)
-        sq = gap * gap
-        out[start : start + chunk] = np.sqrt(np.min(sq[..., 0] + sq[..., 1] + sq[..., 2], axis=1))
+        pts = points[start : start + chunk]
+        gap = _norm(pts[:, None, :] - centre)
+        ub = np.min(gap + radius, axis=1)
+        pi, bi = np.nonzero(~(gap - radius > ub[:, None] + margin))
+        # the segments of every kept (point, block), point by point
+        n = size[bi]
+        seg = np.repeat(first[bi] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        row = np.repeat(pi, n)
+        p, sa, sd = pts[row], a[seg], d[seg]
+        t = np.clip(np.einsum("ij,ij->i", p - sa, sd) / dd_safe[seg], 0.0, 1.0)
+        t = np.where(dd[seg] > 0.0, t, 0.0)
+        g = p - (sa + t[:, None] * sd)
+        sq = g * g
+        counts = np.bincount(row, minlength=len(pts))
+        out[start : start + chunk] = np.sqrt(
+            np.minimum.reduceat(sq[:, 0] + sq[:, 1] + sq[:, 2], np.cumsum(counts) - counts)
+        )
     return out
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Length of each vector along the last axis; a third of ``np.linalg.norm``'s time on these stacks."""
+    return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
 def deviation_report(
@@ -261,7 +312,11 @@ def deviation_report(
     """Positional deviation of an executed path from a nominal one.
 
     Each executed point's deviation is its distance to the nearest point of
-    the nominal polyline (closing segments included for closed paths).
+    the nominal polyline (closing segments included for closed paths).  The
+    search skips only blocks of 16 consecutive segments whose bounding ball
+    is provably farther than another block's, so the distances are
+    bit-identical to measuring every segment; it needs no matching of
+    progress, so it holds for any executed path.
     Sections split the executed path at the given normalized arc-length
     breaks, which must be strictly increasing and inside (0, 1); deviations
     are reported per section and overall against ``tolerance_mm``.  The

@@ -4,6 +4,7 @@ Everything here is written from the textbook definitions with no imports
 from the package under test, so a bug there cannot hide behind itself.
 """
 
+import json
 import math
 
 import numpy as np
@@ -67,6 +68,28 @@ def point_to_segment(p, a, b):
 def point_to_polyline(p, poly):
     poly = np.asarray(poly, dtype=float)
     return min(point_to_segment(p, poly[i], poly[i + 1]) for i in range(len(poly) - 1))
+
+
+def point_to_polyline_all_pairs(points, poly):
+    """Min distance of each point to any segment of a polyline, measuring every pair.
+
+    16 points at a time against every segment: the clamped projection, the
+    smallest squared gap, then ``sqrt``.
+    """
+    chunk = 16
+    a = poly[:-1]
+    d = poly[1:] - a
+    dd = np.einsum("ij,ij->i", d, d)
+    dd_safe = np.where(dd > 0.0, dd, 1.0)  # zero-length segments act as points
+    out = np.empty(len(points))
+    for start in range(0, len(points), chunk):
+        p = points[start : start + chunk, None, :]
+        t = np.clip(np.einsum("kij,ij->ki", p - a, d) / dd_safe, 0.0, 1.0)
+        t = np.where(dd > 0.0, t, 0.0)
+        gap = p - (a + t[..., None] * d)
+        sq = gap * gap
+        out[start : start + chunk] = np.sqrt(np.min(sq[..., 0] + sq[..., 1] + sq[..., 2], axis=1))
+    return out
 
 
 def polyline_length(poly):
@@ -222,3 +245,45 @@ def hampel(x, window, k, scale=1.4826):
         med[i] = np.median(w)
         flags[i] = abs(x[i] - med[i]) > k * scale * np.median(np.abs(w - med[i]))
     return med, flags
+
+
+POINT_ATTRS = ("X_mm", "Y_mm", "Z_mm", "RX_deg", "RY_deg", "RZ_deg", "Velocity_mm_s")
+
+
+def pathml_points(points):
+    """The Point elements of one PathML track, one ``str.format`` per point.
+
+    Six decimals, and a number that prints as -0.000000 is written 0.000000.
+    """
+    element = "\n".join(
+        ['          <InternalElement Name="Point_{}">']
+        + [f'            <Attribute Name="{name}"><Value>{{:.6f}}</Value></Attribute>' for name in POINT_ATTRS]
+        + ["          </InternalElement>"]
+    )
+    return "\n".join(
+        element.format(k, *row).replace("-0.000000", "0.000000") for k, row in enumerate(np.asarray(points).tolist())
+    )
+
+
+def movel_lines(points):
+    """MOVEL lines of one track, one ``str.format`` per point; -0.000 is written 0.000."""
+    line = "MOVEL {:.3f} {:.3f} {:.3f} {:.3f} {:.3f} {:.3f} V={:.3f}"
+    return [line.format(*row).replace("-0.000", "0.000") for row in np.asarray(points).tolist()]
+
+
+def fused_path_json(positions, orientations, speeds, frame, closed):
+    """Fused-path JSON built as a dict, one per point, and written by ``json.dumps(indent=2)``.
+
+    Orientations are radians and are written in degrees.
+    """
+    points = [
+        {
+            "x_mm": x, "y_mm": y, "z_mm": z,
+            "rx_deg": math.degrees(rx), "ry_deg": math.degrees(ry), "rz_deg": math.degrees(rz),
+            "v_mm_s": v,
+        }
+        for (x, y, z), (rx, ry, rz), v in zip(
+            np.asarray(positions).tolist(), np.asarray(orientations).tolist(), np.asarray(speeds).tolist()
+        )
+    ]
+    return json.dumps({"frame": frame, "closed": closed, "points": points}, indent=2) + "\n"

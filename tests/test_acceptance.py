@@ -243,8 +243,9 @@ def test_07_pathml_round_trip_and_canonical_bytes():
 
 def test_08_multi_layer_expansion_offsets():
     """5 layers, 2 mm height, direction (0,0,1): layer k offset exactly k*2 mm within 1e-12;
-    the base is open, so odd layers run it backwards."""
-    points = [(float(x), float(x) * 0.5, 1.0, 0.0, 0.0, 10.0 * x, 40.0) for x in range(4)]
+    the base is open, so odd layers run it backwards, each point at the speed of the
+    forward move out of it and the first at the approach speed."""
+    points = [(float(x), float(x) * 0.5, 1.0, 0.0, 0.0, 10.0 * x, 40.0 + x) for x in range(4)]
     doc = PathMLDocument(
         "stack",
         ProcessParameters("welding", wire_feed_rate=8.0, layer_height=2.0),
@@ -261,6 +262,8 @@ def test_08_multi_layer_expansion_offsets():
         offset = got - (base[::-1] if k % 2 else base)
         want = np.array([0.0, 0.0, 2.0 * k])
         worst = max(worst, float(np.max(np.abs(offset - want))))
+        speeds = [40.0, 43.0, 42.0, 41.0] if k % 2 else [40.0, 41.0, 42.0, 43.0]
+        assert layer.tracks[0].points[:, 6].tolist() == speeds
     assert worst < 1e-12, f"offset error {worst:.3e} mm"
     _pass(f"multi-layer expansion (max offset error {worst:.2e} mm)")
 

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from pathfuse import (
@@ -163,6 +165,24 @@ class TestJson:
         assert doc["closed"] is True
         pt = doc["points"][0]
         assert set(pt) == {"x_mm", "y_mm", "z_mm", "rx_deg", "ry_deg", "rz_deg", "v_mm_s"}
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_matches_dict_writer(self, closed):
+        edge = [-0.0, 5e-7, -5e-7, 5e-4, -5e-4, 1e15, 0.1, 1e-300]
+        positions = np.array([edge[:3], edge[3:6], edge[5:8]])
+        orientations = np.radians([edge[5:8], edge[:3], [-180.0, 90.0, 359.9]])
+        speeds = np.array([0.0, 5e-7, 1e15])
+        for frame in (Frame.S, Frame.R):
+            path = FusedPath(positions, orientations, speeds, frame, closed=closed)
+            want = oracles.fused_path_json(positions, orientations, speeds, frame.value, closed)
+            assert fused_path_to_json(path) == want
+
+    @settings(deadline=None, max_examples=60)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 12), st.just(7)), elements=st.floats(-1e16, 1e16)))
+    def test_matches_dict_writer_hypothesis(self, rows):
+        positions, orientations, speeds = rows[:, :3], rows[:, 3:6] / 1e13, np.abs(rows[:, 6])
+        path = FusedPath(positions, orientations, speeds, Frame.R)
+        assert fused_path_to_json(path) == oracles.fused_path_json(positions, orientations, speeds, "R", False)
 
     def test_angles_stored_in_degrees(self):
         path = FusedPath(

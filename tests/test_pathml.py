@@ -5,7 +5,9 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+import oracles
 from conftest import make_doc
 from pathfuse import (
     CadPath,
@@ -27,7 +29,7 @@ from pathfuse import (
     validate_document,
     write_xml,
 )
-from pathfuse.pathml import POINT_ATTRS, _parse_tree, _scan_canonical
+from pathfuse.pathml import POINT_ATTRS, _parse_tree, _points_xml, _scan_canonical
 from test_acceptance import _random_grid_doc
 from test_fusion import SQUARE, make_calib, ramp_demo
 
@@ -246,6 +248,38 @@ class TestWriter:
         moves = [line for line in emit_program(doc).lines if line.startswith("MOVEL")]
         assert moves == [f"MOVEL {' '.join([three] * 6)} V=0.000"] * 2
 
+    EDGE_ROWS = [
+        (-0.0, 5e-7, -5e-7, 5e-4, -5e-4, 1e15, 0.0),
+        (-4e-7, 5e-10, -0.0000005, 0.0000015, -1e15, 123.4565, 2.5e-7),
+        (1.0, -2.0, 3.0, 1e-300, -1e-300, 359.9999995, 100.0),
+    ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_points_match_per_row_format(self, n):
+        points = np.array(self.EDGE_ROWS[:n], dtype=float).reshape(n, 7)
+        assert _points_xml(points) == oracles.pathml_points(points)
+
+    @settings(deadline=None, max_examples=60)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(7)), elements=st.floats(-1e16, 1e16)))
+    def test_points_match_per_row_format_hypothesis(self, points):
+        assert _points_xml(points) == oracles.pathml_points(points)
+
+    def test_document_points_match_per_row_format(self):
+        rows = np.array(self.EDGE_ROWS)
+        doc = PathMLDocument(
+            "p",
+            ProcessParameters("other"),
+            (
+                Layer("L1", 1, (Track("T0", rows, True), Track("T1", rows[::-1], False))),
+                Layer("L0", 0, (Track("T0", rows[:2], True),)),
+            ),
+        )
+        # everything at point depth, listed order, but the ToolActive attributes
+        lines = [line for line in write_xml(doc).decode().splitlines()
+                 if line.startswith(" " * 10) and "ToolActive" not in line]
+        tracks = [t.points for layer in doc.layers for t in layer.tracks]
+        assert lines == "\n".join(oracles.pathml_points(pts) for pts in tracks).splitlines()
+
     def test_special_characters_escaped(self):
         doc = make_doc(project='a<b>&"c\'')
         text = write_xml(doc).decode()
@@ -381,7 +415,8 @@ class TestExpand:
             assert layer.index == k
 
     def _two_tracks(self, last_x):
-        a = [(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0), (10.0, 0.0, 0.0, 0.0, 0.0, 5.0, 60.0)]
+        a = [(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 50.0), (10.0, 0.0, 0.0, 0.0, 0.0, 5.0, 60.0),
+             (10.0, 2.0, 0.0, 0.0, 0.0, 5.0, 65.0)]
         b = [(10.0, 5.0, 0.0, 0.0, 0.0, 10.0, 70.0), (last_x, 0.0, 0.0, 0.0, 0.0, 15.0, 80.0)]
         base = Layer("Layer_0", 0, (Track("a", a, True), Track("b", b, False)))
         return PathMLDocument("p", self._doc().process, (base,))
@@ -391,10 +426,11 @@ class TestExpand:
         a, b = doc.layers[0].tracks
         out = expand_layers(doc, 3, (0.0, 0.0, 1.0))
         lift = lambda k: np.array([0.0, 0.0, 2.0 * k, 0.0, 0.0, 0.0, 0.0])  # noqa: E731
-        assert out.layers[1].tracks == (
-            Track("b", b.points[::-1] + lift(1), False),
-            Track("a", a.points[::-1] + lift(1), True),
-        )
+        # backwards, a point is reached at the forward speed into the point after it
+        a_back = [(10.0, 2.0, 2.0, 0.0, 0.0, 5.0, 50.0), (10.0, 0.0, 2.0, 0.0, 0.0, 5.0, 65.0),
+                  (0.0, 0.0, 2.0, 0.0, 0.0, 0.0, 60.0)]
+        b_back = [(20.0, 0.0, 2.0, 0.0, 0.0, 15.0, 70.0), (10.0, 5.0, 2.0, 0.0, 0.0, 10.0, 80.0)]
+        assert out.layers[1].tracks == (Track("b", b_back, False), Track("a", a_back, True))
         assert out.layers[2].tracks == (Track("a", a.points + lift(2), True), Track("b", b.points + lift(2), False))
 
     def test_closed_base_keeps_its_direction(self):

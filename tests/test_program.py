@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from conftest import child_env, make_doc
@@ -26,7 +27,8 @@ from pathfuse import (
     parse_xml,
     validate_path,
 )
-from pathfuse.program import _point_to_polyline_mm
+from pathfuse import program
+from pathfuse.program import _movel_lines, _point_to_polyline_mm
 
 GOLDEN = Path(__file__).parent / "data" / "golden_program.txt"
 
@@ -406,7 +408,8 @@ class TestDeviation:
         assert rep.sections[0].point_count == 2
         assert rep.sections[1].point_count == 2
 
-    def test_point_to_polyline_across_chunks(self):
+    def test_point_to_polyline_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(program, "_PAIRS", 64 * 39)  # 64 points per chunk on 39 segments
         rng = np.random.default_rng(9)
         poly = rng.uniform(-100.0, 100.0, (40, 3))
         poly[7] = poly[6]  # a zero-length segment acts as a point
@@ -414,6 +417,18 @@ class TestDeviation:
         got = _point_to_polyline_mm(points, poly)
         want = [oracles.point_to_polyline(p, poly) for p in points]
         assert np.max(np.abs(got - want)) < 1e-9
+
+    def test_pipeline_report_measures_the_executed_path(self, pipeline_out):
+        report = json.loads((pipeline_out / "report.json").read_text())
+        executed = json.loads((pipeline_out / "executed.json").read_text())
+        nominal = json.loads((pipeline_out / "fused.json").read_text())
+        xyz = lambda path: np.array([[p["x_mm"], p["y_mm"], p["z_mm"]] for p in path["points"]])  # noqa: E731
+        poly = xyz(nominal)
+        if nominal["closed"]:
+            poly = np.vstack([poly, poly[:1]])
+        want = max(oracles.point_to_polyline(p, poly) for p in xyz(executed))
+        assert report["overall_max_mm"] > 0.0
+        assert abs(report["overall_max_mm"] - want) <= 1e-9
 
     def test_json_shape(self):
         nominal = fused([[0, 0, 0], [10.0, 0, 0]])
@@ -438,3 +453,116 @@ class TestDeviation:
             deviation_report(a, a, section_breaks=(0.5, 0.5))
         with pytest.raises(ValueError):
             deviation_report(a, a, section_breaks=(0.6, 0.4))
+
+
+def _same(points, poly):
+    """The block-pruned search gives exactly the all-pairs distances, NaN where they are NaN."""
+    points, poly = np.asarray(points, dtype=float), np.asarray(poly, dtype=float)
+    with np.errstate(all="ignore"):
+        got = _point_to_polyline_mm(points, poly)
+        want = oracles.point_to_polyline_all_pairs(points, poly)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def _polygon(sides, radius=100.0):
+    a = np.linspace(0.0, 2.0 * np.pi, sides + 1)
+    poly = np.column_stack([radius * np.cos(a), radius * np.sin(a), np.zeros(sides + 1)])
+    poly[-1] = poly[0]
+    return poly
+
+
+class TestBlockPrune:
+    def test_loop_with_jitter(self):
+        poly = _polygon(1200, 300.0)
+        points = poly[:-1] + np.random.default_rng(1).uniform(-1.0, 1.0, (1200, 3))
+        _same(points, poly)
+
+    def test_zero_length_segments(self):
+        rng = np.random.default_rng(2)
+        poly = np.cumsum(rng.uniform(-5.0, 5.0, (70, 3)), axis=0)
+        poly[10:14] = poly[10]  # three zero-length segments in a row
+        poly[40] = poly[39]
+        _same(rng.uniform(-40.0, 40.0, (300, 3)), poly)
+        _same(np.zeros((3, 3)), np.zeros((40, 3)))  # every segment a point
+
+    def test_closed_loop_and_its_vertices(self):
+        poly = _polygon(97)
+        _same(poly, poly)
+        _same(poly * 1.01 + [0.0, 0.0, 0.5], poly)
+
+    def test_self_approaching_spiral(self):
+        a = np.linspace(0.0, 12.0 * np.pi, 500)
+        r = 100.0 - 2.0 * a  # successive turns 12.6 mm apart
+        poly = np.column_stack([r * np.cos(a), r * np.sin(a), 0.1 * a])
+        rng = np.random.default_rng(3)
+        _same(poly[::7] + rng.uniform(-6.0, 6.0, (72, 3)), poly)
+        _same(rng.uniform(-110.0, 110.0, (400, 3)), poly)
+
+    @pytest.mark.parametrize("sides", [16, 17, 64, 200])
+    def test_centre_of_regular_polygon(self, sides):
+        # every block is as far from the centre as every other: none can be pruned
+        poly = _polygon(sides)
+        _same(np.zeros((1, 3)), poly)
+        _same([[0.0, 0.0, 5.0], [1e-9, -1e-9, 0.0]], poly)
+
+    @pytest.mark.parametrize("segments", [1, 2, 15, 16, 17, 31, 33, 47])
+    def test_segment_counts(self, segments):
+        rng = np.random.default_rng(segments)
+        poly = np.cumsum(rng.uniform(-10.0, 10.0, (segments + 1, 3)), axis=0)
+        _same(rng.uniform(-60.0, 60.0, (50, 3)), poly)
+
+    @pytest.mark.parametrize("pairs", [1, 40, 1000, 1 << 18])
+    def test_point_counts_across_the_chunk_size(self, monkeypatch, pairs):
+        monkeypatch.setattr(program, "_PAIRS", pairs)  # chunks of max(1, pairs // 40) points
+        rng = np.random.default_rng(pairs)
+        poly = np.cumsum(rng.uniform(-10.0, 10.0, (41, 3)), axis=0)
+        for n in (1, 24, 25, 26, 77):
+            _same(rng.uniform(-60.0, 60.0, (n, 3)), poly)
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-3, 1e6, 1e150, 1e154, 1e300, 1e308])
+    def test_extreme_coordinates(self, scale):
+        rng = np.random.default_rng(7)
+        walk = np.cumsum(rng.uniform(-0.5, 0.5, (50, 3)), axis=0)
+        poly = walk / np.max(np.abs(walk)) * 1.5 * scale  # finite up to 1.5e308
+        _same(rng.uniform(-1.7, 1.7, (60, 3)) * scale, poly)
+        _same(poly[::3] + rng.uniform(-0.01, 0.01, (17, 3)) * scale, poly)
+
+    def test_non_finite_points(self):
+        points = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0], [10.0, 20.0, 0.0]])
+        _same(points, _polygon(40))
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    hnp.arrays(np.float64, st.tuples(st.integers(2, 60), st.just(3)), elements=st.floats(-8.0, 8.0)),
+    hnp.arrays(np.float64, st.tuples(st.integers(1, 40), st.just(3)), elements=st.floats(-60.0, 60.0)),
+    st.sampled_from([1e-160, 1e-6, 1.0, 1e3, 1e12, 1e154, 1e300]),
+    st.booleans(),
+)
+def test_block_prune_matches_all_pairs(steps, points, scale, walk):
+    poly = np.cumsum(steps, axis=0) if walk else steps * 6.0  # a path, or vertices anywhere
+    _same(points * scale, poly * scale)
+
+
+class TestMovel:
+    rows = [
+        (-0.0, 5e-7, -5e-7, 5e-4, -5e-4, 1e15, 0.0),
+        (-0.0004, 0.0005, -0.0005, 0.0015, -1e15, 123.4565, 2.5e-4),
+        (1.0, -2.0, 3.0, 1e-300, -1e-300, 359.9995, 100.0),
+    ]
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_lines_match_per_row_format(self, n):
+        points = np.array(self.rows[:n], dtype=float).reshape(n, 7)
+        assert _movel_lines(points) == oracles.movel_lines(points)
+
+    @settings(deadline=None, max_examples=60)
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(7)), elements=st.floats(-1e16, 1e16)))
+    def test_lines_match_per_row_format_hypothesis(self, points):
+        assert _movel_lines(points) == oracles.movel_lines(points)
+
+    def test_program_moves_match_per_row_format(self):
+        doc = doc_with_points(self.rows)
+        moves = [line for line in emit_program(doc).lines if line.startswith("MOVEL")]
+        assert moves == oracles.movel_lines(doc.layers[0].tracks[0].points)
