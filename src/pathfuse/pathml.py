@@ -346,22 +346,22 @@ _NUMBER = r"-?[0-9]+\.[0-9]{6}"
 
 
 def _layout_re(template: str, name: str = f"({_TEXT})", number: str = f"({_NUMBER})") -> str:
-    """Regex of a piece of the writer's layout: ``{}``, ``%d`` holes match ``name``, ``%.6f`` ``number``."""
+    """Regex of a piece of the writer's layout: ``%s``, ``%d`` holes match ``name``, ``%.6f`` ``number``."""
     esc = re.escape(template)
-    for hole, pattern in (("%.6f", number), ("%d", name), ("{}", name)):
+    for hole, pattern in (("%.6f", number), ("%d", name), ("%s", name)):
         esc = esc.replace(re.escape(hole), pattern)
     return esc
 
 
-_HEAD_RE = re.compile(_layout_re(_head_xml("{}") + "\n"))
-_PROCESS_ATTR_RE = re.compile(_layout_re(_attr_line(6, "{}", "{}") + "\n"))
-_LAYER_RE = re.compile(_layout_re(_open_line(6, "{}") + "\n" + _attr_line(8, "Index", "{}") + "\n"))
+_HEAD_RE = re.compile(_layout_re(_head_xml("%s") + "\n"))
+_PROCESS_ATTR_RE = re.compile(_layout_re(_attr_line(6, "%s", "%s") + "\n"))
+_LAYER_RE = re.compile(_layout_re(_open_line(6, "%s") + "\n" + _attr_line(8, "Index", "%s") + "\n"))
 _LAYER_END = _close_line(6) + "\n"
 # A track whose body is nothing but point blocks.  No point block can match
 # the start of the closing line, so on a mismatch the repetition gives back
 # each block once: linear, like the possessive ``*+`` that Python 3.10 lacks.
 _TRACK_RE = re.compile(
-    _layout_re(_open_line(8, "{}") + "\n" + _attr_line(10, "ToolActive", "{}") + "\n")
+    _layout_re(_open_line(8, "%s") + "\n" + _attr_line(10, "ToolActive", "%s") + "\n")
     + "((?:" + _layout_re(_POINT_XML + "\n", "[0-9]+", _NUMBER) + ")*)"
     + re.escape(_close_line(8) + "\n")
 )

@@ -237,26 +237,31 @@ class DeviationReport:
 
 
 _BLOCK = 16  # consecutive segments under one bounding ball
-_PAIRS = 1 << 18  # point-segment pairs per pass when no block can be pruned
+_PAIRS = 1 << 15  # point-segment pairs per pass: (n, 3) temporaries stay under 1 MB
+_DENSE = 0.5  # kept share of a pass above which every pair is measured by broadcasting
 
 
 def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Min distance of each point to any segment of a polyline.
 
-    Each pair is measured by one formula: clamp the projection onto the
-    segment, take the squared gap; each point keeps the smallest, then
-    ``sqrt``.  Pairs that cannot hold the nearest segment are skipped.  The
-    segments go in blocks of ``_BLOCK`` consecutive ones, each inside a ball
-    (centre: the middle of its vertices' bounding box; radius: the farthest
-    vertex from there), so every segment of a block lies between
-    ``|p-c|-r`` and ``|p-c|+r`` from a point p.  A block is skipped when its
-    lower bound exceeds ``ub``, the smallest upper bound of any block, by a
-    margin: ``1e-12`` times the largest coordinate plus ``1e-150``, more
-    than the rounding of the bounds and of the measured distances.  So the
-    result is bit-identical to measuring every pair.  A NaN bound skips
-    nothing, and neither does a coordinate of 2**500 or more, where a square
-    could overflow.  Points go in chunks of at most ``_PAIRS`` pairs, so the
-    temporaries stay bounded however little is skipped.
+    Each pair is measured by one formula (``_sq_gaps``); each point keeps
+    the smallest squared gap, then ``sqrt``.  Pairs that cannot hold the
+    nearest segment are skipped.  The segments go in blocks of ``_BLOCK``
+    consecutive ones, each inside a ball (centre: the middle of its
+    vertices' bounding box; radius: the farthest vertex from there), so
+    every segment of a block lies between ``|p-c|-r`` and ``|p-c|+r`` from a
+    point p.  A block is skipped when its lower bound exceeds ``ub``, the
+    smallest upper bound of any block, by a margin: ``1e-12`` times the
+    largest coordinate plus ``1e-150``, more than the rounding of the bounds
+    and of the measured distances.  So the result is bit-identical to
+    measuring every pair.  A NaN bound skips nothing, and neither does a
+    coordinate of 2**500 or more, where a square could overflow.
+
+    The skip pays when points lie near the polyline compared with a block's
+    size.  Points go in passes of at most ``_PAIRS`` pairs; a pass that
+    keeps more than ``_DENSE`` of its pairs (points far inside a loop, say)
+    measures all of them by broadcasting, as cheap per pair as the search
+    without blocks, instead of gathering the kept ones.
     """
     a = poly[:-1]
     d = poly[1:] - a
@@ -282,20 +287,30 @@ def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
         gap = _norm(pts[:, None, :] - centre)
         ub = np.min(gap + radius, axis=1)
         pi, bi = np.nonzero(~(gap - radius > ub[:, None] + margin))
-        # the segments of every kept (point, block), point by point
         n = size[bi]
-        seg = np.repeat(first[bi] - np.cumsum(n) + n, n) + np.arange(n.sum())
-        row = np.repeat(pi, n)
-        p, sa, sd = pts[row], a[seg], d[seg]
-        t = np.clip(np.einsum("ij,ij->i", p - sa, sd) / dd_safe[seg], 0.0, 1.0)
-        t = np.where(dd[seg] > 0.0, t, 0.0)
-        g = p - (sa + t[:, None] * sd)
-        sq = g * g
-        counts = np.bincount(row, minlength=len(pts))
-        out[start : start + chunk] = np.sqrt(
-            np.minimum.reduceat(sq[:, 0] + sq[:, 1] + sq[:, 2], np.cumsum(counts) - counts)
-        )
+        if n.sum() > _DENSE * len(pts) * len(a):
+            sq = np.min(_sq_gaps(pts[:, None, :], a, d, dd, dd_safe), axis=1)
+        else:
+            # the segments of every kept (point, block), point by point
+            seg = np.repeat(first[bi] - np.cumsum(n) + n, n) + np.arange(n.sum())
+            row = np.repeat(pi, n)
+            counts = np.bincount(row, minlength=len(pts))
+            sq = np.minimum.reduceat(
+                _sq_gaps(pts[row], a[seg], d[seg], dd[seg], dd_safe[seg]), np.cumsum(counts) - counts
+            )
+        out[start : start + chunk] = np.sqrt(sq)
     return out
+
+
+def _sq_gaps(
+    p: np.ndarray, a: np.ndarray, d: np.ndarray, dd: np.ndarray, dd_safe: np.ndarray
+) -> np.ndarray:
+    """Squared gap from p to the segment a..a+d: clamp the projection, then square each axis."""
+    t = np.clip(np.einsum("...i,...i->...", p - a, d) / dd_safe, 0.0, 1.0)
+    t = np.where(dd > 0.0, t, 0.0)
+    g = p - (a + t[..., None] * d)
+    sq = g * g
+    return sq[..., 0] + sq[..., 1] + sq[..., 2]
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -316,7 +331,9 @@ def deviation_report(
     search skips only blocks of 16 consecutive segments whose bounding ball
     is provably farther than another block's, so the distances are
     bit-identical to measuring every segment; it needs no matching of
-    progress, so it holds for any executed path.
+    progress, so it holds for any executed path.  Skipping saves most on an
+    executed path that stays near the nominal; one far from it costs about
+    what measuring every segment costs.
     Sections split the executed path at the given normalized arc-length
     breaks, which must be strictly increasing and inside (0, 1); deviations
     are reported per section and overall against ``tolerance_mm``.  The

@@ -456,13 +456,23 @@ class TestDeviation:
 
 
 def _same(points, poly):
-    """The block-pruned search gives exactly the all-pairs distances, NaN where they are NaN."""
+    """The block-pruned search gives exactly the all-pairs distances, NaN where they are NaN.
+
+    Checked as shipped, with every pass gathering its kept pairs
+    (``_DENSE`` 1.0), and with every pass that keeps a pair broadcasting
+    (``_DENSE`` 0.0).
+    """
     points, poly = np.asarray(points, dtype=float), np.asarray(poly, dtype=float)
     with np.errstate(all="ignore"):
-        got = _point_to_polyline_mm(points, poly)
         want = oracles.point_to_polyline_all_pairs(points, poly)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want, equal_nan=True)
+        for dense in (program._DENSE, 1.0, 0.0):
+            saved, program._DENSE = program._DENSE, dense
+            try:
+                got = _point_to_polyline_mm(points, poly)
+            finally:
+                program._DENSE = saved
+            assert got.shape == want.shape
+            assert np.array_equal(got, want, equal_nan=True), f"_DENSE = {dense}"
 
 
 def _polygon(sides, radius=100.0):
