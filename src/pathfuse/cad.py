@@ -155,9 +155,13 @@ def _parse_cad_json(text: str) -> CadPath:
     if not isinstance(wps, list):
         raise ParseError("'waypoints' must be an array of [x, y, z] triples")
     for i, wp in enumerate(wps):
-        if not (isinstance(wp, list) and len(wp) == 3
-                and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and math.isfinite(v) for v in wp)):
+        try:
+            ok = (isinstance(wp, list) and len(wp) == 3
+                  and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                          and math.isfinite(v) for v in wp))
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+        if not ok:
             raise ParseError(f"waypoint {i} is not a finite [x, y, z] triple")
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):

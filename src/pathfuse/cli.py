@@ -72,11 +72,14 @@ def _require_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
 
 def _typed(key: str, build, *args, **kwargs):
     """``build(*args, **kwargs)``, with a TypeError from a JSON value of the
-    wrong type reported as a ValueError naming the config key."""
+    wrong type, or an OverflowError from an integer beyond the float range,
+    reported as a ValueError naming the config key."""
     try:
         return build(*args, **kwargs)
     except TypeError as e:
         raise ValueError(f"config {key} has a value of the wrong type: {e}") from None
+    except OverflowError as e:
+        raise ValueError(f"config {key} is beyond the float range: {e}") from None
 
 
 def _typed_fields(key: str, cls, fields: dict, **fixed):
@@ -166,9 +169,9 @@ def load_calibration(data: bytes | str) -> CalibrationSet:
         try:
             t = np.asarray(entry["translation_mm"], dtype=float).reshape(3)
             deg = np.asarray(entry["rotation_deg_fixed_xyz"], dtype=float).reshape(3)
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ValueError(
-                f"calibration {key!r} needs 3-vectors translation_mm and rotation_deg_fixed_xyz"
+                f"calibration {key!r} needs 3-vectors of floats: translation_mm and rotation_deg_fixed_xyz"
             ) from None
         if not np.isfinite(deg).all():
             raise ValueError(f"calibration {key!r} rotation_deg_fixed_xyz must be finite")

@@ -12,7 +12,9 @@ degrees on write.
 
 from __future__ import annotations
 
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -20,6 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _quat
+from ._rows import fill_rows
 from .cad import arc_fraction
 from .errors import ParseError, ValidationError
 from .geometry import wrap_angle
@@ -82,14 +85,14 @@ class PoseSeries:
 def parse_demo(data: bytes | str) -> PoseSeries:
     """Parse demonstration CSV text.  Raises ParseError/ValidationError.
 
-    A plain capture (seven fields on every line that is not blank, at least
-    two rows, finite values, strictly increasing time) is read as one array.
-    Any other input goes to the line reader, which raises every error with
-    its line number.
+    A plain capture is read by numpy's C text reader in one call: the exact
+    header line after an optional BOM, then only ASCII digits, ``.,+-eE``,
+    line breaks, spaces and tabs; seven fields on each line that is not blank,
+    two or more rows, finite values and strictly increasing time.  Any other
+    input goes to the line reader, which raises every error with its line.
     """
-    lines = _lines(data)
-    series = _parse_array(lines[1:])
-    return series if series is not None else _parse_lines(lines)
+    series = _read_plain(data)
+    return series if series is not None else _parse_lines(_lines(data))
 
 
 def _lines(data: bytes | str) -> list[str]:
@@ -110,33 +113,34 @@ def _lines(data: bytes | str) -> list[str]:
     return lines
 
 
-# Rows converted per call in _parse_array: bounds the temporary strings.
-_BLOCK_ROWS = 8192
+_NUMBER_BYTES = b"0123456789.,+-eE\n"
 
 
-def _parse_array(body: list[str]) -> PoseSeries | None:
-    """Read the body lines as one (n, 7) array, or None if they are not plain.
+def _read_plain(data: bytes | str) -> PoseSeries | None:
+    """The series of a plain capture (see ``parse_demo``), or None.
 
-    Blank lines are dropped, as ``_parse_lines`` skips them.  numpy converts
-    a ``str`` exactly as ``float()`` does, and ``np.radians`` matches
-    ``math.radians`` bit for bit, so a plain body gives the same series as
-    ``_parse_lines``.
+    ``float()`` and loadtxt both convert an ASCII field without ``_`` with
+    ``PyOS_string_to_double`` on its stripped text, and ``np.radians`` matches
+    ``math.radians`` bit for bit, so the series equals the line reader's.  Rows
+    of unequal width, a CR inside a line and bad numbers make loadtxt raise.
     """
-    body = [line for line in body if line.strip()]
-    n = len(body)
-    if n < 2 or any(line.count(",") != 6 for line in body):
+    if isinstance(data, str):
+        data = data.encode(errors="replace")  # text that is not ASCII fails the gate
+    head, _, body = data.removeprefix(b"\xef\xbb\xbf").partition(b"\n")
+    rest = body.translate(None, _NUMBER_BYTES)
+    if head.rstrip(b"\r") != DEMO_CSV_HEADER.encode() or rest.translate(None, b"\r \t"):
         return None
-    rows = np.empty((n, 7))
-    for i in range(0, n, _BLOCK_ROWS):
-        block = body[i : i + _BLOCK_ROWS]
-        try:
-            rows[i : i + len(block)] = np.array(
-                ",".join(block).split(","), dtype=float
-            ).reshape(-1, 7)
-        except ValueError:
-            return None
+    lines = io.BytesIO(body)
+    if rest:  # the line reader skips whitespace-only lines; loadtxt reads them as rows
+        lines = filter(bytes.strip, lines)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an empty body warns instead of raising
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
     t = rows[:, 0]
-    if not (np.all(np.isfinite(rows)) and np.all(t[1:] > t[:-1])):
+    if rows.shape[1] != 7 or len(rows) < 2 or not (np.all(np.isfinite(rows)) and np.all(t[1:] > t[:-1])):
         return None
     return PoseSeries(t, rows[:, 1:4], np.radians(rows[:, 4:7]))
 
@@ -172,12 +176,8 @@ def _parse_lines(lines: list[str]) -> PoseSeries:
 
 def format_demo_csv(series: PoseSeries) -> bytes:
     """Render a series back to CSV bytes (9 decimals, LF line endings)."""
-    rows = np.column_stack(
-        [series.t, series.positions, np.degrees(series.orientations)]
-    ).tolist()
-    row = ",".join(["%.9f"] * 7)
-    out = [DEMO_CSV_HEADER] + [row % tuple(r) for r in rows]
-    return ("\n".join(out) + "\n").encode("utf-8")
+    rows = np.column_stack([series.t, series.positions, np.degrees(series.orientations)])
+    return f"{DEMO_CSV_HEADER}\n{fill_rows(','.join(['%.9f'] * 7), rows)}\n".encode()
 
 
 def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarray]:

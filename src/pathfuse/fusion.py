@@ -171,6 +171,8 @@ def fused_path_from_json(data: bytes | str) -> FusedPath:
             raise ParseError(f"point {i} is missing {e.args[0]!r}") from None
         except (TypeError, ValueError):
             raise ParseError(f"point {i} has a non-numeric field") from None
+        except OverflowError:
+            raise ParseError(f"point {i} has a field beyond the float range") from None
         if not all(math.isfinite(v) for v in row):
             raise ParseError(f"point {i} has a non-finite field")
         rows.append(row)

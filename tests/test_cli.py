@@ -253,6 +253,26 @@ class TestExitCodes:
         assert code == 2
         assert "rotation_deg_fixed_xyz must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("digits", [401, 5001])  # beyond the float range; beyond int()'s digit limit
+    def test_huge_json_integers(self, ws, capsys, digits):
+        demo, fused, *_ = run_chain(ws)
+        big = "1" + "0" * (digits - 1)
+        path = json.loads((ws / "fused.json").read_text())
+        path["points"][0]["x_mm"] = "BIG"
+        (ws / "big_fused.json").write_text(json.dumps(path).replace('"BIG"', big))
+        (ws / "big_config.json").write_text('{"tolerance_mm": %s}' % big)
+        calib = dict(CALIB, t_f_s={"translation_mm": ["BIG", 0, 0], "rotation_deg_fixed_xyz": [0, 0, 0]})
+        (ws / "big_calib.json").write_text(json.dumps(calib).replace('"BIG"', big))
+        (ws / "big_cad.json").write_text('{"waypoints": [[%s, 0, 0], [1, 1, 1]]}' % big)
+        for argv in (
+            ["pathml", "gen", "--fused", str(ws / "big_fused.json"), "--project", "p", "--process-type", "other"],
+            ["report", "--executed", fused, "--nominal", fused, "--config", str(ws / "big_config.json")],
+            ["fuse", "--cad", str(ws / "cad.csv"), "--demo", demo, "--calib", str(ws / "big_calib.json")],
+            ["fuse", "--cad", str(ws / "big_cad.json"), "--demo", demo, "--calib", str(ws / "calib.json")],
+        ):
+            assert main(argv) == 2, argv
+            assert "error:" in capsys.readouterr().err
+
     def test_expand_zero_direction(self, ws, capsys):
         run_chain(ws)
         code = main(["pathml", "expand", str(ws / "doc.aml"), "--layers", "2",

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -156,14 +157,6 @@ def read_by_lines(data):
     return demo._parse_lines(demo._lines(data))
 
 
-def read_array_split_on_lf(data):
-    """parse_demo with a fast path fed split("\\n") lines instead of splitlines()."""
-    lines = demo._lines(data)
-    text = data.decode("utf-8-sig") if isinstance(data, bytes) else data.lstrip("\ufeff")
-    series = demo._parse_array(text.rstrip("\n").split("\n")[1:])
-    return series if series is not None else demo._parse_lines(lines)
-
-
 def outcome(parse, data):
     try:
         s = parse(data)
@@ -180,10 +173,7 @@ def mutated_captures(cases=600, seed=5):
 
 
 def is_plain(data):
-    try:
-        return demo._parse_array(demo._lines(data)[1:]) is not None
-    except ParseError:
-        return False
+    return demo._read_plain(data) is not None
 
 
 class TestArrayReader:
@@ -195,9 +185,12 @@ class TestArrayReader:
         kinds = {outcome(read_by_lines, d)[0] for d in cases}
         assert {"ParseError", "ValidationError"} <= kinds
 
-    def test_a_fast_path_split_on_lf_is_caught(self):
+    def test_a_gate_that_admits_vertical_breaks_is_caught(self, monkeypatch):
+        # splitlines() breaks lines at \v, \f and \x1c, while loadtxt strips them from
+        # the ends of a field: a row split in two would be read as one.
+        monkeypatch.setattr(demo, "_NUMBER_BYTES", demo._NUMBER_BYTES + b"\v\f\x1c")
         cases = mutated_captures()
-        assert any(outcome(read_array_split_on_lf, d) != outcome(read_by_lines, d) for d in cases)
+        assert any(outcome(parse_demo, d) != outcome(read_by_lines, d) for d in cases)
 
     def test_blank_lines_keep_the_array_path(self):
         plain = format_demo_csv(make_series(n=30, seed=6)).decode()
@@ -206,11 +199,26 @@ class TestArrayReader:
         assert is_plain(gappy)
         assert outcome(parse_demo, gappy) == outcome(parse_demo, plain) == outcome(read_by_lines, gappy)
 
-    def test_reads_past_one_block(self):
-        s = make_series(n=2 * demo._BLOCK_ROWS + 5, seed=4)
-        data = format_demo_csv(s)
+    def test_reads_a_long_capture(self):
+        data = format_demo_csv(make_series(n=20_005, seed=4))
         assert is_plain(data)
         assert outcome(parse_demo, data) == outcome(read_by_lines, data)
+
+    def test_crlf_str_and_bom_inputs_keep_the_array_path(self):
+        plain = format_demo_csv(make_series(n=30, seed=7)).decode()
+        crlf = plain.replace("\n", "\r\n")
+        for data in (crlf, crlf.encode(), "\ufeff" + plain, b"\xef\xbb\xbf" + plain.encode()):
+            assert is_plain(data)
+            assert outcome(parse_demo, data) == outcome(read_by_lines, data) == outcome(parse_demo, plain)
+
+    @pytest.mark.parametrize("body", ["", "\n", "0,0,0,0,0,0,0\n"])
+    def test_short_bodies_raise_as_before_without_warnings(self, body):
+        for data in (f"{HEADER}\n{body}", f"{HEADER}\n{body}".encode()):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert not is_plain(data)
+                with pytest.raises(ValidationError, match="at least 2 samples"):
+                    parse_demo(data)
 
 
 class TestFormat:
