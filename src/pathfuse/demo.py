@@ -103,7 +103,7 @@ def _lines(data: bytes | str) -> list[str]:
         except UnicodeDecodeError as e:
             raise ParseError(f"not valid UTF-8: {e}") from None
     else:
-        text = data.lstrip("﻿")
+        text = data.removeprefix("\ufeff")  # one BOM, as utf-8-sig strips
 
     lines = text.splitlines()
     if not lines:
@@ -185,25 +185,58 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
 
     Returns (medians, flags).  A sample is flagged when it sits more than
     ``k * MAD_SCALE * mad`` from the window median.  Edge windows are
-    truncated to what exists.
+    truncated to what exists.  Medians and flags equal ``np.median``'s bit
+    for bit (``tests/oracles.hampel``).
+
+    The full windows (h = window // 2 on each side) are sorted once,
+    transposed so that order statistic ``c`` of every window is the
+    contiguous row ``s[c]``; row ``h`` is the median ``m``.  The MAD is the
+    smallest half-width around ``m`` that holds h + 1 samples, and any h + 1
+    consecutive sorted samples include ``m``, so it is the minimum over
+    c = 0..h of ``max(m - s[c], s[c + h] - m)``: h + 1 passes over
+    n-vectors, with no absolute deviations formed.  The 2h truncated edge
+    windows are padded with NaN to full length and sorted in one array (NaN
+    sorts last); their median and MAD are read from each row's middle index
+    or indices.
     """
     n = len(x)
     h = window // 2
-    med = np.empty(n)
-    mad = np.empty(n)
-    # The full windows have odd length, so their median is the middle order
-    # statistic; ``+ 0.0`` turns a -0.0 into 0.0 as np.median's mean does.
-    wins = sliding_window_view(x, window)
-    core = np.partition(wins, h, axis=1)[:, h] + 0.0
-    med[h : n - h] = core
-    mad[h : n - h] = np.partition(np.abs(wins - core[:, None]), h, axis=1)[:, h]
-    for i in list(range(h)) + list(range(n - h, n)):
-        w = x[max(0, i - h) : min(n, i + h + 1)]
-        m = np.median(w)
-        med[i] = m
-        mad[i] = np.median(np.abs(w - m))
+    s = np.sort(sliding_window_view(x, window).T, axis=0)
+    # ``+ 0.0`` turns a -0.0 into 0.0 as np.median's mean, which sums from 0.0, does.
+    core = s[h] + 0.0
+    mad = s[2 * h] - core  # the c = h term: core - s[h] is 0
+    for c in range(h):
+        np.minimum(mad, np.maximum(core - s[c], s[c + h] - core), out=mad)
+
+    # the windows centred on the first and last h samples, NaN beyond either end
+    pad = np.full(h, np.nan)
+    ends = np.stack([np.concatenate([pad, x[: 2 * h]]), np.concatenate([x[n - 2 * h :], pad])])
+    edges = np.sort(sliding_window_view(ends, window, axis=1).reshape(2 * h, window), axis=1)
+    lengths = np.r_[h + 1 : window, window - 1 : h : -1]  # samples each edge window holds
+    edge_med = _sorted_median(edges, lengths)
+    edge_mad = _sorted_median(np.sort(np.abs(edges - edge_med[:, None]), axis=1), lengths)
+
+    med = np.concatenate([edge_med[:h], core, edge_med[h:]])
+    mad = np.concatenate([edge_mad[:h], mad, edge_mad[h:]])
     flags = np.abs(x - med) > k * MAD_SCALE * mad
     return med, flags
+
+
+def _sorted_median(s: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``np.median`` of the first ``lengths[i]`` values of each sorted row ``s[i]``.
+
+    np.median takes the mean of the middle one or two values, and np.mean
+    sums from 0.0: an odd row gives ``a + 0.0`` and an even row
+    ``(a + 0.0 + b) / 2``, which is -0.0 where a + b underflows below zero
+    and inf where it overflows.
+    """
+    rows = np.arange(len(s))
+    a = s[rows, (lengths - 1) // 2]
+    b = s[rows, lengths // 2]
+    even = lengths % 2 == 0
+    out = a + 0.0
+    out[even] = (a[even] + 0.0 + b[even]) / 2
+    return out
 
 
 def filter_outliers(series: PoseSeries, window: int = 11, k: float = 3.0) -> PoseSeries:

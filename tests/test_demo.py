@@ -23,6 +23,7 @@ from pathfuse import (
     synth_demo,
 )
 from pathfuse import demo
+from pathfuse.geometry import wrap_angle
 
 HEADER = "t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg"
 
@@ -115,6 +116,14 @@ class TestCsv:
     def test_not_utf8(self):
         with pytest.raises(ParseError, match="UTF-8"):
             parse_demo(b"\xff\xfe\x00bad")
+
+    @pytest.mark.parametrize("boms", [1, 2])
+    def test_str_and_bytes_strip_the_same_boms(self, boms):
+        # one BOM is stripped from either input type; a second is part of the header line
+        text = "\ufeff" * boms + f"{HEADER}\n0,0,0,0,0,0,0\n1,1,0,0,0,0,0\n"
+        got = [outcome(parse_demo, data) for data in (text, text.encode())]
+        assert got[0] == got[1]
+        assert (got[0][0] == "ParseError") == (boms == 2)
 
 
 # Text the mutations insert: line breaks that splitlines honours (float()
@@ -298,6 +307,27 @@ class TestFilter:
         assert -math.pi < got <= math.pi
         assert abs(got - (math.pi - 0.05)) < 1e-9
 
+    def test_matches_a_per_channel_oracle(self):
+        # 2 % position spikes, and yaw that hovers around +/-pi with a few angle spikes
+        n = 400
+        truth = FusedPath(np.array([[0.0, 0.0, 0.0], [400.0, 0.0, 0.0]]), np.array([[0.0, 0.0, math.pi]] * 2),
+                          np.full(2, 100.0), Frame.S)
+        s = synth_demo(truth, TrackerErrorModel(spike_rate=0.02, orient_noise_sigma=2.0, seed=9), 100.0)
+        orient = s.orientations.copy()
+        orient[np.random.default_rng(9).integers(0, n, (8, 3)), np.arange(3)] += 1.0
+        s = PoseSeries(s.t, s.positions, wrap_angle(orient))
+        assert len(s) == n + 1 and np.any(s.orientations[:, 0] > 3.1) and np.any(s.orientations[:, 0] < -3.1)
+
+        pos, orient = s.positions.copy(), s.orientations.copy()
+        for c in range(3):
+            med, flags = oracles.hampel(s.positions[:, c], 11, 3.0)
+            pos[flags, c] = med[flags]
+            med, flags = oracles.hampel(np.unwrap(s.orientations[:, c]), 11, 3.0)
+            orient[flags, c] = wrap_angle(med[flags])
+        f = filter_outliers(s)
+        assert f.positions.tobytes() == pos.tobytes() and f.orientations.tobytes() == orient.tobytes()
+        assert np.sum(f.positions != s.positions) >= 6 and np.sum(f.orientations != s.orientations) >= 8
+
     def test_window_validation(self):
         s = make_series(n=20)
         with pytest.raises(ValueError):
@@ -335,6 +365,57 @@ class TestHampel:
         x = rng.choice([-0.0, 0.0, 1.0, -2.0], 120)
         self.assert_matches_oracle(x, window)
         self.assert_matches_oracle(x, window, k=0.5)
+
+    @pytest.mark.parametrize("window", [21, 31, 101])
+    def test_wide_windows(self, window):
+        rng = np.random.default_rng(window)
+        x = rng.normal(0.0, 1.0, 400)
+        x[rng.integers(0, 400, 20)] += 40.0
+        self.assert_matches_oracle(x, window)
+        self.assert_matches_oracle(np.round(x), window)  # ties
+
+    @pytest.mark.parametrize("window", [21, 51, 101])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_series_one_window_long_or_one_more(self, window, extra):
+        self.assert_matches_oracle(np.random.default_rng(window + extra).normal(0.0, 1.0, window + extra), window)
+
+    @pytest.mark.parametrize("window", [3, 5, 11])
+    def test_huge_values_overflow_where_np_median_does(self, window):
+        rng = np.random.default_rng(window + 200)
+        x = rng.choice([1e308, -1e308, 1.5e308, 0.0, 1.0], 90)
+        x[:window] = 1.5e308  # even-length edge windows: the mean of two 1.5e308 overflows
+        x[-window:] = -1.5e308
+        with np.errstate(over="ignore"):
+            self.assert_matches_oracle(x, window)
+            med, _ = demo._hampel(x, window, 3.0)
+        assert med[0] == (math.inf if window % 4 == 3 else 1.5e308) and med[-1] == -med[0]
+
+    @pytest.mark.parametrize("window", [3, 5, 7])
+    def test_subnormals(self, window):
+        rng = np.random.default_rng(window + 300)
+        x = rng.choice([5e-324, -5e-324, 1e-323, -1e-323, 0.0, -0.0], 120)
+        self.assert_matches_oracle(x, window)
+        # at window 3 the first edge window is [-5e-324, 0.0], whose np.median underflows to -0.0
+        x[:window] = np.r_[-5e-324, np.zeros(window - 1)]
+        self.assert_matches_oracle(x, window)
+        assert np.signbit(demo._hampel(x, 3, 3.0)[0][0])
+
+    def test_seeded_sweep(self):
+        rng = np.random.default_rng(2024)
+        specials = np.array([0.0, -0.0, 1.0, -1.0, 2.5, 5e-324, -5e-324, 1e308, -1e308])
+        for case in range(600):
+            window = int(rng.choice(np.arange(3, 52, 2)))
+            n = int(rng.integers(window, 201))
+            kind = case % 3
+            if kind == 0:
+                x = rng.normal(0.0, 1.0, n)
+                x[rng.random(n) < 0.05] += 40.0
+            elif kind == 1:
+                x = np.round(rng.normal(0.0, 2.0, n))
+            else:
+                x = rng.choice(specials, n)
+            with np.errstate(over="ignore"):
+                self.assert_matches_oracle(x, window)
 
     def test_constant_windows_flag_nothing(self):
         x = np.concatenate([np.full(20, 3.25), np.full(20, -0.0)])
