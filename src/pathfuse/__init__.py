@@ -29,8 +29,6 @@ from .geometry import (
 from .demo import (
     PoseSeries,
     TrackerErrorModel,
-    downsample,
-    estimate_speed,
     filter_outliers,
     format_demo_csv,
     parse_demo,
@@ -104,9 +102,7 @@ __all__ = [
     "build_document",
     "compose",
     "deviation_report",
-    "downsample",
     "emit_program",
-    "estimate_speed",
     "expand_layers",
     "filter_outliers",
     "format_demo_csv",

@@ -1,14 +1,11 @@
 """Internal unit-quaternion helpers for orientation interpolation.
 
 Quaternions are float arrays in [w, x, y, z] order.  This module is an
-implementation detail of the fusion and resampling code; orientations in the
+implementation detail of the fusion and capture-synthesis code; orientations in the
 public API are always Euler angles or rotation matrices.
 
-``interpolate_zyx`` is the one orientation-interpolation kernel: given sample
-parameters, the z-y'-x'' angles at those samples and a batch of query
-parameters, it returns the angles at every query in one vectorized pass
-(bracket search, shortest-arc slerp after Shoemake 1985, matrix stack and
-batched Euler extraction).
+``interpolate_zyx`` is one vectorized pass: ``bracket`` each query, ``slerp``
+along the shorter arc (Shoemake 1985), and extract angles from ``matrices``.
 """
 
 from __future__ import annotations
@@ -22,36 +19,41 @@ from .geometry import euler_zyx_from_rots
 _PARALLEL_DOT = 1.0 - 1e-12
 
 
+# a[_MUL_INDEX] * _MUL_SIGN is the matrix M with a b = b M for a = (w, x, y, z)
+_MUL_INDEX = np.array([[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]])
+_MUL_SIGN = np.array([[1.0, 1, 1, 1], [-1, 1, 1, -1], [-1, -1, 1, 1], [-1, 1, -1, 1]])
+
+
 def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product; broadcasts over leading axes."""
-    aw, ax, ay, az = np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-    bw, bx, by, bz = np.moveaxis(np.asarray(b, dtype=float), -1, 0)
-    return np.stack(
-        [
-            aw * bw - ax * bx - ay * by - az * bz,
-            aw * bx + ax * bw + ay * bz - az * by,
-            aw * by - ax * bz + ay * bw + az * bx,
-            aw * bz + ax * by - ay * bx + az * bw,
-        ],
-        axis=-1,
-    )
+    """Hamilton products a b_i of one quaternion ``a`` with the rows of (m, 4) ``b``."""
+    return b @ (a[_MUL_INDEX] * _MUL_SIGN)
 
 
 def from_euler_zyx(angles: np.ndarray) -> np.ndarray:
-    """Quaternions for intrinsic z-y'-x'' angles.
+    """(n, 4) quaternions q_z(psi) q_y(theta) q_x(phi), in closed form, of (n, 3) angles (radians)."""
+    half = np.asarray(angles, dtype=float) / 2.0
+    cz, cy, cx = np.cos(half).T
+    sz, sy, sx = np.sin(half).T
+    q = np.empty((len(half), 4))
+    q[:, 0] = cz * cy * cx + sz * sy * sx
+    q[:, 1] = cz * cy * sx - sz * sy * cx
+    q[:, 2] = cz * sy * cx + sz * cy * sx
+    q[:, 3] = sz * cy * cx - cz * sy * sx
+    return q
 
-    ``angles`` is (..., 3) in (psi, theta, phi) order, radians.
-    """
-    angles = np.asarray(angles, dtype=float)
-    half = angles / 2.0
-    cz, sz = np.cos(half[..., 0]), np.sin(half[..., 0])
-    cy, sy = np.cos(half[..., 1]), np.sin(half[..., 1])
-    cx, sx = np.cos(half[..., 2]), np.sin(half[..., 2])
-    zero = np.zeros_like(cz)
-    qz = np.stack([cz, zero, zero, sz], axis=-1)
-    qy = np.stack([cy, zero, sy, zero], axis=-1)
-    qx = np.stack([cx, sx, zero, zero], axis=-1)
-    return mul(mul(qz, qy), qx)
+
+def to_rotvec(q: np.ndarray) -> np.ndarray:
+    """(m, 3) rotation vectors (angle times unit axis) of (m, 4) unit quaternions."""
+    s = np.linalg.norm(q[:, 1:], axis=1)
+    scale = np.divide(2.0 * np.arctan2(s, q[:, 0]), s, out=np.zeros_like(s), where=s > 0.0)
+    return q[:, 1:] * scale[:, None]
+
+
+def from_rotvec(r: np.ndarray) -> np.ndarray:
+    """(m, 4) unit quaternions of (m, 3) rotation vectors."""
+    half = np.linalg.norm(r, axis=1) / 2.0
+    scale = np.divide(np.sin(half), 2.0 * half, out=np.full_like(half, 0.5), where=half > 0.0)  # sin(half) / |r|
+    return np.column_stack([np.cos(half), r * scale[:, None]])
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -76,7 +78,7 @@ def make_continuous(qs: np.ndarray) -> np.ndarray:
     return qs
 
 
-def _slerp(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
+def slerp(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Spherical interpolation, row by row, at fractions ``u``.
 
     Rows come from a ``make_continuous`` chain, so each pair's dot is >= 0
@@ -100,7 +102,7 @@ def _slerp(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where((u >= 1.0)[:, None], qb, q)
 
 
-def _matrices(q: np.ndarray) -> np.ndarray:
+def matrices(q: np.ndarray) -> np.ndarray:
     """(m, 3, 3) rotation matrices for (m, 4) quaternions, normalized first."""
     w, x, y, z = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
     return np.stack(
@@ -113,22 +115,24 @@ def _matrices(q: np.ndarray) -> np.ndarray:
     ).reshape(-1, 3, 3)
 
 
-def interpolate_zyx(params: np.ndarray, angles_zyx: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """z-y'-x'' angles at progress values ``u``, slerped between samples.
+def bracket(params: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Segment ``j`` (samples j, j + 1) of each query ``u`` and its fraction within it.
 
-    ``params`` is the (n,) non-decreasing parameter of each sample (n >= 2)
-    and ``angles_zyx`` the (n, 3) (psi, theta, phi) angles there.  Each query
-    is bracketed by the last sample whose parameter is <= it, clamped to the
-    first and last segments; its fraction within the bracket is clipped to
-    [0, 1], and a zero-width bracket takes its upper sample.  Returns (m, 3)
-    angles for the m queries, extracted as ``euler_zyx_from_rots`` does.
+    ``params`` is the (n,) non-decreasing parameter of the samples (n >= 2).  A query's
+    segment starts at the last sample whose parameter is <= it, clamped to the first and
+    last segments; fractions are clipped to [0, 1], and a zero-width segment gives 1.
     """
-    params = np.asarray(params, dtype=float)
-    u = np.asarray(u, dtype=float)
-    quats = make_continuous(from_euler_zyx(angles_zyx))
     j = np.clip(np.searchsorted(params, u, side="right") - 1, 0, len(params) - 2)
     lo = params[j]
     denom = params[j + 1] - lo
     with np.errstate(divide="ignore", invalid="ignore"):
         frac = np.where(denom > 0.0, np.clip((u - lo) / denom, 0.0, 1.0), 1.0)
-    return euler_zyx_from_rots(_matrices(_slerp(quats[j], quats[j + 1], frac)))
+    return j, frac
+
+
+def interpolate_zyx(params: np.ndarray, angles_zyx: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """(m, 3) z-y'-x'' angles at the m queries ``u`` (see ``bracket``), slerped
+    between the (n, 3) sample angles ``angles_zyx``."""
+    quats = make_continuous(from_euler_zyx(angles_zyx))
+    j, frac = bracket(np.asarray(params, dtype=float), np.asarray(u, dtype=float))
+    return euler_zyx_from_rots(matrices(slerp(quats[j], quats[j + 1], frac)))

@@ -213,7 +213,7 @@ def parse_cad(data: bytes | str) -> CadPath:
         except UnicodeDecodeError as e:
             raise ParseError(f"not valid UTF-8: {e}") from None
     else:
-        text = data.lstrip("﻿")
+        text = data.removeprefix("\ufeff")  # one BOM, as utf-8-sig strips
     if text.lstrip()[:1] == "{":
         return _parse_cad_json(text)
     return _parse_cad_csv(text)

@@ -24,7 +24,6 @@ import numpy as np
 from .cad import parse_cad, resample_cad
 from .demo import (
     TrackerErrorModel,
-    downsample,
     filter_outliers,
     format_demo_csv,
     parse_demo,
@@ -50,14 +49,12 @@ CONFIG_ENV = "PATHFUSE_CONFIG"
 class PipelineConfig:
     """Settings for the fuse/emit/report pipeline, loadable from JSON.
 
-    ``downsample_target`` of None picks max(100, 2 * cad waypoint count),
-    clamped to the demonstration length.  ``resample_spacing_mm`` of None
-    skips CAD resampling.
+    ``resample_spacing_mm`` of None skips CAD resampling.  The capture is
+    fused at its full rate; ``fusion.fuse`` smooths it over a fixed window.
     """
 
     filter_window: int = 11
     filter_k: float = 3.0
-    downsample_target: int | None = None
     resample_spacing_mm: float | None = None
     limits: PathLimits = field(default_factory=PathLimits)
     tolerance_mm: float = 4.0
@@ -96,7 +93,7 @@ def load_config(data: bytes | str) -> PipelineConfig:
         raise ValueError("config must be a JSON object")
     _require_keys(
         obj,
-        ("filter", "downsample_target", "resample_spacing_mm", "limits", "tolerance_mm", "process"),
+        ("filter", "resample_spacing_mm", "limits", "tolerance_mm", "process"),
         "config",
     )
     kwargs = {}
@@ -109,8 +106,6 @@ def load_config(data: bytes | str) -> PipelineConfig:
             kwargs["filter_window"] = _typed("filter.window", int, f["window"])
         if "k" in f:
             kwargs["filter_k"] = _typed("filter.k", float, f["k"])
-    if obj.get("downsample_target") is not None:
-        kwargs["downsample_target"] = _typed("downsample_target", int, obj["downsample_target"])
     if obj.get("resample_spacing_mm") is not None:
         kwargs["resample_spacing_mm"] = _typed(
             "resample_spacing_mm", float, obj["resample_spacing_mm"]
@@ -250,11 +245,6 @@ def _cmd_fuse(args) -> int:
     series = filter_outliers(series, config.filter_window, config.filter_k)
     if config.resample_spacing_mm is not None:
         cad = resample_cad(cad, config.resample_spacing_mm)
-    target = config.downsample_target
-    if target is None:
-        target = max(100, 2 * len(cad))
-    target = max(2, min(int(target), len(series)))
-    series = downsample(series, target)
 
     fused = fuse(cad, series)
     robot = to_robot_frame(fused, calib)

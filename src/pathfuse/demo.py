@@ -1,4 +1,4 @@
-"""Demonstration capture: pose-stream I/O, outlier filtering, resampling.
+"""Demonstration capture: pose-stream I/O, outlier filtering, synthesis.
 
 A demonstration is a time-stamped stream of 6-DOF poses from a handheld
 magnetic-tracker sensor.  The CSV layout is one header line ::
@@ -7,7 +7,7 @@ magnetic-tracker sensor.  The CSV layout is one header line ::
 
 followed by one row per sample.  Azimuth/elevation/roll are the tracker's
 intrinsic z-y'-x'' angles; they are converted to radians on parse and back to
-degrees on write.
+degrees on write.  Smoothing, and the speed it yields, belong to ``fusion.fuse``.
 """
 
 from __future__ import annotations
@@ -269,23 +269,6 @@ def filter_outliers(series: PoseSeries, window: int = 11, k: float = 3.0) -> Pos
     return PoseSeries(series.t, pos, orient)
 
 
-def estimate_speed(series: PoseSeries) -> np.ndarray:
-    """Per-sample speed (mm/s) from central differences of position.
-
-    One-sided differences are used at the two ends.
-    """
-    p = series.positions
-    t = series.t
-    n = len(series)
-    v = np.empty(n)
-    if n > 2:
-        dt = (t[2:] - t[:-2])[:, None]
-        v[1:-1] = np.linalg.norm((p[2:] - p[:-2]) / dt, axis=1)
-    v[0] = np.linalg.norm(p[1] - p[0]) / (t[1] - t[0])
-    v[-1] = np.linalg.norm(p[-1] - p[-2]) / (t[-1] - t[-2])
-    return v
-
-
 def path_parameters(positions: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, bool]:
     """Normalized progress in [0, 1] for each sample.
 
@@ -299,40 +282,6 @@ def path_parameters(positions: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, b
     if float(np.sum(np.linalg.norm(np.diff(positions, axis=0), axis=1))) < MIN_ARC_MM:
         return (t - t[0]) / (t[-1] - t[0]), True
     return arc_fraction(positions), False
-
-
-def downsample(series: PoseSeries, target_count: int) -> PoseSeries:
-    """Reduce a series to ``target_count`` samples spaced uniformly in progress.
-
-    Positions and timestamps interpolate linearly; orientations interpolate by
-    spherical blending between the bracketing samples.  The first and last
-    samples are kept exactly.  ``target_count == len(series)`` returns the
-    series unchanged.
-    """
-    target_count = int(target_count)
-    if target_count < 2 or target_count > len(series):
-        raise ValueError(
-            f"target_count must be in [2, {len(series)}], got {target_count}"
-        )
-    if target_count == len(series):
-        return series
-
-    params, _ = path_parameters(series.positions, series.t)
-    u = np.linspace(0.0, 1.0, target_count)
-
-    t_new = np.interp(u, params, series.t)
-    pos_new = np.column_stack(
-        [np.interp(u, params, series.positions[:, c]) for c in range(3)]
-    )
-
-    orient_new = _quat.interpolate_zyx(params, series.orientations, u)
-
-    # endpoints are copied verbatim, not interpolated
-    t_new[0], t_new[-1] = series.t[0], series.t[-1]
-    pos_new[0], pos_new[-1] = series.positions[0], series.positions[-1]
-    orient_new[0], orient_new[-1] = series.orientations[0], series.orientations[-1]
-
-    return PoseSeries(t_new, pos_new, orient_new)
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from . import _quat
 from ._rows import fill_rows
 from .errors import FrameMismatchError, ParseError, TimeParameterizationWarning
 from .cad import CadPath, arc_params, traverse
-from .demo import PoseSeries, estimate_speed, path_parameters
+from .demo import PoseSeries, path_parameters
 from .geometry import CalibrationSet, Frame, compose, euler_zyx_from_rots, rots_from_euler_zyx
 
 
@@ -68,30 +68,42 @@ class FusedPath:
         return len(self.speeds)
 
 
+# Width in seconds of the window ``fuse`` fits a line over around each capture
+# sample, about 25 samples at 100 Hz and 60 at 240 Hz.  A wider window averages
+# more noise away but flattens faster hand motion: 0.25 s damps a 1 Hz swing by a tenth.
+SMOOTH_WINDOW_S = 0.25
+
+
 def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
     """Combine CAD positions with demonstrated orientation and speed.
 
     Output points are the CAD waypoints verbatim (plus the closing point for
-    closed paths).  Each point's orientation comes from spherically blending
-    the two demonstration samples bracketing the same normalized progress;
-    speed interpolates linearly.  The result is expressed in the tracker
-    receiver frame, like the demonstration itself.
+    closed paths).  The capture is smoothed by a least-squares line in time over
+    each sample's ``SMOOTH_WINDOW_S`` window (a degree-1 Savitzky-Golay filter,
+    Savitzky & Golay 1964): fitted positions give the normalized progress and
+    their slope the speed, normalized fitted quaternions the orientation (a
+    windowed chordal rotation mean, Markley et al. 2007).  Each CAD point blends
+    the two fitted samples bracketing its progress; the result is in receiver frame S.
     """
-    demo_params, time_based = path_parameters(demo.positions, demo.t)
+    t = demo.t
+    lo, hi = _windows(t, SMOOTH_WINDOW_S)
+    fitted, slopes = _line_fit(t, demo.positions, lo, hi)
+    demo_params, time_based = path_parameters(fitted, t)
     if time_based:
-        warnings.warn(
-            "demonstration travel is below the arc-length threshold; "
-            "matching by normalized time instead",
-            TimeParameterizationWarning,
-        )
+        msg = "demonstration travel is below the arc-length threshold; matching by normalized time instead"
+        warnings.warn(msg, TimeParameterizationWarning)
 
     cad_u = arc_params(cad)
     positions = traverse(cad.waypoints, cad.closed)
 
+    j, frac = _quat.bracket(demo_params, cad_u)
+    at, m = np.concatenate([j, j + 1]), len(j)  # each CAD point's two samples
+    q = _fit_rotations(t, demo.orientations, lo, hi, at)
     # (psi, theta, phi) reversed is the robot's fixed-axis (rx, ry, rz)
-    orientations = _quat.interpolate_zyx(demo_params, demo.orientations, cad_u)[:, ::-1]
+    orientations = euler_zyx_from_rots(_quat.matrices(_quat.slerp(q[:m], q[m:], frac)))[:, ::-1]
 
-    speeds = np.interp(cad_u, demo_params, estimate_speed(demo))
+    v = np.linalg.norm(slopes[at], axis=1)
+    speeds = v[:m] + frac * (v[m:] - v[:m])
 
     return FusedPath(
         positions=positions,
@@ -101,6 +113,54 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
         closed=cad.closed,
         time_parameterized=time_based,
     )
+
+
+def _windows(t: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples ``lo[i]:hi[i]`` of the ``width``-second window around each ``t[i]``: centred
+    where the series allows, moved inside it near the ends (never shrunk), the
+    whole series when shorter, and at least 2 samples."""
+    start = np.maximum(np.minimum(t - width / 2.0, t[-1] - width), t[0])
+    lo = np.searchsorted(t, start)
+    hi = np.minimum(np.maximum(np.searchsorted(t, start + width, side="right"), lo + 2), len(t))
+    return np.minimum(lo, hi - 2), hi
+
+
+def _line_fit(t, x, lo, hi, at=slice(None)):
+    """Value and slope at ``t[at]`` of the least-squares line through samples ``lo[at]:hi[at]``.
+
+    ``x`` is (n, c); each window holds 2 or more distinct times.  Window means come from
+    prefix sums taken about the middle sample, so a call costs O(n) whatever the window.
+    """
+    n, c = x.shape
+    tc, x0 = t - t[n // 2], x[n // 2]
+    sums = np.zeros((2 * c + 2, n + 1))  # row by row, prefix sums of t, t^2, x and t x
+    sums[0, 1:], sums[1, 1:] = tc, tc * tc
+    np.subtract(x.T, x0[:, None], out=sums[2 : 2 + c, 1:])
+    np.multiply(tc, sums[2 : 2 + c, 1:], out=sums[2 + c :, 1:])
+    lo, hi = lo[at], hi[at]
+    np.cumsum(sums, axis=1, out=sums)
+    means = (np.take(sums, hi, axis=1) - np.take(sums, lo, axis=1)) / (hi - lo)
+    t_bar, x_bar = means[0], means[2 : 2 + c]
+    slope = (means[2 + c :] - t_bar * x_bar) / (means[1] - t_bar * t_bar)
+    return (x0[:, None] + x_bar + slope * (tc[at] - t_bar)).T, slope.T
+
+
+def _fit_rotations(t, angles_zyx, lo, hi, at) -> np.ndarray:
+    """(len(at), 4) unit quaternions of the fitted orientation at samples ``at``.
+
+    The chordal fit is exact only at a window's centre, so samples with an end
+    window fit rotation vectors about its middle sample: exact for a steady turn.
+    """
+    q = _quat.make_continuous(_quat.from_euler_zyx(angles_zyx))
+    fit = _line_fit(t, q, lo, hi, at)[0]
+    fit /= np.linalg.norm(fit, axis=1, keepdims=True)
+    for a, b in {(lo[0], hi[0]), (lo[-1], hi[-1])}:
+        end = (lo[at] == a) & (hi[at] == b)
+        mid = q[(a + b - 1) // 2]
+        rel = _quat.to_rotvec(_quat.mul(mid * [1.0, -1.0, -1.0, -1.0], q[a:b]))
+        vec = _line_fit(t[a:b], rel, lo[a:b] - a, hi[a:b] - a, at[end] - a)[0]
+        fit[end] = _quat.mul(mid, _quat.from_rotvec(vec))
+    return fit
 
 
 def to_robot_frame(path: FusedPath, calib: CalibrationSet) -> FusedPath:

@@ -287,3 +287,24 @@ def fused_path_json(positions, orientations, speeds, frame, closed):
         )
     ]
     return json.dumps({"frame": frame, "closed": closed, "points": points}, indent=2) + "\n"
+
+
+def line_fit(t, x, width):
+    """Value and slope at each t[i] of np.polyfit(t, x, 1) over the window of t[i].
+
+    The window is every sample within ``width`` seconds starting at
+    t[i] - width / 2, moved to start no earlier than t[0] and end no later
+    than t[-1] (the whole series when it is shorter than ``width``); a window
+    holding t[i] alone takes the next sample too, or the one before at the end.
+    """
+    n = len(t)
+    values, slopes = [], []
+    for i in range(n):
+        start = max(min(t[i] - width / 2.0, t[-1] - width), t[0])
+        members = [k for k in range(n) if start <= t[k] <= start + width]
+        if len(members) == 1:
+            members = [i, i + 1] if i + 1 < n else [i - 1, i]
+        slope, intercept = np.polyfit(t[members], x[members], 1)
+        values.append(slope * t[i] + intercept)
+        slopes.append(slope)
+    return np.array(values), np.array(slopes)

@@ -432,6 +432,8 @@ def test_11_cli_determinism_and_exit_contract(tmp_path, capsys):
         ("calib_not_json.json", b"nope", ["fuse", "--calib"]),
         ("config_unknown.json", b'{"filter_windw": 5}', ["fuse", "--config"]),
         ("config_window.json", b'{"filter": {"window": 4}}', ["fuse", "--config"]),
+        # fuse smooths the full-rate capture; the old downsampling key is unknown
+        ("config_downsample.json", b'{"downsample_target": 200}', ["fuse", "--config"]),
         # JSON values of the wrong type must not escape as a TypeError
         ("config_window_null.json", b'{"filter": {"window": null}}', ["emit", "--config"]),
         ("config_center.json", b'{"limits": {"workspace_center": 5}}', ["emit", "--config"]),
@@ -462,8 +464,10 @@ def test_11_cli_determinism_and_exit_contract(tmp_path, capsys):
         else:
             argv = ["pathml", "validate", str(path)]
         code = main(argv)
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert code == 2, f"{fname}: expected exit 2, got {code}"
+        if fname == "config_downsample.json":
+            assert "downsample_target" in err, err
 
     # wrong usage is also part of the exit contract
     assert main([]) == 2

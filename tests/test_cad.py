@@ -249,6 +249,17 @@ class TestParse:
         p = parse_cad(f"{HEADER}\n0,0,0\n9,0,0\n".encode())
         assert len(p.waypoints) == 2
 
+    @pytest.mark.parametrize("boms", [1, 2])
+    def test_str_and_bytes_strip_the_same_boms(self, boms):
+        # one BOM is stripped from either input type; a second is part of the header line
+        text = "\ufeff" * boms + f"{HEADER}\n0,0,0\n9,0,0\n"
+        for data in (text, text.encode()):
+            if boms == 1:
+                assert len(parse_cad(data).waypoints) == 2
+            else:
+                with pytest.raises(ParseError, match="expected header"):
+                    parse_cad(data)
+
 
 coords = st.floats(-500, 500, allow_nan=False, width=32).map(float)
 

@@ -4,20 +4,20 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 import oracles
 from pathfuse import (
+    CadPath,
     Frame,
     FusedPath,
     ParseError,
     PoseSeries,
+    TimeParameterizationWarning,
     TrackerErrorModel,
     ValidationError,
-    downsample,
-    estimate_speed,
     filter_outliers,
     format_demo_csv,
+    fuse,
     parse_demo,
     path_parameters,
     synth_demo,
@@ -426,24 +426,31 @@ class TestHampel:
 
 
 class TestSpeed:
+    """``fuse`` takes speed from the slope of its windowed line fit of the positions."""
+
     def test_constant_velocity_exact(self):
         n = 20
         t = np.linspace(0.0, 1.9, n)
         pos = np.column_stack([30.0 * t, 40.0 * t, np.zeros(n)])  # speed 50
-        v = estimate_speed(PoseSeries(t, pos, np.zeros((n, 3))))
+        cad = CadPath(np.array([[0.0, 0, 0], [20.0, 10.0, 0], [57.0, 76.0, 0]]))
+        v = fuse(cad, PoseSeries(t, pos, np.zeros((n, 3)))).speeds
         assert np.max(np.abs(v - 50.0)) < 1e-9
 
     def test_quadratic_interior_exact_on_uniform_grid(self):
-        # central differences are exact for quadratics when steps match
+        # a line fit over a window symmetric about a sample has the slope of a
+        # quadratic there.  The track is short enough (0.8 mm) that progress
+        # is normalized time, which puts CAD point i exactly on sample i.
         n = 21
-        t = np.linspace(1.0, 3.0, n)
-        pos = np.column_stack([t ** 2, np.zeros(n), np.zeros(n)])
-        v = estimate_speed(PoseSeries(t, pos, np.zeros((n, 3))))
-        assert np.max(np.abs(v[1:-1] - 2.0 * t[1:-1])) < 1e-9
+        t = np.linspace(1.0, 3.0, n)  # 0.1 s steps: 3-sample windows
+        pos = np.column_stack([0.1 * t ** 2, np.zeros(n), np.zeros(n)])
+        cad = CadPath(np.column_stack([50.0 * (t - 1.0), np.zeros(n), np.zeros(n)]))
+        with pytest.warns(TimeParameterizationWarning):
+            v = fuse(cad, PoseSeries(t, pos, np.zeros((n, 3)))).speeds
+        assert np.max(np.abs(v[1:-1] - 0.2 * t[1:-1])) < 1e-9
 
     def test_two_samples(self):
         s = PoseSeries(np.array([0.0, 2.0]), np.array([[0, 0, 0], [6.0, 8.0, 0]]), np.zeros((2, 3)))
-        v = estimate_speed(s)
+        v = fuse(CadPath(np.array([[0.0, 0, 0], [10.0, 0, 0]])), s).speeds
         assert np.allclose(v, [5.0, 5.0])
 
 
@@ -461,51 +468,6 @@ class TestPathParameters:
         assert time_based
         assert params[0] == 0.0 and params[-1] == 1.0
         assert math.isclose(params[1], 0.25)
-
-
-class TestDownsample:
-    def test_same_length_returns_same_object(self):
-        s = make_series()
-        assert downsample(s, len(s)) is s
-
-    def test_validates_target(self):
-        s = make_series(n=10)
-        with pytest.raises(ValueError):
-            downsample(s, 1)
-        with pytest.raises(ValueError):
-            downsample(s, 11)
-
-    def test_endpoints_kept_bitwise(self):
-        s = make_series(n=80, seed=9)
-        d = downsample(s, 13)
-        assert d.t[0] == s.t[0] and d.t[-1] == s.t[-1]
-        assert np.array_equal(d.positions[0], s.positions[0])
-        assert np.array_equal(d.positions[-1], s.positions[-1])
-        assert np.array_equal(d.orientations[0], s.orientations[0])
-        assert np.array_equal(d.orientations[-1], s.orientations[-1])
-
-    def test_positions_stay_on_original_polyline(self):
-        s = make_series(n=60, seed=4)
-        d = downsample(s, 17)
-        for p in d.positions:
-            assert oracles.point_to_polyline(p, s.positions) < 1e-9
-
-    def test_time_stays_strictly_increasing(self):
-        s = make_series(n=100, seed=5)
-        d = downsample(s, 23)
-        assert np.all(np.diff(d.t) > 0)
-
-    def test_orientation_blend_linear_case(self):
-        # rotation purely about z, angle linear in arc length:
-        # any intermediate sample must sit on the same angular ramp
-        n = 11
-        t = np.linspace(0.0, 1.0, n)
-        pos = np.column_stack([100.0 * t, np.zeros(n), np.zeros(n)])
-        az = np.linspace(0.0, 1.2, n)
-        s = PoseSeries(t, pos, np.column_stack([az, np.zeros(n), np.zeros(n)]))
-        d = downsample(s, 5)
-        want = np.linspace(0.0, 1.2, 5)
-        assert np.max(np.abs(d.orientations[:, 0] - want)) < 1e-9
 
 
 class TestSynth:
@@ -584,16 +546,3 @@ class TestSynth:
             TrackerErrorModel(spike_rate=1.5)
         with pytest.raises(ValueError):
             TrackerErrorModel(xy_noise_sigma=-1.0)
-
-
-@settings(deadline=None, max_examples=30)
-@given(st.integers(3, 40), st.integers(0, 2 ** 32 - 1))
-def test_downsample_property_bounds(target, seed):
-    s = make_series(n=40, seed=seed % 1000)
-    d = downsample(s, target)
-    assert len(d) == target
-    assert np.all(np.diff(d.t) > 0)
-    assert d.t[0] == s.t[0] and d.t[-1] == s.t[-1]
-    lo = s.positions.min(axis=0) - 1e-9
-    hi = s.positions.max(axis=0) + 1e-9
-    assert np.all(d.positions >= lo) and np.all(d.positions <= hi)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
-from pathfuse._quat import from_euler_zyx, interpolate_zyx, make_continuous
+from pathfuse._quat import from_euler_zyx, from_rotvec, interpolate_zyx, make_continuous, mul, to_rotvec
 from pathfuse.geometry import euler_zyx_from_rots
 
 HALF_PI = math.pi / 2.0
@@ -101,6 +101,31 @@ class TestInterpolateZyx:
         got = interpolate_zyx(params, angles, np.array([0.0, 0.2, 0.9]))
         assert np.array_equal(got[:, 2], [0.0, 0.0, 0.0])  # roll folded into yaw
         assert np.allclose(np.abs(got[:, 1]), HALF_PI)
+
+
+class TestAlgebra:
+    def test_from_euler_matches_product_of_axis_quaternions(self):
+        rng = np.random.default_rng(14)
+        angles = rng.uniform(-7.0, 7.0, (200, 3))
+        want = np.array([oracles.quat_intrinsic_zyx(*a) for a in angles])
+        assert np.max(np.abs(from_euler_zyx(angles) - want)) < 1e-15
+
+    def test_mul_matches_hamilton_product(self):
+        rng = np.random.default_rng(15)
+        a, b = rng.normal(size=4), rng.normal(size=(50, 4))
+        want = np.array([oracles.quat_mul(a, bi) for bi in b])
+        assert np.max(np.abs(mul(a, b) - want)) < 1e-14
+
+    def test_rotation_vectors_round_trip(self):
+        rng = np.random.default_rng(16)
+        r = rng.normal(size=(200, 3))
+        r *= (rng.uniform(0.0, 3.1, 200) / np.linalg.norm(r, axis=1))[:, None]  # angles below pi
+        r[0] = 0.0
+        q = from_rotvec(r)
+        assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) < 1e-15
+        assert np.max(np.abs(to_rotvec(q) - r)) < 1e-14
+        want = oracles.quat_intrinsic_zyx(0.7, 0.0, 0.0)  # 0.7 rad about z
+        assert np.max(np.abs(from_rotvec(np.array([[0.0, 0.0, 0.7]]))[0] - want)) < 1e-15
 
 
 class TestMakeContinuous:
