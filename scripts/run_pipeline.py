@@ -83,7 +83,7 @@ def main() -> int:
     run(["pathml", "gen", "--fused", str(out / "fused.json"), "--project", "demo-part",
          "--process-type", "adhesive", "--glue-flow-rate", "12", "--layer-height", "2",
          "-o", str(out / "part.aml")])
-    run(["pathml", "validate", str(out / "part.aml")])
+    run(["pathml", "validate", str(out / "part.aml"), "--config", str(out / "config.json")])
     run(["pathml", "expand", str(out / "part.aml"), "--layers", str(args.layers),
          "-o", str(out / "stack.aml")])
     run(["emit", str(out / "stack.aml"), "--config", str(out / "config.json"),

@@ -37,7 +37,6 @@ from .pathml import (
     build_document,
     expand_layers,
     parse_xml,
-    validate_document,
     write_xml,
 )
 from .program import PathLimits, deviation_report, emit_program, validate_path
@@ -278,12 +277,19 @@ def _cmd_pathml_gen(args) -> int:
     return 0
 
 
-def _cmd_pathml_validate(args) -> int:
+def _validated(args, out):
+    """Parse ``args.file`` and check it once with the config's limits; print
+    the document violations, then the limit violations, to ``out``."""
     doc = parse_xml(_read(args.file))
-    violations = validate_document(doc)
-    for v in violations:
-        print(v)
-    return 1 if violations else 0
+    report = validate_path(doc, _config_from(args).limits)
+    for v in report.document + report.violations:
+        print(v, file=out)
+    return doc, report
+
+
+def _cmd_pathml_validate(args) -> int:
+    _, report = _validated(args, sys.stdout)
+    return 0 if report.passed else 1
 
 
 def _cmd_pathml_expand(args) -> int:
@@ -295,20 +301,10 @@ def _cmd_pathml_expand(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    doc = parse_xml(_read(args.file))
-    doc_violations = validate_document(doc)
-    if doc_violations:
-        for v in doc_violations:
-            print(v, file=sys.stderr)
-        return 1
-    config = _config_from(args)
-    report = validate_path(doc, config.limits)
+    doc, report = _validated(args, sys.stderr)
     if not report.passed:
-        for v in report.violations:
-            print(v, file=sys.stderr)
         return 1
-    program = emit_program(doc, report)
-    _write_out(args.output, program.text)
+    _write_out(args.output, emit_program(doc, report).text)
     return 0
 
 
@@ -367,8 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_pathml_gen)
 
-    p = psub.add_parser("validate", help="check a document against all rules")
+    p = psub.add_parser("validate", help="check a document and its moves as emit does")
     p.add_argument("file")
+    p.add_argument("--config")
     p.set_defaults(func=_cmd_pathml_validate)
 
     p = psub.add_parser("expand", help="replicate a single layer into a stack")

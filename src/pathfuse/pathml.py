@@ -161,26 +161,20 @@ def build_document(
 ) -> PathMLDocument:
     """Wrap a robot-frame fused path as a single-layer, single-track document.
 
-    The one track is marked tool-active.  Raises ValidationError if the
-    result would not validate (for example a process missing its required
-    rate), FrameMismatchError if the path is not in robot coordinates.
+    The one track is marked tool-active.  Raises FrameMismatchError if the
+    path is not in robot coordinates; the document rules are checked by
+    ``write_xml`` and ``validate_document``, not here.
     """
     if path.frame != Frame.R:
         raise FrameMismatchError(
             f"documents hold robot-frame paths; got frame {path.frame}"
         )
     points = np.column_stack([path.positions, np.degrees(path.orientations), path.speeds])
-    doc = PathMLDocument(
+    return PathMLDocument(
         project_name=project_name,
         process=process,
         layers=(Layer("Layer_0", 0, (Track("Track_0", points, True),)),),
     )
-    bad = validate_document(doc)
-    if bad:
-        raise ValidationError(
-            "document would be invalid: " + "; ".join(str(v) for v in bad)
-        )
-    return doc
 
 
 def validate_document(doc: PathMLDocument) -> list[Violation]:

@@ -24,7 +24,7 @@ from .cad import arc_fraction, traverse
 from .errors import FrameMismatchError, ValidationError
 from .fusion import FusedPath
 from .geometry import rotation_angle, rots_from_euler_zyx
-from .pathml import Layer, PathMLDocument, unsign_zeros, validate_document
+from .pathml import Layer, PathMLDocument, Violation, unsign_zeros, validate_document
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,18 @@ class LimitViolation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """The limit violations of a document's moves, and its document rule violations."""
+
     violations: tuple[LimitViolation, ...]
+    document: tuple[Violation, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "violations", tuple(self.violations))
+        object.__setattr__(self, "document", tuple(self.document))
 
     @property
     def passed(self) -> bool:
-        return not self.violations
+        return not (self.violations or self.document)
 
 
 def _traverse(doc: PathMLDocument) -> tuple[list[tuple[int, Layer]], np.ndarray, np.ndarray]:
@@ -103,35 +107,35 @@ def _traverse(doc: PathMLDocument) -> tuple[list[tuple[int, Layer]], np.ndarray,
 
 
 def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
-    """Check every move of a document against kinematic limits.
+    """Check a document against its rules and every move against kinematic limits.
 
-    The moves are those ``emit_program`` emits, in its order: layers by
-    ``Index`` (equal indices in listing order), then tracks, then points.
+    ``document`` holds ``validate_document``'s violations, in its order, and
+    ``violations`` the limit violations.  The moves are those
+    ``emit_program`` emits, in its order: layers by ``Index`` (equal
+    indices in listing order), then tracks, then points.
     The pair rules (step, orient_step) apply to every point after the
     program's first, so the moves between tracks and between layers are
     checked too.  Violations come out in that order, and for one point the
     pair rules precede the point rules (reachability, speed).  A violation's
-    ``layer`` is the layer's position in ``doc.layers``.
+    ``layer`` is the layer's position in ``doc.layers``.  A non-finite field
+    is a ``finite`` document violation; a NaN measured from it breaks no limit.
     """
     rules = ("step", "orient_step", "reachability", "speed")
     limit = (limits.max_step_mm, limits.max_orient_step_deg, limits.workspace_radius_mm, limits.max_speed_mm_s)
     _, pts, address = _traverse(doc)
-    zyx = np.radians(pts[:, 5:2:-1])  # (rz, ry, rx) columns
-    finite = np.isfinite(zyx).all(axis=1)
-    if not finite.all():
-        li, ti, _ = address[np.argmin(finite)]  # the first point with a non-finite angle
-        raise ValueError(f"layer {li} track {ti} has non-finite angles")
-    rots = rots_from_euler_zyx(zyx)
     # one row per point, one column per rule; NaN where a rule does not apply
     measured = np.full((len(pts), 4), np.nan)
-    measured[1:, 0] = np.linalg.norm(np.diff(pts[:, :3], axis=0), axis=1)
-    measured[1:, 1] = np.degrees(rotation_angle(np.swapaxes(rots[:-1], 1, 2) @ rots[1:]))
+    with np.errstate(invalid="ignore"):  # inf - inf, cos(inf): NaN, which breaks no limit
+        rots = rots_from_euler_zyx(np.radians(pts[:, 5:2:-1]))  # (rz, ry, rx) columns
+        measured[1:, 0] = np.linalg.norm(np.diff(pts[:, :3], axis=0), axis=1)
+        measured[1:, 1] = np.degrees(rotation_angle(np.swapaxes(rots[:-1], 1, 2) @ rots[1:]))
     measured[:, 2] = np.linalg.norm(pts[:, :3] - limits.workspace_center, axis=1)
     measured[:, 3] = pts[:, 6]
-    return ValidationReport(tuple(
+    violations = (
         LimitViolation(*address[pi].tolist(), rules[ri], float(measured[pi, ri]), limit[ri])
         for pi, ri in zip(*np.nonzero(measured > limit))
-    ))
+    )
+    return ValidationReport(violations, validate_document(doc))
 
 
 @dataclass(frozen=True)
@@ -159,21 +163,22 @@ def _comment(text: str) -> str:
 def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None) -> RobotProgram:
     """Emit the neutral-dialect program for a document.
 
-    If a validation report is supplied it must have passed; emission refuses
-    to encode a path known to violate limits, and raises ValidationError for
-    a document that breaks the document rules.  The moves are emitted in the
-    order ``validate_path`` checks them: layers by ``Index`` (equal indices
-    in listing order), then tracks, then points.  Tool-active tracks are
-    wrapped in SET_IO TOOL 1/0.
+    ``validation`` is ``validate_path``'s report on this document, whose
+    checks are then not run again.  Emission refuses to encode a path known
+    to violate limits (ValueError) and raises ValidationError for a document
+    that breaks the document rules; with no report, it checks only those.
+    The moves are emitted in the order ``validate_path`` checks them: layers
+    by ``Index`` (equal indices in listing order), then tracks, then points.
+    Tool-active tracks are wrapped in SET_IO TOOL 1/0.
     """
-    if validation is not None and not validation.passed:
+    if validation is not None and validation.violations:
         raise ValueError(
             f"refusing to emit: validation failed with {len(validation.violations)} violation(s)"
         )
     layers, points, _ = _traverse(doc)
     if not len(points):
         raise ValueError("document has no points to emit")
-    bad = validate_document(doc)
+    bad = validate_document(doc) if validation is None else validation.document
     if bad:
         raise ValidationError("refusing to emit an invalid document: " + "; ".join(str(v) for v in bad))
 

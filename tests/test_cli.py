@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import pathfuse
 from conftest import child_env
 from pathfuse import Frame, FusedPath, fused_path_to_json, parse_xml
 from pathfuse.cli import main
@@ -153,6 +154,64 @@ class TestOutputs:
                 "-o", str(ws / "r.json")]
         assert main(args + ["--tolerance", "6"]) == 0
         assert main(args) == 1
+
+
+class TestOneCheck:
+    """``pathml validate`` and ``emit`` run the same check, once per command."""
+
+    def test_limit_violation_fails_validate_and_emit_alike(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("PATHFUSE_CONFIG", raising=False)
+        pos = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [500.0, 0.0, 0.0]])  # a 490 mm step
+        path = FusedPath(pos, np.zeros((3, 3)), np.full(3, 100.0), Frame.R)
+        (tmp_path / "f.json").write_text(fused_path_to_json(path))
+        doc = str(tmp_path / "p.aml")
+        assert main(["pathml", "gen", "--fused", str(tmp_path / "f.json"), "--project", "p",
+                     "--process-type", "other", "-o", doc]) == 0
+        line = "layer 0 track 0 point 2: step 490.000 exceeds limit 50.000\n"
+        capsys.readouterr()
+        assert main(["pathml", "validate", doc]) == 1
+        assert capsys.readouterr().out == line
+        assert main(["emit", doc, "-o", str(tmp_path / "never.txt")]) == 1
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "never.txt").exists()
+
+    def test_validate_reads_the_config(self, ws, capsys, monkeypatch):
+        run_chain(ws)
+        (ws / "tight.json").write_text(json.dumps(dict(CONFIG, limits={"max_step_mm": 5.0})))
+        doc = str(ws / "doc.aml")
+        assert main(["pathml", "validate", doc, "--config", str(ws / "tight.json")]) == 1
+        assert "step" in capsys.readouterr().out
+        monkeypatch.setenv("PATHFUSE_CONFIG", str(ws / "tight.json"))
+        assert main(["pathml", "validate", doc]) == 1
+        capsys.readouterr()
+        (ws / "bad.json").write_text("{")
+        monkeypatch.setenv("PATHFUSE_CONFIG", str(ws / "bad.json"))
+        assert main(["pathml", "validate", doc]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_each_command_runs_the_document_rules_once(self, ws, monkeypatch):
+        _, fused, doc, stack, _, _ = run_chain(ws)
+        original = pathfuse.validate_document
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return original(d)
+
+        modules = [m for m in (pathfuse, pathfuse.cli, pathfuse.pathml, pathfuse.program)
+                   if getattr(m, "validate_document", None) is original]
+        for m in modules:
+            monkeypatch.setattr(m, "validate_document", counted)
+        assert len(modules) >= 2  # pathml's write_xml and program's validate_path
+        for argv in (
+            ["pathml", "gen", "--fused", fused, "--project", "p", "--process-type", "adhesive",
+             "--glue-flow-rate", "12", "-o", str(ws / "again.aml")],
+            ["pathml", "validate", doc, "--config", str(ws / "config.json")],
+            ["emit", stack, "--config", str(ws / "config.json"), "-o", str(ws / "again.txt")],
+        ):
+            calls.clear()
+            assert main(argv) == 0, argv
+            assert len(calls) == 1, argv
 
 
 class TestConfig:

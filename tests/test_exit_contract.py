@@ -2,12 +2,14 @@
 
 Every input the CLI reads is mutated byte by byte with a seeded generator and
 run through ``pathfuse.cli.main`` in-process: the exit code must be 0, 1 or
-2 and no exception may escape ``main``.  The cases run in a child process
+2 and no exception may escape ``main``.  ``pathml validate`` and ``emit``, given
+the same config, must exit alike on every mutated PathML document.  The cases run in a child process
 whose address space is capped, so an input that asks for a huge allocation
 fails there with a MemoryError instead of exhausting the machine.
 
 Run directly (``python tests/test_exit_contract.py``) it performs the cases
-and prints one JSON object: the case count and every escape.
+and prints one JSON object: the case count, every escape and every document
+on which ``pathml validate`` and ``emit`` disagree.
 """
 
 import contextlib
@@ -95,18 +97,18 @@ def _inputs(work: Path, main) -> dict[str, bytes]:
 
 
 def run_cases(seed: int, cases_per_input: int) -> dict:
-    """Run the mutated cases in this process; returns the count and the escapes."""
+    """Run the mutated cases in this process; returns the count, the escapes and the disagreements."""
     from pathfuse.cli import main
 
     rng = random.Random(seed)
-    escapes, cases = [], 0
+    escapes, disagreements, cases = [], [], 0
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         base = _inputs(work, main)
         good = {name: str(work / name) for name in base}
         bad = work / "mutated"
         runs = {
-            "part.aml": [["pathml", "validate", str(bad)],
+            "part.aml": [["pathml", "validate", str(bad), "--config", good["config.json"]],
                          ["pathml", "expand", str(bad), "--layers", "3", "-o", str(work / "stack.aml")],
                          ["emit", str(bad), "--config", good["config.json"], "-o", str(work / "prog.txt")]],
         }
@@ -126,8 +128,10 @@ def run_cases(seed: int, cases_per_input: int) -> dict:
         for i, name in order:
             data = mutate(base[name], rng)
             bad.write_bytes(data)
+            codes = []
             for argv in runs[name]:
                 cases += 1
+                codes.append(None)
                 sink = io.StringIO()
                 try:
                     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
@@ -136,9 +140,12 @@ def run_cases(seed: int, cases_per_input: int) -> dict:
                     escapes.append(f"{name} case {i} {argv[:2]}: {type(e).__name__}: {str(e)[:200]} "
                                    f"input={data[:80]!r}")
                     continue
+                codes[-1] = code
                 if code not in (0, 1, 2):
                     escapes.append(f"{name} case {i} {argv[:2]}: exit code {code!r}")
-    return {"cases": cases, "escapes": escapes}
+            if name == "part.aml" and codes[0] != codes[2]:  # validate, expand, emit
+                disagreements.append(f"case {i}: validate exited {codes[0]}, emit {codes[2]}, input={data[:80]!r}")
+    return {"cases": cases, "escapes": escapes, "disagreements": disagreements}
 
 
 def test_mutated_inputs_keep_the_exit_code_contract():
@@ -148,6 +155,7 @@ def test_mutated_inputs_keep_the_exit_code_contract():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["cases"] == CASES_PER_INPUT * 10
     assert result["escapes"] == []
+    assert result["disagreements"] == []
 
 
 if __name__ == "__main__":

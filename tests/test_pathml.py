@@ -24,11 +24,13 @@ from pathfuse import (
     emit_program,
     expand_layers,
     fuse,
+    fused_path_to_json,
     parse_xml,
     to_robot_frame,
     validate_document,
     write_xml,
 )
+from pathfuse.cli import main
 from pathfuse.pathml import POINT_ATTRS, _parse_tree, _points_xml, _scan_canonical
 from test_acceptance import _random_grid_doc
 from test_fusion import SQUARE, make_calib, ramp_demo
@@ -64,9 +66,17 @@ class TestBuild:
         with pytest.raises(FrameMismatchError):
             build_document(fused, ProcessParameters("other"), "p")
 
-    def test_refuses_inconsistent_process(self):
-        with pytest.raises(ValidationError):
-            build_document(robot_path(), ProcessParameters("adhesive"), "p")
+    def test_write_refuses_inconsistent_process(self, tmp_path, capsys):
+        # build_document checks no document rule; write_xml is the gate on the write path
+        doc = build_document(robot_path(), ProcessParameters("adhesive"), "p")
+        with pytest.raises(ValidationError, match="GlueFlowRate_ml_min"):
+            write_xml(doc)
+        (tmp_path / "fused.json").write_text(fused_path_to_json(robot_path()))
+        code = main(["pathml", "gen", "--fused", str(tmp_path / "fused.json"), "--project", "p",
+                     "--process-type", "adhesive", "-o", str(tmp_path / "p.aml")])
+        assert code == 2
+        assert "adhesive requires GlueFlowRate_ml_min" in capsys.readouterr().err
+        assert not (tmp_path / "p.aml").exists()
 
 
 class TestTrack:

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,11 @@ from pathfuse import (
     ProcessParameters,
     Track,
     ValidationError,
+    ValidationReport,
     deviation_report,
     emit_program,
     parse_xml,
+    validate_document,
     validate_path,
 )
 from pathfuse import program
@@ -179,6 +182,47 @@ class TestValidatePath:
     def test_violation_str(self):
         v = LimitViolation(0, 0, 1, "step", 60.8276, 50.0)
         assert str(v) == "layer 0 track 0 point 1: step 60.828 exceeds limit 50.000"
+
+
+class TestDocumentRulesInReport:
+    """validate_path reports validate_document's violations next to the limit ones."""
+
+    @pytest.mark.parametrize(
+        "layers",
+        [(), (Layer("Layer_0", 0, (Track("Track_0", (), True),)),)],
+        ids=["no_layers", "empty_track"],
+    )
+    def test_document_without_points_does_not_pass(self, layers):
+        report = validate_path(PathMLDocument("p", ProcessParameters("other"), layers), PathLimits())
+        assert report.violations == ()
+        assert [v.rule for v in report.document] == ["structure"]
+        assert not report.passed
+
+    def test_nan_angle_is_a_finite_violation(self):
+        doc = doc_with_points([pt(), pt(x=1.0, ry=math.nan), pt(x=2.0)])
+        report = validate_path(doc, PathLimits())
+        assert [(v.path, v.rule) for v in report.document] == [("Layer_0/Track_0/Point_1", "finite")]
+        assert report.violations == ()
+        assert not report.passed
+
+    def test_document_part_in_validate_document_order(self):
+        doc = doc_with_points([pt(v=-1.0), pt(x=100.0, rz=math.inf), pt(x=math.inf)],
+                              process=ProcessParameters("adhesive", layer_height=2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning from the non-finite rows
+            report = validate_path(doc, PathLimits())
+        assert [v.rule for v in report.document] == ["process", "velocity", "finite", "finite"]
+        assert report.document == tuple(validate_document(doc))
+        assert [v.rule for v in report.violations] == ["step", "step", "reachability"]  # 100 mm, inf, inf
+
+    def test_emit_trusts_the_report(self, monkeypatch):
+        doc = make_doc()
+        report = validate_path(doc, PathLimits())
+        monkeypatch.setattr(program, "validate_document", None)  # any call would raise TypeError
+        assert emit_program(doc, report).text == emit_program(doc, ValidationReport(())).text
+        bad = ValidationReport((), validate_document(make_doc(velocity=-1.0)))
+        with pytest.raises(ValidationError, match="refusing to emit an invalid document"):
+            emit_program(doc, bad)
 
 
 def _scaled(limits, f):
