@@ -41,6 +41,12 @@ MIN_ARC_MM = 1.0
 # Position glitches injected by the synthetic tracker, worst case seen on hardware.
 SPIKE_MAGNITUDE_MM = 100.0
 
+# Most windows ``_hampel`` sorts in one pass, over all channels.  Passes are
+# bounded because one sort of a whole six-channel 28k-sample capture was slower
+# than six per-channel sorts; 2**11 to 2**14 read the same within noise on a
+# 2-core Xeon (2 MB L2 per core).  At the default window of 11 a pass is 0.7 MB.
+_PASS_WINDOWS = 2**13
+
 
 @dataclass(frozen=True, eq=False)
 class PoseSeries:
@@ -181,68 +187,75 @@ def format_demo_csv(series: PoseSeries) -> bytes:
 
 
 def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarray]:
-    """Rolling medians and outlier flags for one channel.
+    """Rolling medians and outlier flags for each row of a ``(c, n)`` array.
 
-    Returns (medians, flags).  A sample is flagged when it sits more than
-    ``k * MAD_SCALE * mad`` from the window median.  Edge windows are
-    truncated to what exists.  Medians and flags equal ``np.median``'s bit
-    for bit (``tests/oracles.hampel``).
+    Returns (medians, flags), both ``(c, n)``.  A sample is flagged when it
+    sits more than ``k * MAD_SCALE * mad`` from its window median.  Windows
+    lie within one row and are truncated at its ends.  Medians and flags
+    equal ``np.median``'s bit for bit (``tests/oracles.hampel``, row by row).
 
-    The full windows (h = window // 2 on each side) are sorted once,
-    transposed so that order statistic ``c`` of every window is the
-    contiguous row ``s[c]``; row ``h`` is the median ``m``.  The MAD is the
-    smallest half-width around ``m`` that holds h + 1 samples, and any h + 1
-    consecutive sorted samples include ``m``, so it is the minimum over
-    c = 0..h of ``max(m - s[c], s[c + h] - m)``: h + 1 passes over
-    n-vectors, with no absolute deviations formed.  The 2h truncated edge
-    windows are padded with NaN to full length and sorted in one array (NaN
-    sorts last); their median and MAD are read from each row's middle index
-    or indices.
+    The full windows (h = window // 2 on each side) are sorted in passes of
+    at most ``_PASS_WINDOWS`` windows over all rows, each pass transposed to
+    ``(window, c, block)`` so that order statistic ``j`` of every window is
+    ``s[j]``, c contiguous rows; ``s[h]`` is the median ``m``.  The MAD is
+    the smallest half-width around ``m`` that holds h + 1 samples, and any
+    h + 1 consecutive sorted samples include ``m``, so it is the minimum over
+    j = 0..h of ``max(m - s[j], s[j + h] - m)``: h + 1 elementwise passes,
+    with no absolute deviations formed.  The 2h truncated edge windows of
+    every row are padded with NaN to full length and sorted in one array
+    (NaN sorts last); their median and MAD are read from each window's
+    middle index or indices.
     """
-    n = len(x)
+    c, n = x.shape
     h = window // 2
-    s = np.sort(sliding_window_view(x, window).T, axis=0)
-    # ``+ 0.0`` turns a -0.0 into 0.0 as np.median's mean, which sums from 0.0, does.
-    core = s[h] + 0.0
-    mad = s[2 * h] - core  # the c = h term: core - s[h] is 0
-    for c in range(h):
-        np.minimum(mad, np.maximum(core - s[c], s[c + h] - core), out=mad)
+    full = sliding_window_view(x, window, axis=1)
+    med, mad = np.empty((c, n)), np.empty((c, n))
+    block = max(1, _PASS_WINDOWS // c)
+    for lo in range(h, n - h, block):
+        hi = min(lo + block, n - h)
+        s = np.sort(full[:, lo - h : hi - h].transpose(2, 0, 1), axis=0)
+        # ``+ 0.0`` turns a -0.0 into 0.0 as np.median's mean, which sums from 0.0, does.
+        m = s[h] + 0.0
+        d = s[2 * h] - m  # the j = h term: m - s[h] is 0
+        for j in range(h):
+            np.minimum(d, np.maximum(m - s[j], s[j + h] - m), out=d)
+        med[:, lo:hi], mad[:, lo:hi] = m, d
 
     # the windows centred on the first and last h samples, NaN beyond either end
-    pad = np.full(h, np.nan)
-    ends = np.stack([np.concatenate([pad, x[: 2 * h]]), np.concatenate([x[n - 2 * h :], pad])])
-    edges = np.sort(sliding_window_view(ends, window, axis=1).reshape(2 * h, window), axis=1)
+    ends = np.full((c, 2, 3 * h), np.nan)
+    ends[:, 0, h:], ends[:, 1, : 2 * h] = x[:, : 2 * h], x[:, n - 2 * h :]
+    edges = np.sort(sliding_window_view(ends, window, axis=2).reshape(c, 2 * h, window), axis=2)
     lengths = np.r_[h + 1 : window, window - 1 : h : -1]  # samples each edge window holds
     edge_med = _sorted_median(edges, lengths)
-    edge_mad = _sorted_median(np.sort(np.abs(edges - edge_med[:, None]), axis=1), lengths)
-
-    med = np.concatenate([edge_med[:h], core, edge_med[h:]])
-    mad = np.concatenate([edge_mad[:h], mad, edge_mad[h:]])
+    edge_mad = _sorted_median(np.sort(np.abs(edges - edge_med[..., None]), axis=2), lengths)
+    med[:, :h], med[:, n - h :] = edge_med[:, :h], edge_med[:, h:]
+    mad[:, :h], mad[:, n - h :] = edge_mad[:, :h], edge_mad[:, h:]
     flags = np.abs(x - med) > k * MAD_SCALE * mad
     return med, flags
 
 
 def _sorted_median(s: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``np.median`` of the first ``lengths[i]`` values of each sorted row ``s[i]``.
+    """``np.median`` of the first ``lengths[i]`` values of each sorted ``s[..., i, :]``.
 
     np.median takes the mean of the middle one or two values, and np.mean
     sums from 0.0: an odd row gives ``a + 0.0`` and an even row
     ``(a + 0.0 + b) / 2``, which is -0.0 where a + b underflows below zero
     and inf where it overflows.
     """
-    rows = np.arange(len(s))
-    a = s[rows, (lengths - 1) // 2]
-    b = s[rows, lengths // 2]
+    rows = np.arange(len(lengths))
+    a = s[..., rows, (lengths - 1) // 2]
+    b = s[..., rows, lengths // 2]
     even = lengths % 2 == 0
     out = a + 0.0
-    out[even] = (a[even] + 0.0 + b[even]) / 2
+    out[..., even] = (a[..., even] + 0.0 + b[..., even]) / 2
     return out
 
 
 def filter_outliers(series: PoseSeries, window: int = 11, k: float = 3.0) -> PoseSeries:
     """Hampel-filter every channel; flagged samples take the window median.
 
-    Angle channels are unwrapped before the filter sees them so a stream
+    The three positions and three unwrapped angles go through one ``_hampel``
+    call as the rows of a ``(6, n)`` array.  Angles are unwrapped so a stream
     hovering around +/-pi is not mistaken for spikes; replacement values are
     wrapped back to (-pi, pi].  Samples that are not flagged are returned
     bit-for-bit unchanged.
@@ -255,16 +268,11 @@ def filter_outliers(series: PoseSeries, window: int = 11, k: float = 3.0) -> Pos
     if not (k > 0.0):
         raise ValueError(f"k must be positive, got {k}")
 
-    pos = series.positions.copy()
+    med, flags = _hampel(np.vstack([series.positions.T, np.unwrap(series.orientations.T)]), window, k)
+    pos, orient = series.positions.copy(), series.orientations.copy()
     for c in range(3):
-        med, flags = _hampel(series.positions[:, c], window, k)
-        pos[flags, c] = med[flags]
-
-    orient = series.orientations.copy()
-    for c in range(3):
-        unwrapped = np.unwrap(series.orientations[:, c])
-        med, flags = _hampel(unwrapped, window, k)
-        orient[flags, c] = wrap_angle(med[flags])
+        pos[flags[c], c] = med[c, flags[c]]
+        orient[flags[c + 3], c] = wrap_angle(med[c + 3, flags[c + 3]])
 
     return PoseSeries(series.t, pos, orient)
 

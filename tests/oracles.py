@@ -92,6 +92,24 @@ def point_to_polyline_all_pairs(points, poly):
     return out
 
 
+def cad_waypoints(points, closed, eps=1e-6):
+    """Waypoints of a CAD polyline after merging, one waypoint at a time, or None.
+
+    A waypoint closer than ``eps`` to the last one kept merges into it; a
+    closed path then drops a last waypoint within ``eps`` of its first.  None
+    when fewer than two waypoints remain.
+    """
+    w = np.asarray(points, dtype=float)
+    keep = [0]
+    for i in range(1, len(w)):
+        if np.linalg.norm(w[i] - w[keep[-1]]) >= eps:
+            keep.append(i)
+    w = w[keep]
+    if closed and len(w) > 2 and np.linalg.norm(w[-1] - w[0]) < eps:
+        w = w[:-1]
+    return w if len(w) >= 2 else None
+
+
 def polyline_length(poly):
     poly = np.asarray(poly, dtype=float)
     return float(np.sum(np.linalg.norm(np.diff(poly, axis=0), axis=1)))

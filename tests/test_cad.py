@@ -51,6 +51,36 @@ class TestCadPath:
         with pytest.raises(DegeneratePathError):
             CadPath(np.array([[1.0, 2, 3]]))
 
+    def test_merge_matches_the_per_waypoint_loop(self):
+        rng = np.random.default_rng(3)
+        eps = 1e-6
+        merged = 0
+        for case in range(400):
+            n = int(rng.integers(2, 40))
+            w = rng.normal(0.0, 50.0, (n, 3))
+            kind = case % 4
+            if kind == 0:  # exact duplicates
+                i = rng.integers(1, n, n // 3 + 1)
+                w[i] = w[i - 1]
+            elif kind == 1:  # runs of near-duplicates, steps on either side of eps
+                for i in rng.integers(1, n, n // 3 + 1):
+                    end = min(n, i + int(rng.integers(1, 6)))
+                    steps = rng.normal(0.0, 1.0, (end - i, 3))
+                    steps *= rng.choice([0.4, 0.9, 1.1], (end - i, 1)) * eps / np.linalg.norm(steps, axis=1, keepdims=True)
+                    w[i:end] = w[i - 1] + np.cumsum(steps, axis=0)
+            elif kind == 2:  # a loop that repeats its first point, exactly or nearly
+                w[-1] = w[0] + rng.choice([0.0, 0.5 * eps, 2.0 * eps])
+            closed = bool(case % 3)
+            want = oracles.cad_waypoints(w, closed)
+            if want is None:
+                with pytest.raises(DegeneratePathError):
+                    CadPath(w, closed)
+                continue
+            got = CadPath(w, closed).waypoints
+            assert got.tobytes() == want.tobytes()
+            merged += len(got) < n
+        assert merged > 150
+
     def test_read_only(self):
         p = CadPath(SQUARE)
         with pytest.raises(ValueError):

@@ -23,6 +23,7 @@ from pathfuse import (
     synth_demo,
 )
 from pathfuse import demo
+from pathfuse.cad import arc_fraction
 from pathfuse.geometry import wrap_angle
 
 HEADER = "t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg"
@@ -343,10 +344,10 @@ class TestFilter:
 class TestHampel:
     @staticmethod
     def assert_matches_oracle(x, window, k=3.0):
-        med, flags = demo._hampel(x, window, k)
+        med, flags = demo._hampel(x[None], window, k)
         want_med, want_flags = oracles.hampel(x, window, k)
-        assert med.tobytes() == want_med.tobytes()
-        assert np.array_equal(flags, want_flags)
+        assert med[0].tobytes() == want_med.tobytes()
+        assert np.array_equal(flags[0], want_flags)
 
     @pytest.mark.parametrize("window", [3, 5, 7, 9, 11, 13, 15])
     def test_random_series(self, window):
@@ -387,7 +388,7 @@ class TestHampel:
         x[-window:] = -1.5e308
         with np.errstate(over="ignore"):
             self.assert_matches_oracle(x, window)
-            med, _ = demo._hampel(x, window, 3.0)
+            med = demo._hampel(x[None], window, 3.0)[0][0]
         assert med[0] == (math.inf if window % 4 == 3 else 1.5e308) and med[-1] == -med[0]
 
     @pytest.mark.parametrize("window", [3, 5, 7])
@@ -398,7 +399,7 @@ class TestHampel:
         # at window 3 the first edge window is [-5e-324, 0.0], whose np.median underflows to -0.0
         x[:window] = np.r_[-5e-324, np.zeros(window - 1)]
         self.assert_matches_oracle(x, window)
-        assert np.signbit(demo._hampel(x, 3, 3.0)[0][0])
+        assert np.signbit(demo._hampel(x[None], 3, 3.0)[0][0, 0])
 
     def test_seeded_sweep(self):
         rng = np.random.default_rng(2024)
@@ -419,10 +420,80 @@ class TestHampel:
 
     def test_constant_windows_flag_nothing(self):
         x = np.concatenate([np.full(20, 3.25), np.full(20, -0.0)])
-        med, flags = demo._hampel(x, 5, 3.0)
+        med, flags = (a[0] for a in demo._hampel(x[None], 5, 3.0))
         self.assert_matches_oracle(x, 5)
         assert not flags[:17].any() and not flags[-17:].any()
         assert np.all(med[:17] == 3.25)
+
+    @staticmethod
+    def assert_rows_match_oracle(x, window, k=3.0):
+        med, flags = demo._hampel(x, window, k)
+        assert med.shape == flags.shape == x.shape
+        for row, got_med, got_flags in zip(x, med, flags):
+            want_med, want_flags = oracles.hampel(row, window, k)
+            assert got_med.tobytes() == want_med.tobytes()
+            assert np.array_equal(got_flags, want_flags)
+
+    @staticmethod
+    def mixed_rows(n, seed):
+        """Rows of very different scales: spiked normal, rounded ties, signed zeros, subnormals, +-1e308."""
+        rng = np.random.default_rng(seed)
+        spiked = rng.normal(0.0, 1.0, n)
+        spiked[rng.random(n) < 0.05] += 40.0
+        return np.stack([
+            spiked,
+            np.round(rng.normal(0.0, 2.0, n)),
+            rng.choice([-0.0, 0.0, 1.0, -2.0], n),
+            rng.choice([5e-324, -5e-324, 1e-323, -1e-323, 0.0, -0.0], n),
+            rng.choice([1e308, -1e308, 1.5e308, 0.0, 1.0], n),
+            1e-9 * rng.normal(0.0, 1.0, n),
+        ])
+
+    @pytest.mark.parametrize("window", [3, 5, 11, 21])
+    def test_rows_of_different_scales_in_one_call(self, window):
+        with np.errstate(over="ignore"):
+            self.assert_rows_match_oracle(self.mixed_rows(150, window), window)
+
+    @pytest.mark.parametrize("window", [3, 5, 7, 11, 21, 51, 101])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_rows_one_window_long_or_one_more(self, window, extra):
+        with np.errstate(over="ignore"):
+            self.assert_rows_match_oracle(self.mixed_rows(window + extra, window + extra), window)
+
+    @pytest.mark.parametrize("pass_windows", [1, 5, 64, 100])
+    @pytest.mark.parametrize("window", [3, 5, 11])
+    def test_pass_boundaries_inside_rows(self, monkeypatch, pass_windows, window):
+        monkeypatch.setattr(demo, "_PASS_WINDOWS", pass_windows)
+        with np.errstate(over="ignore"):
+            self.assert_rows_match_oracle(self.mixed_rows(47, pass_windows + window), window)
+
+    def test_more_windows_than_one_pass(self):
+        # several passes at the real size, the last one partial
+        window, c = 11, 3
+        block = demo._PASS_WINDOWS // c
+        n = 2 * block + block // 3 + window - 1
+        assert c * (n - window + 1) > demo._PASS_WINDOWS and (n - window + 1) % block
+        rng = np.random.default_rng(14)
+        x = rng.normal(0.0, 1.0, (c, n))
+        x[rng.random((c, n)) < 0.02] += 40.0
+        x[1] = np.round(x[1])
+        self.assert_rows_match_oracle(x, window)
+
+    @pytest.mark.parametrize("window", [5, 11])
+    def test_rows_quiet_alone_are_quiet_together(self, window):
+        # No row warns alone, but a window spanning the end of one row (0.8e308
+        # then 1.5e308) and the start of the next (-1.5e308 then -0.8e308) would
+        # overflow: its median is 0.8e308 away from its far end.
+        n = 40
+        up = np.full(n, 0.8e308)
+        up[-1] = 1.5e308
+        x = np.stack([up, -up[::-1], np.zeros(n), up])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in x:
+                demo._hampel(row[None], window, 3.0)
+            demo._hampel(x, window, 3.0)
+        self.assert_rows_match_oracle(x, window)
 
 
 class TestSpeed:
@@ -461,6 +532,25 @@ class TestPathParameters:
         assert not time_based
         assert params[0] == 0.0 and params[-1] == 1.0
         assert math.isclose(params[1], 3.0 / 7.0, rel_tol=1e-12)
+
+    def test_matches_arc_fraction_or_time_around_the_threshold(self):
+        # the progress is arc_fraction's, and the time fallback the same, on
+        # travel just below, at and just above MIN_ARC_MM and far from it
+        rng = np.random.default_rng(30)
+        by_time = 0
+        for case in range(240):
+            n = int(rng.integers(2, 60))
+            t = np.cumsum(rng.uniform(0.001, 0.02, n))
+            pos = np.cumsum(rng.normal(0.0, 1.0, (n, 3)), axis=0)
+            travel = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
+            pos *= [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.5, 3.0, 1e3][case % 6] / travel
+            params, time_based = path_parameters(pos, t)
+            travel = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
+            assert time_based == (travel < demo.MIN_ARC_MM)
+            want = (t - t[0]) / (t[-1] - t[0]) if time_based else arc_fraction(pos)
+            assert params.tobytes() == want.tobytes()
+            by_time += time_based
+        assert 60 <= by_time <= 180
 
     def test_stationary_falls_back_to_time(self):
         pos = np.zeros((3, 3))
