@@ -12,7 +12,6 @@ from .errors import (
     FrameMismatchError,
     ParseError,
     PathfuseError,
-    ResampleWarning,
     SchemaError,
     TimeParameterizationWarning,
     ValidationError,
@@ -87,7 +86,6 @@ __all__ = [
     "PoseSeries",
     "ProcessParameters",
     "ProcessType",
-    "ResampleWarning",
     "RobotProgram",
     "SchemaError",
     "SectionDeviation",

@@ -9,14 +9,13 @@ Two interchange formats are accepted:
 
 from __future__ import annotations
 
-import json
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePathError, ParseError, ResampleWarning
+from ._read import csv_lines, csv_row, decode, json_rows, json_value
+from .errors import DegeneratePathError, ParseError
 
 CAD_CSV_HEADER = "x_mm,y_mm,z_mm"
 
@@ -106,29 +105,15 @@ def resample_cad(path: CadPath, spacing_mm: float) -> CadPath:
     """Insert intermediate points so adjacent spacing is at most ``spacing_mm``.
 
     Every original waypoint is kept exactly; each segment is split into
-    ``ceil(length / spacing)`` equal pieces, and more than ``MAX_POINTS``
-    pieces in all raise ValueError.  If the requested spacing exceeds the
-    total path length, resampling is pointless: a ResampleWarning is emitted
-    and the two endpoints are returned as an open path.
+    ``ceil(length / spacing)`` equal pieces, at least one, so a spacing wider
+    than the path returns its waypoints.  ``spacing_mm`` must be positive and
+    finite, and more than ``MAX_POINTS`` pieces in all raise ValueError.
     """
-    if not (spacing_mm > 0.0):
-        raise ValueError(f"spacing_mm must be positive, got {spacing_mm}")
-    if spacing_mm > path.total_length():
-        warnings.warn(
-            f"spacing {spacing_mm} mm exceeds path length "
-            f"{path.total_length():.3f} mm; keeping original waypoints",
-            ResampleWarning,
-        )
-        if path.closed:
-            return path  # a loop cannot be coarsened below its corners
-        first, last = path.waypoints[0], path.waypoints[-1]
-        if np.linalg.norm(last - first) < MERGE_EPS_MM:
-            return path  # endpoints coincide; nothing coarser exists
-        return CadPath(np.vstack([first, last]), closed=False)
-
+    if not (0.0 < spacing_mm < math.inf):
+        raise ValueError(f"spacing_mm must be positive and finite, got {spacing_mm}")
     loop = traverse(path.waypoints, path.closed)
     a, d = loop[:-1], np.diff(loop, axis=0)
-    pieces = np.ceil(path.segment_lengths() / spacing_mm)
+    pieces = np.maximum(np.ceil(path.segment_lengths() / spacing_mm), 1.0)
     total = float(np.sum(pieces))  # in float, so an infinite or NaN count is over the limit
     if not total <= MAX_POINTS:
         raise ValueError(
@@ -145,42 +130,29 @@ def resample_cad(path: CadPath, spacing_mm: float) -> CadPath:
 
 
 def _parse_cad_json(text: str) -> CadPath:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e.msg}", line=e.lineno) from None
+    obj = json_value(text)
     if not isinstance(obj, dict) or "waypoints" not in obj:
         raise ParseError("expected an object with a 'waypoints' array")
     wps = obj["waypoints"]
     if not isinstance(wps, list):
         raise ParseError("'waypoints' must be an array of [x, y, z] triples")
-    for i, wp in enumerate(wps):
-        try:
-            ok = (isinstance(wp, list) and len(wp) == 3
-                  and all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                          and math.isfinite(v) for v in wp))
-        except OverflowError:  # an integer beyond the float range
-            ok = False
-        if not ok:
-            raise ParseError(f"waypoint {i} is not a finite [x, y, z] triple")
+    try:
+        w = json_rows(wps, 3, "waypoint")
+    except ValueError as e:
+        raise ParseError(str(e)) from None
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):
         raise ParseError("'closed' must be a boolean")
-    if len(wps) < 2:
+    if len(w) < 2:
         raise DegeneratePathError("a path needs at least 2 waypoints")
-    return CadPath(np.array(wps, dtype=float), closed=closed)
+    return CadPath(w, closed=closed)
 
 
 def _parse_cad_csv(text: str) -> CadPath:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != CAD_CSV_HEADER:
-        raise ParseError(f"expected header {CAD_CSV_HEADER!r}", line=1)
     wps = []
     closed = False
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in csv_lines(text, CAD_CSV_HEADER):
         stripped = line.strip()
-        if not stripped:
-            continue
         if stripped.startswith("#"):
             directive = stripped[1:].strip().replace(" ", "").lower()
             if directive == "closed=true":
@@ -190,16 +162,7 @@ def _parse_cad_csv(text: str) -> CadPath:
             else:
                 raise ParseError(f"unknown directive {stripped!r}", line=lineno)
             continue
-        fields = stripped.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 fields, got {len(fields)}", line=lineno)
-        try:
-            vals = [float(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"bad number in row: {stripped!r}", line=lineno) from None
-        if not all(math.isfinite(v) for v in vals):
-            raise ParseError("non-finite value in row", line=lineno)
-        wps.append(vals)
+        wps.append(csv_row(line, 3, lineno))
     if len(wps) < 2:
         raise DegeneratePathError("a path needs at least 2 waypoints")
     return CadPath(np.array(wps), closed=closed)
@@ -207,13 +170,7 @@ def _parse_cad_csv(text: str) -> CadPath:
 
 def parse_cad(data: bytes | str) -> CadPath:
     """Parse a CAD path from JSON or CSV, sniffing the format."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8-sig")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"not valid UTF-8: {e}") from None
-    else:
-        text = data.removeprefix("\ufeff")  # one BOM, as utf-8-sig strips
+    text = decode(data)
     if text.lstrip()[:1] == "{":
         return _parse_cad_json(text)
     return _parse_cad_csv(text)

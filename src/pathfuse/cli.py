@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections.abc import Sequence
@@ -21,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._read import json_number, json_rows, json_value, number
 from .cad import parse_cad, resample_cad
 from .demo import (
     TrackerErrorModel,
@@ -66,76 +66,55 @@ def _require_keys(obj: dict, allowed: Sequence[str], where: str) -> None:
             raise ValueError(f"unknown {where} key {k!r} (known: {', '.join(allowed)})")
 
 
-def _typed(key: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, with a TypeError from a JSON value of the
-    wrong type, or an OverflowError from an integer beyond the float range,
-    reported as a ValueError naming the config key."""
-    try:
-        return build(*args, **kwargs)
-    except TypeError as e:
-        raise ValueError(f"config {key} has a value of the wrong type: {e}") from None
-    except OverflowError as e:
-        raise ValueError(f"config {key} is beyond the float range: {e}") from None
-
-
-def _typed_fields(key: str, cls, fields: dict, **fixed):
-    """``cls(**fixed, **fields)``; a field of the wrong type is named in the error."""
-    for name, value in fields.items():
-        _typed(f"{key}.{name}", cls, **fixed, **{name: value})
-    return cls(**fixed, **fields)
+def _section(obj: dict, key: str, allowed: Sequence[str]) -> dict:
+    """The config object under ``key``, empty where absent, with only ``allowed`` keys."""
+    section = obj.get(key, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config {key!r} must be an object")
+    _require_keys(section, allowed, f"config {key}")
+    return section
 
 
 def load_config(data: bytes | str) -> PipelineConfig:
-    """Parse pipeline configuration JSON."""
-    obj = json.loads(data)
+    """Parse pipeline configuration JSON: numbers are JSON numbers, ``filter.window``
+    a JSON integer; a null resampling spacing or process number is absent."""
+    obj = json_value(data)
     if not isinstance(obj, dict):
         raise ValueError("config must be a JSON object")
-    _require_keys(
-        obj,
-        ("filter", "resample_spacing_mm", "limits", "tolerance_mm", "process"),
-        "config",
-    )
+    _require_keys(obj, ("filter", "resample_spacing_mm", "limits", "tolerance_mm", "process"), "config")
     kwargs = {}
-    if "filter" in obj:
-        f = obj["filter"]
-        if not isinstance(f, dict):
-            raise ValueError("config 'filter' must be an object")
-        _require_keys(f, ("window", "k"), "config filter")
-        if "window" in f:
-            kwargs["filter_window"] = _typed("filter.window", int, f["window"])
-        if "k" in f:
-            kwargs["filter_k"] = _typed("filter.k", float, f["k"])
+    f = _section(obj, "filter", ("window", "k"))
+    if "window" in f:
+        if type(f["window"]) is not int:
+            raise ValueError("config filter.window must be a JSON integer")
+        kwargs["filter_window"] = f["window"]
+    if "k" in f:
+        kwargs["filter_k"] = json_number(f["k"], "config filter.k")
     if obj.get("resample_spacing_mm") is not None:
-        kwargs["resample_spacing_mm"] = _typed(
-            "resample_spacing_mm", float, obj["resample_spacing_mm"]
-        )
-    if "limits" in obj:
-        lim = obj["limits"]
-        if not isinstance(lim, dict):
-            raise ValueError("config 'limits' must be an object")
-        _require_keys(
-            lim,
-            ("max_step_mm", "max_speed_mm_s", "workspace_center", "workspace_radius_mm", "max_orient_step_deg"),
-            "config limits",
-        )
-        kwargs["limits"] = _typed_fields("limits", PathLimits, lim)
+        kwargs["resample_spacing_mm"] = json_number(obj["resample_spacing_mm"], "config resample_spacing_mm")
     if "tolerance_mm" in obj:
-        kwargs["tolerance_mm"] = _typed("tolerance_mm", float, obj["tolerance_mm"])
+        kwargs["tolerance_mm"] = json_number(obj["tolerance_mm"], "config tolerance_mm")
+
+    lim = _section(obj, "limits", ("max_step_mm", "max_speed_mm_s", "workspace_center",
+                                   "workspace_radius_mm", "max_orient_step_deg"))
+    limits = {k: json_number(v, f"config limits.{k}") for k, v in lim.items() if k != "workspace_center"}
+    if "workspace_center" in lim:
+        center = lim["workspace_center"]
+        if not isinstance(center, list):
+            raise ValueError("config limits.workspace_center must be an array of 3 numbers")
+        limits["workspace_center"] = tuple(json_number(v, "config limits.workspace_center") for v in center)
+    kwargs["limits"] = PathLimits(**limits)
+
     if "process" in obj:
-        p = obj["process"]
-        if not isinstance(p, dict):
-            raise ValueError("config 'process' must be an object")
-        _require_keys(
-            p,
-            ("process_type", "glue_flow_rate", "wire_feed_rate", "layer_height", "extra"),
-            "config process",
-        )
+        p = _section(obj, "process", ("process_type", "glue_flow_rate", "wire_feed_rate", "layer_height", "extra"))
         if "process_type" not in p:
             raise ValueError("config process requires 'process_type'")
-        fields = {k: v for k, v in p.items() if k != "process_type"}
-        kwargs["process"] = _typed_fields(
-            "process", ProcessParameters, fields, process_type=p["process_type"]
-        )
+        extra = p.get("extra", {})
+        if not isinstance(extra, dict):
+            raise ValueError("config process.extra must be an object")
+        numbers = {k: None if v is None else json_number(v, f"config process.{k}")
+                   for k, v in p.items() if k not in ("process_type", "extra")}
+        kwargs["process"] = ProcessParameters(p["process_type"], extra=extra, **numbers)
     return PipelineConfig(**kwargs)
 
 
@@ -148,7 +127,7 @@ def load_calibration(data: bytes | str) -> CalibrationSet:
                    "rotation_deg_fixed_xyz": [rx, ry, rz]},
          "t_f_s": {...}}
     """
-    obj = json.loads(data)
+    obj = json_value(data)
     if not isinstance(obj, dict):
         raise ValueError("calibration must be a JSON object")
     _require_keys(obj, ("t_r_f", "t_f_s"), "calibration")
@@ -161,14 +140,11 @@ def load_calibration(data: bytes | str) -> CalibrationSet:
             raise ValueError(f"calibration {key!r} must be an object")
         _require_keys(entry, ("translation_mm", "rotation_deg_fixed_xyz"), f"calibration {key}")
         try:
-            t = np.asarray(entry["translation_mm"], dtype=float).reshape(3)
-            deg = np.asarray(entry["rotation_deg_fixed_xyz"], dtype=float).reshape(3)
-        except (KeyError, TypeError, ValueError, OverflowError):
+            t, deg = json_rows([entry["translation_mm"], entry["rotation_deg_fixed_xyz"]], 3, "vector")
+        except (KeyError, ValueError):
             raise ValueError(
-                f"calibration {key!r} needs 3-vectors of floats: translation_mm and rotation_deg_fixed_xyz"
+                f"calibration {key!r} translation_mm and rotation_deg_fixed_xyz must be finite 3-vectors"
             ) from None
-        if not np.isfinite(deg).all():
-            raise ValueError(f"calibration {key!r} rotation_deg_fixed_xyz must be finite")
         rx, ry, rz = np.radians(deg)
         return Transform4(rot_from_fixed_xyz(rx, ry, rz), t, parent, child)
 
@@ -201,7 +177,7 @@ def _parse_vector3(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"expected 'x,y,z', got {text!r}")
-    v = np.array([float(p) for p in parts])
+    v = np.array([number(p) for p in parts])
     n = float(np.linalg.norm(v))
     if not np.all(np.isfinite(v)) or n == 0.0:
         raise ValueError(f"direction must be finite and nonzero, got {text!r}")
@@ -315,7 +291,7 @@ def _cmd_report(args) -> int:
     tolerance = args.tolerance if args.tolerance is not None else config.tolerance_mm
     sections = ()
     if args.sections:
-        sections = tuple(float(s) for s in args.sections.split(","))
+        sections = tuple(map(number, args.sections.split(",")))
     rep = deviation_report(executed, nominal, sections, tolerance)
     _write_out(args.output, rep.to_json())
     return 0 if rep.within_tolerance else 1
@@ -330,12 +306,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="simulate a tracker capture of a true path")
     p.add_argument("--truth", required=True, help="fused-path JSON, frame S")
-    p.add_argument("--rate", type=float, required=True, help="sample rate in Hz")
-    p.add_argument("--z-bias-max", type=float, default=60.0)
-    p.add_argument("--z-bias-range", type=float, default=800.0)
-    p.add_argument("--xy-noise", type=float, default=2.0)
-    p.add_argument("--orient-noise", type=float, default=1.0)
-    p.add_argument("--spike-rate", type=float, default=0.0)
+    p.add_argument("--rate", type=number, required=True, help="sample rate in Hz")
+    p.add_argument("--z-bias-max", type=number, default=60.0)
+    p.add_argument("--z-bias-range", type=number, default=800.0)
+    p.add_argument("--xy-noise", type=number, default=2.0)
+    p.add_argument("--orient-noise", type=number, default=1.0)
+    p.add_argument("--spike-rate", type=number, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_synth)
@@ -355,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fused", required=True)
     p.add_argument("--project", required=True)
     p.add_argument("--process-type", choices=["adhesive", "welding", "other"])
-    p.add_argument("--glue-flow-rate", type=float, help="ml/min")
-    p.add_argument("--wire-feed-rate", type=float, help="mm/s")
-    p.add_argument("--layer-height", type=float, help="mm")
+    p.add_argument("--glue-flow-rate", type=number, help="ml/min")
+    p.add_argument("--wire-feed-rate", type=number, help="mm/s")
+    p.add_argument("--layer-height", type=number, help="mm")
     p.add_argument("--extra", action="append", metavar="KEY=VALUE")
     p.add_argument("--config")
     p.add_argument("-o", "--output")
@@ -385,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--executed", required=True)
     p.add_argument("--nominal", required=True)
     p.add_argument("--sections", help="comma-separated breaks in (0,1)")
-    p.add_argument("--tolerance", type=float, help="mm")
+    p.add_argument("--tolerance", type=number, help="mm")
     p.add_argument("--config")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_report)

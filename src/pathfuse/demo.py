@@ -22,9 +22,10 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _quat
+from ._read import csv_lines, csv_row, decode
 from ._rows import fill_rows
 from .cad import arc_fraction
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .geometry import wrap_angle
 
 if TYPE_CHECKING:
@@ -98,25 +99,7 @@ def parse_demo(data: bytes | str) -> PoseSeries:
     input goes to the line reader, which raises every error with its line.
     """
     series = _read_plain(data)
-    return series if series is not None else _parse_lines(_lines(data))
-
-
-def _lines(data: bytes | str) -> list[str]:
-    """Decode the input and split it into lines; the first must be the header."""
-    if isinstance(data, bytes):
-        try:
-            text = data.decode("utf-8-sig")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"not valid UTF-8: {e}") from None
-    else:
-        text = data.removeprefix("\ufeff")  # one BOM, as utf-8-sig strips
-
-    lines = text.splitlines()
-    if not lines:
-        raise ParseError("empty input", line=1)
-    if lines[0].strip() != DEMO_CSV_HEADER:
-        raise ParseError(f"expected header {DEMO_CSV_HEADER!r}", line=1)
-    return lines
+    return series if series is not None else _parse_lines(data)
 
 
 _NUMBER_BYTES = b"0123456789.,+-eE\n"
@@ -125,8 +108,9 @@ _NUMBER_BYTES = b"0123456789.,+-eE\n"
 def _read_plain(data: bytes | str) -> PoseSeries | None:
     """The series of a plain capture (see ``parse_demo``), or None.
 
-    ``float()`` and loadtxt both convert an ASCII field without ``_`` with
-    ``PyOS_string_to_double`` on its stripped text, and ``np.radians`` matches
+    On the gate's bytes ``_read.number`` accepts exactly what ``float()`` does,
+    and ``float()`` and loadtxt both convert such a field with
+    ``PyOS_string_to_double`` on its stripped text; ``np.radians`` matches
     ``math.radians`` bit for bit, so the series equals the line reader's.  Rows
     of unequal width, a CR inside a line and bad numbers make loadtxt raise.
     """
@@ -151,21 +135,11 @@ def _read_plain(data: bytes | str) -> PoseSeries | None:
     return PoseSeries(t, rows[:, 1:4], np.radians(rows[:, 4:7]))
 
 
-def _parse_lines(lines: list[str]) -> PoseSeries:
+def _parse_lines(data: bytes | str) -> PoseSeries:
     """Read the rows after the header one line at a time, skipping blank lines."""
     t, pos, orient = [], [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ParseError(f"expected 7 fields, got {len(fields)}", line=lineno)
-        try:
-            vals = [float(f) for f in fields]
-        except ValueError:
-            raise ParseError(f"bad number in row: {line!r}", line=lineno) from None
-        if not all(math.isfinite(v) for v in vals):
-            raise ParseError("non-finite value in row", line=lineno)
+    for lineno, line in csv_lines(decode(data), DEMO_CSV_HEADER):
+        vals = csv_row(line, 7, lineno)
         if t and vals[0] <= t[-1]:
             raise ValidationError(
                 f"timestamps must strictly increase (line {lineno}: "
@@ -331,8 +305,8 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
     occasional position spikes of ``SPIKE_MAGNITUDE_MM`` on one axis.
     Output is deterministic for a fixed model (seeded generator).
     """
-    if not (rate_hz > 0.0):
-        raise ValueError(f"rate_hz must be positive, got {rate_hz}")
+    if not (0.0 < rate_hz < math.inf):
+        raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
     pts = truth.positions
     if np.any(truth.speeds <= 0.0):
         raise ValueError("truth speeds must be positive to traverse the path")

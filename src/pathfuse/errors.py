@@ -36,9 +36,5 @@ class DegeneratePathError(PathfuseError):
     """A path has too few distinct points to be usable."""
 
 
-class ResampleWarning(UserWarning):
-    """Resampling request could not be honored as asked; a fallback was used."""
-
-
 class TimeParameterizationWarning(UserWarning):
     """A demonstration had too little travel for arc length; time was used instead."""

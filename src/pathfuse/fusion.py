@@ -10,13 +10,14 @@ demonstration, matched by normalized path progress.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
 from . import _quat
+from ._read import json_rows, json_value
 from ._rows import fill_rows
 from .errors import FrameMismatchError, ParseError, TimeParameterizationWarning
 from .cad import CadPath, arc_params, traverse
@@ -199,16 +200,7 @@ def fused_path_to_json(path: FusedPath) -> str:
 
 def fused_path_from_json(data: bytes | str) -> FusedPath:
     """Parse the fused-path JSON interchange form."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            raise ParseError(f"not valid UTF-8: {e}") from None
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise ParseError(f"bad JSON: {e.msg}", line=e.lineno) from None
-
+    obj = json_value(data)
     if not isinstance(obj, dict):
         raise ParseError("expected a JSON object")
     frame = obj.get("frame")
@@ -221,23 +213,18 @@ def fused_path_from_json(data: bytes | str) -> FusedPath:
     if not isinstance(points, list) or len(points) < 2:
         raise ParseError("'points' must be an array of at least 2 entries")
 
-    rows = []
+    fields, rows = itemgetter(*_JSON_KEYS), []
     for i, pt in enumerate(points):
         if not isinstance(pt, dict):
             raise ParseError(f"point {i} is not an object")
         try:
-            row = [float(pt[k]) for k in _JSON_KEYS]
+            rows.append(fields(pt))
         except KeyError as e:
             raise ParseError(f"point {i} is missing {e.args[0]!r}") from None
-        except (TypeError, ValueError):
-            raise ParseError(f"point {i} has a non-numeric field") from None
-        except OverflowError:
-            raise ParseError(f"point {i} has a field beyond the float range") from None
-        if not all(math.isfinite(v) for v in row):
-            raise ParseError(f"point {i} has a non-finite field")
-        rows.append(row)
-
-    arr = np.array(rows)
+    try:
+        arr = json_rows(rows, len(_JSON_KEYS), "point")
+    except ValueError as e:
+        raise ParseError(str(e)) from None
     return FusedPath(
         positions=arr[:, 0:3],
         orientations=np.radians(arr[:, 3:6]),

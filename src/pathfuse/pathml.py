@@ -32,6 +32,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
+from ._read import number
 from ._rows import fill_rows
 from .cad import MAX_POINTS
 from .errors import FrameMismatchError, ParseError, SchemaError, ValidationError
@@ -474,7 +475,7 @@ def _named(elem: ET.Element, where: str) -> str:
 
 def _parse_float(text: str, key: str, where: str) -> float:
     try:
-        return float(text)
+        return number(text)
     except ValueError:
         raise SchemaError(f"{where}: {key} is not a number: {text!r}") from None
 

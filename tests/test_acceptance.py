@@ -410,6 +410,18 @@ def test_11_cli_determinism_and_exit_contract(tmp_path, capsys):
     doc_text = (tmp_path / "a" / "doc.aml").read_text()
 
     header = "t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg"
+    demo_lines = (tmp_path / "a" / "demo.csv").read_text().splitlines(keepends=True)
+    fused_doc = json.loads((tmp_path / "a" / "fused.json").read_text())
+
+    def demo_with(x):  # the capture with the x of its first sample spelled ``x``
+        fields = demo_lines[1].split(",")
+        return "".join(demo_lines[:1] + [",".join(fields[:1] + [x] + fields[2:])] + demo_lines[2:]).encode()
+
+    def fused_with(y):  # the fused path with the y of its second point set to ``y``
+        points = [dict(p) for p in fused_doc["points"]]
+        points[1]["y_mm"] = y
+        return json.dumps(dict(fused_doc, points=points)).encode()
+
     corpus = [
         # (file name, content, argv using the file)
         ("demo_header.csv", b"time,x\n0,1\n", ["fuse", "--demo"]),
@@ -445,6 +457,18 @@ def test_11_cli_determinism_and_exit_contract(tmp_path, capsys):
         ("xml_malformed.aml", b"<CAEXFile>\n  <broken\n</CAEXFile>", ["validate"]),
         ("xml_root.aml", doc_text.replace("CAEXFile", "RootFile").encode(), ["validate"]),
         ("xml_process.aml", doc_text.replace('<Attribute Name="ProcessType"><Value>adhesive</Value></Attribute>', "").encode(), ["validate"]),
+        # numbers are ASCII decimals in text and JSON numbers in JSON, in every reader
+        ("demo_underscore.csv", demo_with("1_0"), ["fuse", "--demo"]),
+        ("demo_arabic_digits.csv", demo_with("\u0661\u0662"), ["fuse", "--demo"]),
+        ("cad_underscore.csv", CHAIN_CAD.replace("\n100,", "\n1_00,").encode(), ["fuse", "--cad"]),
+        ("cad_arabic_digits.csv", CHAIN_CAD.replace("\n100,", "\n\u0661\u0660\u0660,").encode(), ["fuse", "--cad"]),
+        ("fused_string.json", fused_with("1.5"), ["gen", "--fused"]),
+        ("fused_bool.json", fused_with(True), ["gen", "--fused"]),
+        ("config_k_bool.json", b'{"filter": {"k": true}}', ["emit", "--config"]),
+        ("config_window_float.json", b'{"filter": {"window": 5.9}}', ["emit", "--config"]),
+        ("config_tolerance_string.json", b'{"tolerance_mm": "4"}', ["emit", "--config"]),
+        ("calib_string.json", json.dumps(dict(CHAIN_CALIB, t_f_s={"translation_mm": ["1", 0, 0], "rotation_deg_fixed_xyz": [0, 0, 0]})).encode(), ["fuse", "--calib"]),
+        ("xml_underscore.aml", doc_text.replace('"LayerHeight_mm"><Value>2.000000<', '"LayerHeight_mm"><Value>1_0<').encode(), ["validate"]),
     ]
     assert len(corpus) >= 20
 

@@ -11,7 +11,6 @@ from pathfuse import (
     CadPath,
     DegeneratePathError,
     ParseError,
-    ResampleWarning,
     arc_params,
     parse_cad,
     resample_cad,
@@ -179,19 +178,20 @@ class TestResample:
         assert len(r.waypoints) == 5
         assert np.allclose(r.waypoints[:, 0], [0, 25, 50, 75, 100])
 
-    def test_spacing_wider_than_path_warns_and_keeps_endpoints(self):
-        p = CadPath(np.array([[0, 0, 0], [5.0, 0, 0], [10.0, 0, 0]]))
-        with pytest.warns(ResampleWarning):
-            r = resample_cad(p, 100.0)
-        assert len(r.waypoints) == 2
-        assert np.array_equal(r.waypoints[0], p.waypoints[0])
-        assert np.array_equal(r.waypoints[-1], p.waypoints[-1])
+    def test_spacing_wider_than_path_keeps_every_waypoint(self):
+        p = CadPath(np.array([[0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]]))
+        for spacing in (10.0, 1e6, 1e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                r = resample_cad(p, spacing)
+            assert np.array_equal(r.waypoints, p.waypoints)
+            assert r.total_length() == p.total_length() == 7.0
 
     def test_closed_path_wide_spacing_returns_path(self):
         p = CadPath(SQUARE, closed=True)
-        with pytest.warns(ResampleWarning):
-            r = resample_cad(p, 1e6)
+        r = resample_cad(p, 1e6)
         assert np.array_equal(r.waypoints, p.waypoints)
+        assert r.closed
 
     def test_rejects_bad_spacing(self):
         p = CadPath(SQUARE)
@@ -199,6 +199,9 @@ class TestResample:
             resample_cad(p, 0.0)
         with pytest.raises(ValueError):
             resample_cad(p, -3.0)
+        for spacing in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                resample_cad(p, spacing)
 
     # 5e11 points (12 TB) and infinitely many: refused before any allocation
     @pytest.mark.parametrize("far", [1e12, 1e308])
@@ -305,15 +308,11 @@ def test_resample_property(points, spacing):
         p = CadPath(arr)
     except DegeneratePathError:
         return
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ResampleWarning)
-        r = resample_cad(p, spacing)
-    # length never changes, step never exceeds the request (modulo the
-    # wide-spacing fallback, where the path collapses to its endpoints)
+    r = resample_cad(p, spacing)
+    # length never changes, step never exceeds the request
     assert math.isclose(r.total_length(), p.total_length(), rel_tol=1e-9, abs_tol=1e-9)
-    if len(r.waypoints) > 2:
-        steps = np.linalg.norm(np.diff(r.waypoints, axis=0), axis=1)
-        assert np.max(steps) <= spacing + 1e-6
+    steps = np.linalg.norm(np.diff(r.waypoints, axis=0), axis=1)
+    assert np.max(steps) <= spacing + 1e-6
     poly = p.waypoints
     for w in r.waypoints:
         assert oracles.point_to_polyline(w, poly) < 1e-6

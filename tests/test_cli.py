@@ -332,6 +332,71 @@ class TestExitCodes:
             assert main(argv) == 2, argv
             assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_synth_rejects_a_rate_that_is_not_finite_and_positive(self, ws, capsys, rate):
+        code = main(["synth", "--truth", str(ws / "truth.json"), "--rate", rate])
+        assert code == 2
+        assert "rate_hz must be positive and finite" in capsys.readouterr().err
+
+    def test_number_flags_take_ascii_decimals_only(self, ws, capsys):
+        _, fused, doc, *_ = run_chain(ws)
+        for argv in (
+            ["synth", "--truth", str(ws / "truth.json"), "--rate", "1_00"],
+            ["pathml", "gen", "--fused", fused, "--project", "p", "--process-type", "other",
+             "--layer-height", "\u0662"],
+            ["report", "--executed", fused, "--nominal", fused, "--sections", "0.2_5"],
+            ["pathml", "expand", doc, "--layers", "2", "--direction", "0,0,1_0"],
+        ):
+            assert main(argv) == 2, argv
+            err = capsys.readouterr().err
+            assert "invalid number value" in err or "not a number" in err, err
+
+    def test_rejected_numbers_name_their_line_point_or_key(self, ws, capsys):
+        demo, fused, *_ = run_chain(ws)
+        lines = (ws / "demo.csv").read_text().splitlines(keepends=True)
+        lines[2] = lines[2].replace(",", ",1_0", 1)
+        (ws / "bad_demo.csv").write_text("".join(lines))
+        (ws / "bad_cad.csv").write_text(CAD_CSV.replace("\n300,", "\n\u0663\u0660\u0660,"))
+        points = json.loads((ws / "fused.json").read_text())
+        points["points"][3]["rz_deg"] = "1.5"
+        (ws / "bad_fused.json").write_text(json.dumps(points))
+        (ws / "bad_cad.json").write_text('{"waypoints": [[0, 0, 0], [1, true, 0]]}')
+        (ws / "bad_config.json").write_text('{"limits": {"max_step_mm": "50"}}')
+        calib = dict(CALIB, t_r_f={"translation_mm": [0, 0, 0], "rotation_deg_fixed_xyz": [0, "90", 0]})
+        (ws / "bad_calib.json").write_text(json.dumps(calib))
+        (ws / "bad_doc.aml").write_text((ws / "doc.aml").read_text().replace(
+            '"Velocity_mm_s"><Value>', '"Velocity_mm_s"><Value>1_', 1))
+        fuse = ["fuse", "--cad", str(ws / "cad.csv"), "--demo", demo, "--calib", str(ws / "calib.json")]
+        cases = [
+            (fuse[:4] + [str(ws / "bad_demo.csv")] + fuse[5:], "line 3: bad number in row"),
+            (fuse[:2] + [str(ws / "bad_cad.csv")] + fuse[3:], "line 5: bad number in row"),
+            (fuse[:2] + [str(ws / "bad_cad.json")] + fuse[3:], "waypoint 1: expected 3 finite JSON numbers"),
+            (fuse[:6] + [str(ws / "bad_calib.json")], "calibration 't_r_f' translation_mm and rotation_deg_fixed_xyz must be finite 3-vectors"),
+            (fuse + ["--config", str(ws / "bad_config.json")], "config limits.max_step_mm must be a JSON number, got str"),
+            (["report", "--executed", str(ws / "bad_fused.json"), "--nominal", fused],
+             "point 3: expected 7 finite JSON numbers"),
+            (["pathml", "validate", str(ws / "bad_doc.aml")],
+             "Layer_0/Track_0/Point_0: Velocity_mm_s is not a number: '1_"),
+        ]
+        for argv, message in cases:
+            assert main(argv) == 2, argv
+            assert message in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("reader", ["cad", "calib", "config", "fused"])
+    def test_deeply_nested_json(self, ws, capsys, reader):
+        # deeper than the interpreter's recursion limit: json.loads raises RecursionError
+        demo, *_ = run_chain(ws)
+        deep = "[" * 100_000 + "]" * 100_000
+        (ws / "deep.json").write_text('{"waypoints": %s}' % deep if reader == "cad" else deep)
+        files = {"cad": str(ws / "cad.csv"), "calib": str(ws / "calib.json"), reader: str(ws / "deep.json")}
+        argv = ["fuse", "--cad", files["cad"], "--demo", demo, "--calib", files["calib"]]
+        if reader == "config":
+            argv += ["--config", str(ws / "deep.json")]
+        elif reader == "fused":
+            argv = ["pathml", "gen", "--fused", str(ws / "deep.json"), "--project", "p", "--process-type", "other"]
+        assert main(argv) == 2
+        assert "bad JSON: nested too deeply" in capsys.readouterr().err
+
     def test_expand_zero_direction(self, ws, capsys):
         run_chain(ws)
         code = main(["pathml", "expand", str(ws / "doc.aml"), "--layers", "2",

@@ -164,7 +164,7 @@ def mutate_capture(rows, rng):
 
 def read_by_lines(data):
     """The line reader alone, as parse_demo runs it on every input that is not plain."""
-    return demo._parse_lines(demo._lines(data))
+    return demo._parse_lines(data)
 
 
 def outcome(parse, data):

@@ -269,6 +269,27 @@ class TestJson:
         with pytest.raises(ParseError):
             fused_path_from_json("[1,2]")
 
+    @pytest.mark.parametrize("boms", [1, 2])
+    def test_str_and_bytes_strip_the_same_boms(self, boms):
+        # one BOM is stripped from either input type; a second is not JSON
+        plain = fused_path_to_json(self._fused())
+        text = "\ufeff" * boms + plain
+        for data in (text, text.encode()):
+            if boms == 1:
+                back = fused_path_from_json(data)
+                assert fused_path_to_json(back) == fused_path_to_json(fused_path_from_json(plain))
+            else:
+                with pytest.raises(ParseError, match="bad JSON"):
+                    fused_path_from_json(data)
+
+    def test_json_strings_and_bools_are_not_numbers(self):
+        good = json.loads(fused_path_to_json(self._fused()))
+        for value in ("1.5", " 2 ", True, None, [1.0]):
+            d = dict(good, points=[dict(p) for p in good["points"]])
+            d["points"][2]["v_mm_s"] = value
+            with pytest.raises(ParseError, match="point 2: expected 7 finite JSON numbers"):
+                fused_path_from_json(json.dumps(d))
+
     def test_negative_speed_rejected(self):
         doc = json.loads(fused_path_to_json(self._fused()))
         doc["points"][0]["v_mm_s"] = -5.0
