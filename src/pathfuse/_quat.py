@@ -5,14 +5,14 @@ implementation detail of the fusion and capture-synthesis code; orientations in 
 public API are always Euler angles or rotation matrices.
 
 ``interpolate_zyx`` is one vectorized pass: ``bracket`` each query, ``slerp``
-along the shorter arc (Shoemake 1985), and extract angles from ``matrices``.
+along the shorter arc (Shoemake 1985), and read angles with ``to_euler_zyx``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import euler_zyx_from_rots
+from .geometry import euler_zyx_from_entries
 
 # Above this quaternion dot the endpoints are nearly parallel and slerp
 # blends linearly, avoiding a division by sin(~0).
@@ -102,17 +102,24 @@ def slerp(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.where((u >= 1.0)[:, None], qb, q)
 
 
-def matrices(q: np.ndarray) -> np.ndarray:
-    """(m, 3, 3) rotation matrices for (m, 4) quaternions, normalized first."""
-    w, x, y, z = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
-    return np.stack(
-        [
-            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
-            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
-            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
-        ],
-        axis=-1,
-    ).reshape(-1, 3, 3)
+def to_euler_zyx(q: np.ndarray) -> np.ndarray:
+    """(m, 3) z-y'-x'' angles of (m, 4) quaternions, normalized first.
+
+    Equal bit for bit to ``euler_zyx_from_rots`` of the quaternions' rotation
+    matrices, gimbal lock included, but only the seven entries the angles read
+    are formed.  A normalized quaternion's matrix is a rotation by
+    construction, so what is left to check is that the normalized components
+    are finite: a zero, NaN or infinite row raises ValueError.
+    """
+    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    if not np.isfinite(q).all():
+        raise ValueError("quaternion has no unit form: a row is zero or not finite")
+    w, x, y, z = q.T
+    return euler_zyx_from_entries(
+        1 - 2 * (y * y + z * z), 2 * (x * y - w * z),
+        2 * (x * y + w * z), 1 - 2 * (x * x + z * z),
+        2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+    )
 
 
 def bracket(params: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -135,4 +142,4 @@ def interpolate_zyx(params: np.ndarray, angles_zyx: np.ndarray, u: np.ndarray) -
     between the (n, 3) sample angles ``angles_zyx``."""
     quats = make_continuous(from_euler_zyx(angles_zyx))
     j, frac = bracket(np.asarray(params, dtype=float), np.asarray(u, dtype=float))
-    return euler_zyx_from_rots(matrices(slerp(quats[j], quats[j + 1], frac)))
+    return to_euler_zyx(slerp(quats[j], quats[j + 1], frac))

@@ -1,5 +1,5 @@
 """Input text, as every reader takes it: UTF-8 after one optional BOM, numbers
-spelled as ASCII decimals in text (``number``) and as JSON numbers in JSON.
+spelled as ASCII decimals in text (``number``, ``integer``) and as JSON numbers in JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +21,9 @@ _NUMBER = re.compile(
     re.ASCII | re.IGNORECASE,
 )
 
+# Spaces or tabs around an optional sign and ASCII digits.
+_INTEGER = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
+
 # The exact types json.loads gives numbers; true and false are of type bool.
 _JSON_NUMBER_TYPES = {int, float}
 
@@ -40,6 +43,14 @@ def number(text: str) -> float:
     if _NUMBER.fullmatch(text) is None:
         raise ValueError(f"not a number: {text!r}")
     return float(text)
+
+
+def integer(text: str) -> int:
+    """The value of ASCII digits with an optional sign; ValueError on other text, such as
+    ``1_0``, ``2.0`` or non-ASCII digits."""
+    if _INTEGER.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def csv_lines(text: str, header: str) -> list[tuple[int, str]]:

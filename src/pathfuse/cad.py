@@ -78,12 +78,16 @@ def traverse(points: np.ndarray, closed: bool) -> np.ndarray:
     return np.vstack([points, points[:1]]) if closed else points
 
 
-def arc_fraction(points: np.ndarray) -> np.ndarray:
-    """Cumulative arc length over total arc length at each vertex of a polyline.
+def arc_lengths(points: np.ndarray) -> np.ndarray:
+    """Arc length from the first vertex of a polyline to each vertex; the last is its length."""
+    return np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+
+
+def arc_fraction(cum: np.ndarray) -> np.ndarray:
+    """Each of the ``arc_lengths`` ``cum`` of a polyline over its total length.
 
     Starts at 0 and ends at exactly 1; all zeros for a zero-length polyline.
     """
-    cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
     return cum / cum[-1] if cum[-1] > 0.0 else np.zeros(len(cum))
 
 
@@ -96,7 +100,7 @@ def arc_params(path: CadPath) -> np.ndarray:
     virtual closing point is included and the result has ``len(path) + 1``
     values.
     """
-    params = arc_fraction(traverse(path.waypoints, path.closed))
+    params = arc_fraction(arc_lengths(traverse(path.waypoints, path.closed)))
     params.flags.writeable = False
     return params
 

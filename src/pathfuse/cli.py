@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._read import json_number, json_rows, json_value, number
+from ._read import integer, json_number, json_rows, json_value, number
 from .cad import parse_cad, resample_cad
 from .demo import (
     TrackerErrorModel,
@@ -312,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xy-noise", type=number, default=2.0)
     p.add_argument("--orient-noise", type=number, default=1.0)
     p.add_argument("--spike-rate", type=number, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=integer, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_synth)
 
@@ -346,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = psub.add_parser("expand", help="replicate a single layer into a stack")
     p.add_argument("file")
-    p.add_argument("--layers", type=int, required=True)
+    p.add_argument("--layers", type=integer, required=True)
     p.add_argument("--direction", default="0,0,1", metavar="X,Y,Z")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_pathml_expand)

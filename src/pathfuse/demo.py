@@ -24,7 +24,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _quat
 from ._read import csv_lines, csv_row, decode
 from ._rows import fill_rows
-from .cad import arc_fraction
+from .cad import MAX_POINTS, arc_fraction, arc_lengths
 from .errors import ValidationError
 from .geometry import wrap_angle
 
@@ -259,11 +259,11 @@ def path_parameters(positions: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, b
     is used instead; the second return value says which happened (True means
     time).  The result is non-decreasing with first value 0 and last value 1.
     """
-    positions = np.asarray(positions, dtype=float)
-    t = np.asarray(t, dtype=float)
-    if float(np.sum(np.linalg.norm(np.diff(positions, axis=0), axis=1))) < MIN_ARC_MM:
+    cum = arc_lengths(np.asarray(positions, dtype=float))
+    if cum[-1] < MIN_ARC_MM:
+        t = np.asarray(t, dtype=float)
         return (t - t[0]) / (t[-1] - t[0]), True
-    return arc_fraction(positions), False
+    return arc_fraction(cum), False
 
 
 @dataclass(frozen=True)
@@ -303,7 +303,9 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
     always included as the last sample.  Tracker errors are then applied:
     distance-dependent z bias, Gaussian x/y and orientation noise, and
     occasional position spikes of ``SPIKE_MAGNITUDE_MM`` on one axis.
-    Output is deterministic for a fixed model (seeded generator).
+    Output is deterministic for a fixed model (seeded generator).  A rate
+    that would make more than ``MAX_POINTS`` samples raises ValueError
+    before the samples are allocated.
     """
     if not (0.0 < rate_hz < math.inf):
         raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
@@ -318,7 +320,11 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
     if total_t <= 0.0:
         raise ValueError("truth path has no extent to traverse")
 
-    ts = np.arange(0.0, total_t, 1.0 / rate_hz)
+    step = 1.0 / rate_hz
+    samples = total_t / step + 1.0  # np.arange makes ceil(total_t / step), the last sample may add one
+    if not samples <= MAX_POINTS:
+        raise ValueError(f"sampling at {rate_hz} Hz would make {samples:.4g} samples; the limit is {MAX_POINTS}")
+    ts = np.arange(0.0, total_t, step)
     if total_t - ts[-1] > 1e-12 * max(1.0, total_t):
         ts = np.concatenate([ts, [total_t]])
     else:

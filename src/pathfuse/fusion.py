@@ -101,7 +101,7 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
     at, m = np.concatenate([j, j + 1]), len(j)  # each CAD point's two samples
     q = _fit_rotations(t, demo.orientations, lo, hi, at)
     # (psi, theta, phi) reversed is the robot's fixed-axis (rx, ry, rz)
-    orientations = euler_zyx_from_rots(_quat.matrices(_quat.slerp(q[:m], q[m:], frac)))[:, ::-1]
+    orientations = _quat.to_euler_zyx(_quat.slerp(q[:m], q[m:], frac))[:, ::-1]
 
     v = np.linalg.norm(slopes[at], axis=1)
     speeds = v[:m] + frac * (v[m:] - v[:m])

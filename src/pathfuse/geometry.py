@@ -86,11 +86,17 @@ def euler_zyx_from_rots(r: np.ndarray) -> np.ndarray:
     first; one bad matrix raises ValueError.
     """
     rt = check_rotations(r).T  # rt[j, i] is entry (i, j) of every matrix
-    # r[2,0] = -sin(theta); the hypot keeps cos(theta) >= 0.
-    theta = np.arctan2(-rt[0, 2], np.hypot(rt[1, 2], rt[2, 2]))
+    return euler_zyx_from_entries(rt[0, 0], rt[1, 0], rt[0, 1], rt[1, 1], rt[0, 2], rt[1, 2], rt[2, 2])
+
+
+def euler_zyx_from_entries(r00, r01, r10, r11, r20, r21, r22) -> np.ndarray:
+    """(m, 3) angles as ``euler_zyx_from_rots`` gives them, from the seven (m,) entries
+    ``r[i, j]`` of a rotation stack that they depend on.  The entries are not checked."""
+    # r20 = -sin(theta); the hypot keeps cos(theta) >= 0.
+    theta = np.arctan2(-r20, np.hypot(r21, r22))
     lock = np.cos(theta) < GIMBAL_EPS
-    psi = np.where(lock, np.arctan2(-rt[1, 0], rt[1, 1]), np.arctan2(rt[0, 1], rt[0, 0]))
-    phi = np.where(lock, 0.0, np.arctan2(rt[1, 2], rt[2, 2]))
+    psi = np.where(lock, np.arctan2(-r01, r11), np.arctan2(r10, r00))
+    phi = np.where(lock, 0.0, np.arctan2(r21, r22))
     return np.stack([psi, theta, phi], axis=-1)
 
 

@@ -32,7 +32,7 @@ from xml.sax.saxutils import escape, quoteattr
 
 import numpy as np
 
-from ._read import number
+from ._read import integer, number
 from ._rows import fill_rows
 from .cad import MAX_POINTS
 from .errors import FrameMismatchError, ParseError, SchemaError, ValidationError
@@ -560,7 +560,7 @@ def _parse_tree(data: bytes | str) -> PathMLDocument:
         if "Index" in lattrs:
             text = lattrs.pop("Index")
             try:
-                index = int(text)
+                index = integer(text)
             except ValueError:
                 raise SchemaError(f"{lname}: Index is not an integer: {text!r}") from None
         if lattrs:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rows import fill_rows
-from .cad import arc_fraction, traverse
+from .cad import arc_fraction, arc_lengths, traverse
 from .errors import FrameMismatchError, ValidationError
 from .fusion import FusedPath
 from .geometry import rotation_angle, rots_from_euler_zyx
@@ -360,7 +360,7 @@ def deviation_report(
     devs = _point_to_polyline_mm(executed.positions, traverse(nominal.positions, nominal.closed))
 
     # executed progress for sectioning; degenerate (zero-length) paths land in section 1
-    params = arc_fraction(traverse(executed.positions, executed.closed))[: len(executed)]
+    params = arc_fraction(arc_lengths(traverse(executed.positions, executed.closed)))[: len(executed)]
 
     idx = np.searchsorted(np.array(breaks), params, side="right") if breaks else np.zeros(
         len(params), dtype=int

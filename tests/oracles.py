@@ -170,6 +170,20 @@ def quat_to_rot(q):
     )
 
 
+def quat_matrices(q):
+    """(m, 3, 3) rotation matrices of (m, 4) quaternions, normalized first: through
+    ``euler_zyx_from_rots`` the reference ``_quat.to_euler_zyx`` must equal bit for bit."""
+    w, x, y, z = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+    return np.stack(
+        [
+            1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+            2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+            2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y),
+        ],
+        axis=-1,
+    ).reshape(-1, 3, 3)
+
+
 def slerp(qa, qb, u):
     """Shoemake's slerp in power form, qa (qa^-1 qb)^u, along the shorter arc."""
     qa = np.asarray(qa, dtype=float) / np.linalg.norm(qa)

@@ -469,6 +469,10 @@ def test_11_cli_determinism_and_exit_contract(tmp_path, capsys):
         ("config_tolerance_string.json", b'{"tolerance_mm": "4"}', ["emit", "--config"]),
         ("calib_string.json", json.dumps(dict(CHAIN_CALIB, t_f_s={"translation_mm": ["1", 0, 0], "rotation_deg_fixed_xyz": [0, 0, 0]})).encode(), ["fuse", "--calib"]),
         ("xml_underscore.aml", doc_text.replace('"LayerHeight_mm"><Value>2.000000<', '"LayerHeight_mm"><Value>1_0<').encode(), ["validate"]),
+        # integers are ASCII digits: the expand flag's text, and a layer Index in a non-canonical document
+        ("layers_arabic_digit", "\u0662".encode(), ["expand", "--layers"]),
+        ("layers_underscore", b"1_0", ["expand", "--layers"]),
+        ("xml_index.aml", doc_text.replace('"Index"><Value>0<', '"Index"><Value>\u0661_0<').encode(), ["validate"]),
     ]
     assert len(corpus) >= 20
 
@@ -483,6 +487,8 @@ def test_11_cli_determinism_and_exit_contract(tmp_path, capsys):
                 argv[argv.index(argv_kind[1]) + 1] = str(path)
         elif argv_kind[0] == "emit":
             argv = ["emit", str(tmp_path / "a" / "doc.aml"), "--config", str(path)]
+        elif argv_kind[0] == "expand":  # the content is the flag's text, not a file
+            argv = ["pathml", "expand", str(tmp_path / "a" / "doc.aml"), "--layers", content.decode(), "-o", str(tmp_path / "x.aml")]
         elif argv_kind[0] == "gen":
             argv = ["pathml", "gen", "--fused", str(path), "--project", "p", "--process-type", "other"]
         else:

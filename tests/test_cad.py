@@ -15,7 +15,7 @@ from pathfuse import (
     parse_cad,
     resample_cad,
 )
-from pathfuse.cad import arc_fraction, traverse
+from pathfuse.cad import arc_fraction, arc_lengths, traverse
 
 HEADER = "x_mm,y_mm,z_mm"
 
@@ -116,11 +116,12 @@ class TestTraversal:
 
     def test_arc_fraction_values(self):
         pts = np.array([[0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]])
-        f = arc_fraction(pts)
+        assert arc_lengths(pts).tolist() == [0.0, 3.0, 7.0]
+        f = arc_fraction(arc_lengths(pts))
         assert f.tolist() == [0.0, 3.0 / 7.0, 1.0]
 
     def test_arc_fraction_of_zero_length_is_zeros(self):
-        f = arc_fraction(np.ones((4, 3)))
+        f = arc_fraction(arc_lengths(np.ones((4, 3))))
         assert f.tolist() == [0.0] * 4
 
 

@@ -338,6 +338,23 @@ class TestExitCodes:
         assert code == 2
         assert "rate_hz must be positive and finite" in capsys.readouterr().err
 
+    def test_synth_rate_past_the_sample_bound_exits_2(self, ws, capsys, monkeypatch):
+        monkeypatch.setattr(pathfuse.demo, "MAX_POINTS", 10)  # the truth is 4 s: 401 samples at 100 Hz
+        code = main(["synth", "--truth", str(ws / "truth.json"), "--rate", "100"])
+        assert code == 2
+        assert "the limit is 10" in capsys.readouterr().err
+
+    def test_integer_flags_take_ascii_digits_only(self, ws, capsys):
+        _, _, doc, *_ = run_chain(ws)
+        for bad in ("1_0", "\u0662", "2.0", "0x3"):
+            for argv in (
+                ["synth", "--truth", str(ws / "truth.json"), "--rate", "100", "--seed", bad],
+                ["pathml", "expand", doc, "--layers", bad, "-o", str(ws / "stack_bad.aml")],
+            ):
+                assert main(argv) == 2, argv
+                assert "invalid integer value" in capsys.readouterr().err
+        assert not (ws / "stack_bad.aml").exists()
+
     def test_number_flags_take_ascii_decimals_only(self, ws, capsys):
         _, fused, doc, *_ = run_chain(ws)
         for argv in (

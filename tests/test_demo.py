@@ -23,7 +23,7 @@ from pathfuse import (
     synth_demo,
 )
 from pathfuse import demo
-from pathfuse.cad import arc_fraction
+from pathfuse.cad import arc_fraction, arc_lengths
 from pathfuse.geometry import wrap_angle
 
 HEADER = "t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg"
@@ -535,7 +535,8 @@ class TestPathParameters:
 
     def test_matches_arc_fraction_or_time_around_the_threshold(self):
         # the progress is arc_fraction's, and the time fallback the same, on
-        # travel just below, at and just above MIN_ARC_MM and far from it
+        # travel just below, at and just above MIN_ARC_MM and far from it; the
+        # travel compared is the last of the arc_lengths the progress divides
         rng = np.random.default_rng(30)
         by_time = 0
         for case in range(240):
@@ -545,9 +546,9 @@ class TestPathParameters:
             travel = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
             pos *= [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.5, 3.0, 1e3][case % 6] / travel
             params, time_based = path_parameters(pos, t)
-            travel = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
-            assert time_based == (travel < demo.MIN_ARC_MM)
-            want = (t - t[0]) / (t[-1] - t[0]) if time_based else arc_fraction(pos)
+            cum = arc_lengths(pos)
+            assert time_based == (cum[-1] < demo.MIN_ARC_MM)
+            want = (t - t[0]) / (t[-1] - t[0]) if time_based else arc_fraction(cum)
             assert params.tobytes() == want.tobytes()
             by_time += time_based
         assert 60 <= by_time <= 180
@@ -582,6 +583,23 @@ class TestSynth:
         s = synth_demo(truth, model, 75.0)
         for p in s.positions:
             assert oracles.point_to_polyline(p, truth.positions) < 1e-9
+
+    def test_sample_count_is_bounded_before_anything_is_sampled(self, monkeypatch):
+        truth = self._truth()
+        model = TrackerErrorModel()
+        n = len(synth_demo(truth, model, 100.0))  # 7 s at 100 Hz: 701 samples
+        assert n == 701
+
+        def no_arange(*args, **kwargs):
+            raise AssertionError("samples were allocated before the bound was checked")
+
+        monkeypatch.setattr(demo, "MAX_POINTS", n - 1)
+        monkeypatch.setattr(np, "arange", no_arange)
+        with pytest.raises(ValueError, match="would make 701 samples; the limit is 700"):
+            synth_demo(truth, model, 100.0)
+        monkeypatch.undo()
+        monkeypatch.setattr(demo, "MAX_POINTS", n)
+        assert len(synth_demo(truth, model, 100.0)) == n
 
     def test_deterministic_for_fixed_seed(self):
         truth = self._truth()

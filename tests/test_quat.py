@@ -7,8 +7,16 @@ import numpy as np
 import pytest
 
 import oracles
-from pathfuse._quat import from_euler_zyx, from_rotvec, interpolate_zyx, make_continuous, mul, to_rotvec
-from pathfuse.geometry import euler_zyx_from_rots
+from pathfuse._quat import (
+    from_euler_zyx,
+    from_rotvec,
+    interpolate_zyx,
+    make_continuous,
+    mul,
+    to_euler_zyx,
+    to_rotvec,
+)
+from pathfuse.geometry import GIMBAL_EPS, euler_zyx_from_rots
 
 HALF_PI = math.pi / 2.0
 
@@ -150,6 +158,65 @@ class TestMakeContinuous:
         angles = np.cumsum(rng.normal(0.0, 1.5, (300, 3)), axis=0)
         qs = from_euler_zyx(angles)
         assert np.array_equal(make_continuous(qs), oracles.make_continuous(qs))
+
+
+class TestToEulerZyx:
+    """Angles straight from quaternions equal the checked matrix route bit for bit."""
+
+    @staticmethod
+    def _via_matrices(q):
+        return euler_zyx_from_rots(oracles.quat_matrices(q))
+
+    @staticmethod
+    def _lock_angles(rng, n, offsets):
+        """(n, 3) angles with pitch +-90 degrees plus one of ``offsets``, random yaw and roll."""
+        pitch = rng.choice([HALF_PI, -HALF_PI], n) + rng.choice(offsets, n)
+        return np.column_stack([rng.uniform(-math.pi, math.pi, n), pitch, rng.uniform(-math.pi, math.pi, n)])
+
+    def test_random_scaled_and_negated_rows(self):
+        rng = np.random.default_rng(17)
+        q = rng.normal(size=(5000, 4))
+        q *= 10.0 ** rng.uniform(-3.0, 3.0, (5000, 1))
+        q[rng.random(5000) < 0.5] *= -1.0
+        assert to_euler_zyx(q).tobytes() == self._via_matrices(q).tobytes()
+
+    def test_exact_lock_rows(self):
+        rng = np.random.default_rng(18)
+        q = from_euler_zyx(self._lock_angles(rng, 500, [0.0]))
+        got = to_euler_zyx(q)
+        assert got.tobytes() == self._via_matrices(q).tobytes()
+        assert np.all(got[:, 2] == 0.0)  # every row is at lock: roll folded into yaw
+        assert np.all(np.abs(np.abs(got[:, 1]) - HALF_PI) < 1e-7)
+
+    def test_rows_just_off_lock(self):
+        rng = np.random.default_rng(19)
+        offsets = [s * d for s in (1.0, -1.0) for d in (1e-9, 3e-8, 9e-8, 1.1e-7, 3e-7, 1e-6, 1e-4)]
+        q = from_euler_zyx(self._lock_angles(rng, 2000, offsets))
+        q *= rng.choice([1.0, -1.0, 1e-3, 7.0], (2000, 1))
+        got = to_euler_zyx(q)
+        assert got.tobytes() == self._via_matrices(q).tobytes()
+        lock = np.cos(got[:, 1]) < GIMBAL_EPS
+        assert 0 < lock.sum() < len(lock)  # both sides of the threshold are exercised
+
+    def test_angles_rebuild_the_rotation(self):
+        rng = np.random.default_rng(20)
+        free = rng.normal(size=(300, 4))
+        near = from_euler_zyx(self._lock_angles(rng, 300, [0.0, 1e-8, -1e-6]))
+        for q, tol in ((free, 1e-12), (near, 2e-7)):  # at lock the roll is dropped: error ~ cos(theta)
+            got = to_euler_zyx(q)
+            err = max(
+                oracles.rotation_distance(oracles.rot_intrinsic_zyx(*a), oracles.quat_to_rot(qi))
+                for a, qi in zip(got, q)
+            )
+            assert err < tol
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
+    def test_a_row_without_a_unit_form_raises(self, bad):
+        q = np.tile([[0.5, 0.5, 0.5, 0.5]], (6, 1))
+        q[4] = [bad, 0.0, 0.0, 0.0] if bad == 0.0 else [1.0, bad, 0.0, 0.0]
+        with pytest.raises(ValueError, match="no unit form"):
+            to_euler_zyx(q)
 
 
 class TestBatchedExtraction:

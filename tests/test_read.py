@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pathfuse import ParseError
-from pathfuse._read import csv_lines, csv_row, decode, json_number, json_rows, number
+from pathfuse._read import csv_lines, csv_row, decode, integer, json_number, json_rows, number
 
 
 def bits(x):
@@ -40,6 +40,19 @@ def test_number_reads_ascii_spellings_as_float_does(text):
 def test_number_refuses_what_is_not_an_ascii_decimal(text):
     with pytest.raises(ValueError, match="not a number"):
         number(text)
+
+
+@pytest.mark.parametrize("text", ["0", "7", "-3", "+12", "007", " 5\t", "123456789012345678901234567890"])
+def test_integer_reads_ascii_digits_as_int_does(text):
+    assert integer(text) == int(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["1_0", "\u0662", "\u0661_0", "2.0", "1e3", "0x10", "", " ", "+", "1\n", "\u20031", "inf"]
+)
+def test_integer_refuses_what_is_not_ascii_digits(text):
+    with pytest.raises(ValueError, match="not an integer"):
+        integer(text)
 
 
 def test_decode_strips_one_bom_from_str_and_bytes():
