@@ -111,7 +111,8 @@ def to_euler_zyx(q: np.ndarray) -> np.ndarray:
     construction, so what is left to check is that the normalized components
     are finite: a zero, NaN or infinite row raises ValueError.
     """
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    with np.errstate(invalid="ignore", divide="ignore"):  # such rows raise just below
+        q = q / np.linalg.norm(q, axis=1, keepdims=True)
     if not np.isfinite(q).all():
         raise ValueError("quaternion has no unit form: a row is zero or not finite")
     w, x, y, z = q.T

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 import re
-import xml.etree.ElementTree as ET
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from xml.sax.saxutils import escape, quoteattr
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -38,6 +37,9 @@ from .cad import MAX_POINTS
 from .errors import FrameMismatchError, ParseError, SchemaError, ValidationError
 from .fusion import FusedPath
 from .geometry import Frame
+
+if TYPE_CHECKING:
+    import xml.etree.ElementTree as ET
 
 POINT_ATTRS = ("X_mm", "Y_mm", "Z_mm", "RX_deg", "RY_deg", "RZ_deg", "Velocity_mm_s")
 
@@ -252,16 +254,28 @@ def unsign_zeros(text: str, places: int) -> str:
     return text.replace("-0." + "0" * places, "0." + "0" * places)
 
 
-_TEXT_ENTITIES = {"\r": "&#13;"}
+def _escape(text: str) -> str:
+    """Element text as ``xml.sax.saxutils.escape(text, {"\\r": "&#13;"})`` writes it."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;").replace("\r", "&#13;")
+
+
+def _quoteattr(name: str) -> str:
+    """``name`` quoted as ``xml.sax.saxutils.quoteattr(name)`` writes it: LF, CR and tab as
+    character references, in ``"``, else in ``'``, else in ``"`` with ``&quot;``."""
+    body = _escape(name).replace("\n", "&#10;").replace("\t", "&#9;")
+    if '"' not in body:
+        return f'"{body}"'
+    if "'" not in body:
+        return f"'{body}'"
+    return '"%s"' % body.replace('"', "&quot;")
 
 
 def _attr_line(indent: int, name: str, text: str) -> str:
-    body = escape(text, _TEXT_ENTITIES)
-    return f'{" " * indent}<Attribute Name={quoteattr(name)}><Value>{body}</Value></Attribute>'
+    return f'{" " * indent}<Attribute Name={_quoteattr(name)}><Value>{_escape(text)}</Value></Attribute>'
 
 
 def _open_line(indent: int, name: str) -> str:
-    return f'{" " * indent}<InternalElement Name={quoteattr(name)}>'
+    return f'{" " * indent}<InternalElement Name={_quoteattr(name)}>'
 
 
 def _close_line(indent: int) -> str:
@@ -271,7 +285,7 @@ def _close_line(indent: int) -> str:
 def _head_xml(project_name: str) -> str:
     return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f"<CAEXFile FileName={quoteattr(project_name + '.aml')}>",
+        f"<CAEXFile FileName={_quoteattr(project_name + '.aml')}>",
         '  <InstanceHierarchy Name="PathML">',
         _open_line(4, project_name),
     ])
@@ -333,9 +347,10 @@ def write_xml(doc: PathMLDocument) -> bytes:
 
 # The scanner reads back exactly the layout above.  A name or text may hold
 # any character but markup (& < > "), control characters, lone surrogates
-# and U+FFFE/U+FFFF: XML neither escapes nor normalises the rest, so quoteattr
-# and escape leave it alone and the tree parser returns it unchanged.  A
-# number is the writer's six-decimal form.
+# and U+FFFE/U+FFFF: XML neither escapes nor normalises the rest, so
+# _quoteattr and _escape leave it alone and the tree parser returns it
+# unchanged.  A name holding " is written in ' quotes, which the scanner
+# leaves to the tree parser.  A number is the writer's six-decimal form.
 _TEXT = '[^\x00-\x1f\x7f-\x9f&<>"\ud800-\udfff\ufffe\uffff]*'
 _NUMBER = r"-?[0-9]+\.[0-9]{6}"
 
@@ -502,6 +517,8 @@ def parse_xml(data: bytes | str) -> PathMLDocument:
 
 
 def _parse_tree(data: bytes | str) -> PathMLDocument:
+    import xml.etree.ElementTree as ET  # only input the scanner declines pays for loading it
+
     if isinstance(data, str):
         data = data.encode("utf-8")
     try:

@@ -1,6 +1,8 @@
+import itertools
 import math
 import random
 import re
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from pathfuse import (
     write_xml,
 )
 from pathfuse.cli import main
-from pathfuse.pathml import POINT_ATTRS, _parse_tree, _points_xml, _scan_canonical
+from pathfuse.pathml import POINT_ATTRS, _escape, _parse_tree, _points_xml, _quoteattr, _scan_canonical
 from test_acceptance import _random_grid_doc
 from test_fusion import SQUARE, make_calib, ramp_demo
 
@@ -642,3 +644,85 @@ def test_round_trip_property(values, project, tool_active):
     scanned = _scan_canonical(data)
     assert (scanned is not None) == (doc == plain(doc))
     assert scanned is None or same_document(scanned, _parse_tree(data))
+
+
+ESCAPE_ALPHABET = "a\"'&<>\n\r\t é]"
+
+
+def saxutils_escape(text):
+    return saxutils.escape(text, {"\r": "&#13;"})
+
+
+class TestEscaping:
+    """The writer's escaping is byte for byte the one xml.sax.saxutils writes."""
+
+    def test_short_strings_match_saxutils(self):
+        for size in range(6):
+            for chars in itertools.product(ESCAPE_ALPHABET, repeat=size):
+                text = "".join(chars)
+                assert _escape(text) == saxutils_escape(text), text
+                assert _quoteattr(text) == saxutils.quoteattr(text), text
+
+    @settings(deadline=None)
+    @given(st.text())
+    def test_any_text_matches_saxutils(self, text):
+        assert _escape(text) == saxutils_escape(text)
+        assert _quoteattr(text) == saxutils.quoteattr(text)
+
+    QUOTED = PathMLDocument(
+        "cell \"7\" & 'weld' <é>",
+        ProcessParameters("welding", wire_feed_rate=8.0,
+                          extra=(("tip'n", 'x"y\r\n\tz & <ü>'), ('n"o\tte\n', "it's"))),
+        (Layer("Layer\r_0", 0, (Track("Track'0", [(0.0, 1.5, -2.0, 0.0, 90.0, 180.0, 5.0),
+                                                  (10.0, 1.5, -2.0, 0.0, 90.0, 180.0, 5.0)], True),)),),
+    )
+    # as the writer wrote it while it called xml.sax.saxutils
+    QUOTED_XML = "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        "<CAEXFile FileName=\"cell &quot;7&quot; &amp; 'weld' &lt;é&gt;.aml\">",
+        '  <InstanceHierarchy Name="PathML">',
+        "    <InternalElement Name=\"cell &quot;7&quot; &amp; 'weld' &lt;é&gt;\">",
+        '      <Attribute Name="ProcessType"><Value>welding</Value></Attribute>',
+        '      <Attribute Name="WireFeedRate_mm_s"><Value>8.000000</Value></Attribute>',
+        '      <Attribute Name="tip\'n"><Value>x"y&#13;',
+        "\tz &amp; &lt;ü&gt;</Value></Attribute>",
+        "      <Attribute Name='n\"o&#9;te&#10;'><Value>it's</Value></Attribute>",
+        '      <InternalElement Name="Layer&#13;_0">',
+        '        <Attribute Name="Index"><Value>0</Value></Attribute>',
+        "        <InternalElement Name=\"Track'0\">",
+        '          <Attribute Name="ToolActive"><Value>true</Value></Attribute>',
+        *[line
+          for k, x in enumerate(("0.000000", "10.000000"))
+          for line in (
+              f'          <InternalElement Name="Point_{k}">',
+              f'            <Attribute Name="X_mm"><Value>{x}</Value></Attribute>',
+              '            <Attribute Name="Y_mm"><Value>1.500000</Value></Attribute>',
+              '            <Attribute Name="Z_mm"><Value>-2.000000</Value></Attribute>',
+              '            <Attribute Name="RX_deg"><Value>0.000000</Value></Attribute>',
+              '            <Attribute Name="RY_deg"><Value>90.000000</Value></Attribute>',
+              '            <Attribute Name="RZ_deg"><Value>180.000000</Value></Attribute>',
+              '            <Attribute Name="Velocity_mm_s"><Value>5.000000</Value></Attribute>',
+              "          </InternalElement>",
+          )],
+        "        </InternalElement>",
+        "      </InternalElement>",
+        "    </InternalElement>",
+        "  </InstanceHierarchy>",
+        "</CAEXFile>",
+        "",
+    ]).encode("utf-8")
+
+    def test_quoted_names_keep_their_bytes_and_read_back(self):
+        assert write_xml(self.QUOTED) == self.QUOTED_XML
+        assert parse_xml(self.QUOTED_XML) == self.QUOTED
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.text(alphabet=ESCAPE_ALPHABET, min_size=1, max_size=8), min_size=5, max_size=5, unique=True))
+    def test_any_escaped_names_round_trip(self, names):
+        project, layer, track, key, value = names
+        doc = PathMLDocument(
+            project,
+            ProcessParameters("other", extra=((key, value),)),
+            (Layer(layer, 0, (Track(track, [(0.0,) * 7, (1.0,) * 7], True),)),),
+        )
+        assert parse_xml(write_xml(doc)) == doc

@@ -210,7 +210,6 @@ class TestToEulerZyx:
             )
             assert err < tol
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("bad", [0.0, math.nan, math.inf])
     def test_a_row_without_a_unit_form_raises(self, bad):
         q = np.tile([[0.5, 0.5, 0.5, 0.5]], (6, 1))
