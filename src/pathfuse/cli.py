@@ -23,6 +23,8 @@ import numpy as np
 from ._read import integer, json_number, json_rows, json_value, number
 from .cad import parse_cad, resample_cad
 from .demo import (
+    FILTER_K,
+    FILTER_WINDOW,
     TrackerErrorModel,
     filter_outliers,
     format_demo_csv,
@@ -33,13 +35,14 @@ from .errors import PathfuseError
 from .fusion import fuse, fused_path_from_json, fused_path_to_json, to_robot_frame
 from .geometry import CalibrationSet, Frame, Transform4, rot_from_fixed_xyz
 from .pathml import (
+    PROCESS_NUMBERS,
     ProcessParameters,
     build_document,
     expand_layers,
     parse_xml,
     write_xml,
 )
-from .program import PathLimits, deviation_report, emit_program, validate_path
+from .program import TOLERANCE_MM, PathLimits, deviation_report, emit_program, validate_path
 
 CONFIG_ENV = "PATHFUSE_CONFIG"
 
@@ -52,11 +55,11 @@ class PipelineConfig:
     fused at its full rate; ``fusion.fuse`` smooths it over a fixed window.
     """
 
-    filter_window: int = 11
-    filter_k: float = 3.0
+    filter_window: int = FILTER_WINDOW
+    filter_k: float = FILTER_K
     resample_spacing_mm: float | None = None
     limits: PathLimits = field(default_factory=PathLimits)
-    tolerance_mm: float = 4.0
+    tolerance_mm: float = TOLERANCE_MM
     process: ProcessParameters | None = None
 
 
@@ -106,7 +109,7 @@ def load_config(data: bytes | str) -> PipelineConfig:
     kwargs["limits"] = PathLimits(**limits)
 
     if "process" in obj:
-        p = _section(obj, "process", ("process_type", "glue_flow_rate", "wire_feed_rate", "layer_height", "extra"))
+        p = _section(obj, "process", ("process_type", *(name for name, _ in PROCESS_NUMBERS), "extra"))
         if "process_type" not in p:
             raise ValueError("config process requires 'process_type'")
         extra = p.get("extra", {})
@@ -159,7 +162,10 @@ def _read(path: str) -> bytes:
 def _write_out(path: str | None, data: bytes | str) -> None:
     if isinstance(data, str):
         data = data.encode("utf-8")
-    if path is None:
+    if path is None and hasattr(sys.stdout, "buffer"):  # the bytes, not re-encoded in the locale's encoding
+        sys.stdout.flush()
+        sys.stdout.buffer.write(data)
+    elif path is None:  # a text stream with no byte layer, such as io.StringIO
         sys.stdout.write(data.decode("utf-8"))
     else:
         with open(path, "wb") as f:
@@ -236,18 +242,10 @@ def _cmd_pathml_gen(args) -> int:
     if process_type is None:
         raise ValueError("--process-type is required (or a 'process' block in the config)")
 
-    def _pick(flag, attr):
-        if flag is not None:
-            return flag
-        return getattr(base, attr) if base else None
-
-    process = ProcessParameters(
-        process_type=process_type,
-        glue_flow_rate=_pick(args.glue_flow_rate, "glue_flow_rate"),
-        wire_feed_rate=_pick(args.wire_feed_rate, "wire_feed_rate"),
-        layer_height=_pick(args.layer_height, "layer_height"),
-        extra=_parse_extras(args.extra) if args.extra else (base.extra if base else ()),
-    )
+    flags = {name: getattr(args, name) for name, _ in PROCESS_NUMBERS}
+    numbers = {name: getattr(base, name, None) if v is None else v for name, v in flags.items()}  # flags win
+    extra = _parse_extras(args.extra) if args.extra else getattr(base, "extra", ())
+    process = ProcessParameters(process_type, extra=extra, **numbers)
     doc = build_document(fused, process, args.project)
     _write_out(args.output, write_xml(doc))
     return 0
@@ -331,9 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fused", required=True)
     p.add_argument("--project", required=True)
     p.add_argument("--process-type", choices=["adhesive", "welding", "other"])
-    p.add_argument("--glue-flow-rate", type=number, help="ml/min")
-    p.add_argument("--wire-feed-rate", type=number, help="mm/s")
-    p.add_argument("--layer-height", type=number, help="mm")
+    for name, attr in PROCESS_NUMBERS:  # --glue-flow-rate, in the unit of GlueFlowRate_ml_min: ml/min
+        p.add_argument("--" + name.replace("_", "-"), type=number, help=attr.partition("_")[2].replace("_", "/"))
     p.add_argument("--extra", action="append", metavar="KEY=VALUE")
     p.add_argument("--config")
     p.add_argument("-o", "--output")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -155,8 +155,12 @@ def _parse_lines(data: bytes | str) -> PoseSeries:
 
 
 def format_demo_csv(series: PoseSeries) -> bytes:
-    """Render a series back to CSV bytes (9 decimals, LF line endings)."""
-    rows = np.column_stack([series.t, series.positions, np.degrees(series.orientations)])
+    """Render a series back to CSV bytes (9 decimals, LF line endings); ValueError on an angle
+    beyond the float range in degrees, which ``parse_demo`` would refuse."""
+    with np.errstate(over="ignore"):  # such a row raises just below
+        rows = np.column_stack([series.t, series.positions, np.degrees(series.orientations)])
+    if not np.isfinite(rows).all():
+        raise ValueError("an orientation in degrees is beyond the float range")
     return f"{DEMO_CSV_HEADER}\n{fill_rows(','.join(['%.9f'] * 7), rows)}\n".encode()
 
 
@@ -225,7 +229,12 @@ def _sorted_median(s: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def filter_outliers(series: PoseSeries, window: int = 11, k: float = 3.0) -> PoseSeries:
+# filter_outliers' defaults, which the CLI's config keeps too.
+FILTER_WINDOW = 11
+FILTER_K = 3.0
+
+
+def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = FILTER_K) -> PoseSeries:
     """Hampel-filter every channel; flagged samples take the window median.
 
     The three positions and three unwrapped angles go through one ``_hampel``
@@ -285,6 +294,11 @@ class TrackerErrorModel:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            if f.name != "seed" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.z_bias_max < 0.0:
             raise ValueError(f"z_bias_max must be >= 0, got {self.z_bias_max}")
         if not (self.z_bias_range > 0.0):
@@ -341,7 +355,7 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
     noisy = clean_pos.copy()
 
     dist = np.linalg.norm(clean_pos, axis=1)
-    noisy[:, 2] += model.z_bias_max * np.minimum(dist / model.z_bias_range, 1.0)
+    noisy[:, 2] += model.z_bias_max * (np.minimum(dist, model.z_bias_range) / model.z_bias_range)
     noisy[:, 0] += rng.normal(0.0, model.xy_noise_sigma, n)
     noisy[:, 1] += rng.normal(0.0, model.xy_noise_sigma, n)
     orient = orient + rng.normal(0.0, math.radians(model.orient_noise_sigma), (n, 3))

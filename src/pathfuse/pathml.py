@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
@@ -43,9 +43,15 @@ if TYPE_CHECKING:
 
 POINT_ATTRS = ("X_mm", "Y_mm", "Z_mm", "RX_deg", "RY_deg", "RZ_deg", "Velocity_mm_s")
 
-RESERVED_PROCESS_ATTRS = frozenset(
-    {"ProcessType", "GlueFlowRate_ml_min", "WireFeedRate_mm_s", "LayerHeight_mm"}
+# Each number of ProcessParameters and the PathML attribute that carries it,
+# in the order the writer, the readers, the config and the program list them.
+PROCESS_NUMBERS = (
+    ("glue_flow_rate", "GlueFlowRate_ml_min"),
+    ("wire_feed_rate", "WireFeedRate_mm_s"),
+    ("layer_height", "LayerHeight_mm"),
 )
+
+RESERVED_PROCESS_ATTRS = frozenset({"ProcessType", *(attr for _, attr in PROCESS_NUMBERS)})
 
 
 class ProcessType(str, Enum):
@@ -77,7 +83,7 @@ class ProcessParameters:
             except ValueError:
                 raise ValueError(f"unknown process type {pt!r}") from None
         object.__setattr__(self, "process_type", pt)
-        for name in ("glue_flow_rate", "wire_feed_rate", "layer_height"):
+        for name, _ in PROCESS_NUMBERS:
             v = getattr(self, name)
             object.__setattr__(self, name, None if v is None else float(v))
         extra = self.extra
@@ -322,13 +328,10 @@ def write_xml(doc: PathMLDocument) -> bytes:
     lines = [_head_xml(doc.project_name)]
     p = doc.process
     lines.append(_attr_line(6, "ProcessType", p.process_type.value))
-    for name, v in (
-        ("GlueFlowRate_ml_min", p.glue_flow_rate),
-        ("WireFeedRate_mm_s", p.wire_feed_rate),
-        ("LayerHeight_mm", p.layer_height),
-    ):
+    for field, attr in PROCESS_NUMBERS:
+        v = getattr(p, field)
         if v is not None:
-            lines.append(_attr_line(6, name, unsign_zeros(f"{v:.6f}", 6)))
+            lines.append(_attr_line(6, attr, unsign_zeros(f"{v:.6f}", 6)))
     for k, v in p.extra:
         lines.append(_attr_line(6, k, v))
 
@@ -350,7 +353,8 @@ def write_xml(doc: PathMLDocument) -> bytes:
 # and U+FFFE/U+FFFF: XML neither escapes nor normalises the rest, so
 # _quoteattr and _escape leave it alone and the tree parser returns it
 # unchanged.  A name holding " is written in ' quotes, which the scanner
-# leaves to the tree parser.  A number is the writer's six-decimal form.
+# leaves to the tree parser.  A point number is the writer's six-decimal
+# form; every other value is any such text, read by the content rules below.
 _TEXT = '[^\x00-\x1f\x7f-\x9f&<>"\ud800-\udfff\ufffe\uffff]*'
 _NUMBER = r"-?[0-9]+\.[0-9]{6}"
 
@@ -376,40 +380,16 @@ _TRACK_RE = re.compile(
     + re.escape(_close_line(8) + "\n")
 )
 _POINT_ROW_RE = re.compile(_layout_re(_POINT_XML + "\n", "[0-9]+"))
-_NUMBER_RE = re.compile(_NUMBER)
-_INDEX_RE = re.compile("[0-9]{1,18}")
-
-
-def _scan_process(attrs: list[tuple[str, str]]) -> ProcessParameters | None:
-    """The process of the scanned project attributes, or None where _parse_tree could object."""
-    values = dict(attrs)
-    if len(values) != len(attrs) or any(k in values for k in POINT_ATTRS):
-        return None
-    try:
-        process_type = ProcessType(values.pop("ProcessType"))
-    except (KeyError, ValueError):
-        return None
-    kwargs = {}
-    for field, key in (
-        ("glue_flow_rate", "GlueFlowRate_ml_min"),
-        ("wire_feed_rate", "WireFeedRate_mm_s"),
-        ("layer_height", "LayerHeight_mm"),
-    ):
-        if key in values:
-            text = values.pop(key)
-            if not _NUMBER_RE.fullmatch(text):
-                return None
-            kwargs[field] = float(text)
-    return ProcessParameters(process_type=process_type, extra=tuple(values.items()), **kwargs)
 
 
 def _scan_canonical(data: bytes | str) -> PathMLDocument | None:
     """Read the exact layout write_xml emits without building a tree.
 
-    Returns None on any deviation from that layout, the character set and
-    number form above, or the process rules, so that _parse_tree reads the
-    input instead and every error comes from there.  Where it returns a
-    document, that document equals _parse_tree's.
+    Returns None on any deviation from that layout, the character set or the
+    point number form above, so that _parse_tree reads the input instead.
+    Once the whole layout has matched, the attribute texts go through the
+    content rules _parse_tree applies, in document order, so the result is
+    _parse_tree's document or its SchemaError.
     """
     if isinstance(data, bytes):
         try:
@@ -426,49 +406,106 @@ def _scan_canonical(data: bytes | str) -> PathMLDocument | None:
     while m := _PROCESS_ATTR_RE.match(text, pos):
         attrs.append(m.groups())
         pos = m.end()
-    process = _scan_process(attrs)
-    if process is None:
-        return None
 
-    layers = []
+    layers = []  # (name, Index text, [(name, ToolActive text, points)])
     while m := _LAYER_RE.match(text, pos):
-        lname, index = m.groups()
-        if not _INDEX_RE.fullmatch(index):
-            return None
         pos = m.end()
         tracks = []
-        while m := _TRACK_RE.match(text, pos):
-            tname, flag, _ = m.groups()
-            if flag not in ("true", "false"):
-                return None
-            rows = _POINT_ROW_RE.findall(text, m.start(3), m.end(3))
-            tracks.append(Track(tname, np.array(rows, dtype=float), flag == "true"))
-            pos = m.end()
+        while t := _TRACK_RE.match(text, pos):
+            rows = _POINT_ROW_RE.findall(text, t.start(3), t.end(3))
+            tracks.append((t[1], t[2], np.array(rows, dtype=float)))
+            pos = t.end()
         if not text.startswith(_LAYER_END, pos):
             return None
         pos += len(_LAYER_END)
-        layers.append(Layer(lname, int(index), tuple(tracks)))
+        layers.append((*m.groups(), tracks))
     if text[pos:] != _TAIL_XML:
         return None
-    return PathMLDocument(project_name, process, tuple(layers))
+
+    process = _process(_attribute_dict(attrs, "project"))
+    return PathMLDocument(project_name, process, tuple(
+        Layer(lname, _layer_index({"Index": index}, lname, ordinal), tuple(
+            Track(tname, points, _tool_active({"ToolActive": flag}, f"{lname}/{tname}"))
+            for tname, flag, points in tracks
+        ))
+        for ordinal, (lname, index, tracks) in enumerate(layers)
+    ))
 
 
-def _attributes(elem: ET.Element, where: str) -> dict[str, str]:
-    """Ordered Name -> Value text for an element's Attribute children."""
+# The content rules both readers apply to attribute texts, each raising
+# SchemaError that names ``where``.
+def _attribute_dict(pairs: Iterable[tuple[str | None, str | None]], where: str) -> dict[str, str]:
+    """Ordered Name -> text of (Name, text) pairs; None is a missing Name or Value."""
     out: dict[str, str] = {}
-    for child in elem:
-        if child.tag != "Attribute":
-            continue
-        name = child.get("Name")
+    for name, text in pairs:
         if name is None:
             raise SchemaError(f"{where}: Attribute element without a Name")
         if name in out:
             raise SchemaError(f"{where}: duplicate attribute {name!r}")
-        value = child.find("Value")
-        if value is None:
+        if text is None:
             raise SchemaError(f"{where}: attribute {name!r} has no Value child")
-        out[name] = value.text or ""
+        out[name] = text
     return out
+
+
+def _parse_float(text: str, key: str, where: str) -> float:
+    try:
+        return number(text)
+    except ValueError:
+        raise SchemaError(f"{where}: {key} is not a number: {text!r}") from None
+
+
+def _no_point_attrs(attrs: dict[str, str], where: str, level: str) -> None:
+    stray = next((k for k in POINT_ATTRS if k in attrs), None)
+    if stray is not None:
+        raise SchemaError(f"{where}: point attribute {stray!r} at {level} level; "
+                          "point attributes belong inside a Point element")
+
+
+def _process(attrs: dict[str, str]) -> ProcessParameters:
+    """The process of the project's attributes; those it does not name are its extras."""
+    _no_point_attrs(attrs, "project", "project")
+    if "ProcessType" not in attrs:
+        raise SchemaError("project: missing ProcessType attribute")
+    try:
+        process_type = ProcessType(attrs.pop("ProcessType"))
+    except ValueError:
+        raise SchemaError("project: unknown process type") from None
+    numbers = {field: _parse_float(attrs.pop(attr), attr, "project")
+               for field, attr in PROCESS_NUMBERS if attr in attrs}
+    return ProcessParameters(process_type, extra=tuple(attrs.items()), **numbers)
+
+
+def _layer_index(attrs: dict[str, str], where: str, ordinal: int) -> int:
+    """A layer's ``Index``, ``ordinal`` where it has none; no other attribute is allowed."""
+    _no_point_attrs(attrs, where, "layer")
+    text = attrs.pop("Index", None)
+    try:
+        index = ordinal if text is None else integer(text)
+    except ValueError:
+        raise SchemaError(f"{where}: Index is not an integer: {text!r}") from None
+    if attrs:
+        raise SchemaError(f"{where}: unexpected layer attribute {next(iter(attrs))!r}")
+    return index
+
+
+def _tool_active(attrs: dict[str, str], where: str) -> bool:
+    """A track's ``ToolActive``, true or false in any case and white space; no other attribute."""
+    _no_point_attrs(attrs, where, "track")
+    if "ToolActive" not in attrs:
+        raise SchemaError(f"{where}: missing ToolActive attribute")
+    flag = attrs.pop("ToolActive").strip().lower()
+    if flag not in ("true", "false"):
+        raise SchemaError(f"{where}: ToolActive must be true or false, got {flag!r}")
+    if attrs:
+        raise SchemaError(f"{where}: unexpected track attribute {next(iter(attrs))!r}")
+    return flag == "true"
+
+
+def _attributes(elem: ET.Element, where: str) -> dict[str, str]:
+    """Ordered Name -> Value text for an element's Attribute children."""
+    pairs = ((child.get("Name"), child.find("Value")) for child in elem if child.tag == "Attribute")
+    return _attribute_dict(((name, None if v is None else v.text or "") for name, v in pairs), where)
 
 
 def _internal_elements(elem: ET.Element, where: str) -> list[ET.Element]:
@@ -486,20 +523,6 @@ def _named(elem: ET.Element, where: str) -> str:
     if name is None:
         raise SchemaError(f"{where}: InternalElement without a Name")
     return name
-
-
-def _parse_float(text: str, key: str, where: str) -> float:
-    try:
-        return number(text)
-    except ValueError:
-        raise SchemaError(f"{where}: {key} is not a number: {text!r}") from None
-
-
-def _no_point_attrs(attrs: dict[str, str], where: str, level: str) -> None:
-    stray = next((k for k in POINT_ATTRS if k in attrs), None)
-    if stray is not None:
-        raise SchemaError(f"{where}: point attribute {stray!r} at {level} level; "
-                          "point attributes belong inside a Point element")
 
 
 def parse_xml(data: bytes | str) -> PathMLDocument:
@@ -547,55 +570,18 @@ def _parse_tree(data: bytes | str) -> PathMLDocument:
         raise SchemaError("InstanceHierarchy must contain exactly one project element")
     project = projects[0]
     project_name = _named(project, "project")
-
-    attrs = _attributes(project, "project")
-    _no_point_attrs(attrs, "project", "project")
-    if "ProcessType" not in attrs:
-        raise SchemaError("project: missing ProcessType attribute")
-    try:
-        process_type = ProcessType(attrs.pop("ProcessType"))
-    except ValueError:
-        raise SchemaError("project: unknown process type") from None
-    kwargs = {}
-    for field, key in (
-        ("glue_flow_rate", "GlueFlowRate_ml_min"),
-        ("wire_feed_rate", "WireFeedRate_mm_s"),
-        ("layer_height", "LayerHeight_mm"),
-    ):
-        if key in attrs:
-            kwargs[field] = _parse_float(attrs.pop(key), key, "project")
-    process = ProcessParameters(
-        process_type=process_type, extra=tuple(attrs.items()), **kwargs
-    )
+    process = _process(_attributes(project, "project"))
 
     layers = []
     for ordinal, layer_elem in enumerate(_internal_elements(project, "project")):
         lname = _named(layer_elem, "layer")
-        lattrs = _attributes(layer_elem, lname)
-        _no_point_attrs(lattrs, lname, "layer")
-        index = ordinal
-        if "Index" in lattrs:
-            text = lattrs.pop("Index")
-            try:
-                index = integer(text)
-            except ValueError:
-                raise SchemaError(f"{lname}: Index is not an integer: {text!r}") from None
-        if lattrs:
-            raise SchemaError(f"{lname}: unexpected layer attribute {next(iter(lattrs))!r}")
+        index = _layer_index(_attributes(layer_elem, lname), lname, ordinal)
 
         tracks = []
         for track_elem in _internal_elements(layer_elem, lname):
             tname = _named(track_elem, f"{lname}/track")
             where = f"{lname}/{tname}"
-            tattrs = _attributes(track_elem, where)
-            _no_point_attrs(tattrs, where, "track")
-            if "ToolActive" not in tattrs:
-                raise SchemaError(f"{where}: missing ToolActive attribute")
-            flag = tattrs.pop("ToolActive").strip().lower()
-            if flag not in ("true", "false"):
-                raise SchemaError(f"{where}: ToolActive must be true or false, got {flag!r}")
-            if tattrs:
-                raise SchemaError(f"{where}: unexpected track attribute {next(iter(tattrs))!r}")
+            tool_active = _tool_active(_attributes(track_elem, where), where)
 
             rows = []
             for point_elem in _internal_elements(track_elem, where):
@@ -611,7 +597,7 @@ def _parse_tree(data: bytes | str) -> PathMLDocument:
                 for key in pattrs:
                     if key not in POINT_ATTRS:
                         raise SchemaError(f"{pwhere}: unexpected point attribute {key!r}")
-            tracks.append(Track(tname, rows, flag == "true"))
+            tracks.append(Track(tname, rows, tool_active))
         layers.append(Layer(lname, index, tuple(tracks)))
 
     return PathMLDocument(project_name, process, tuple(layers))

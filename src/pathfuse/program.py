@@ -24,7 +24,7 @@ from .cad import arc_fraction, arc_lengths, traverse
 from .errors import FrameMismatchError, ValidationError
 from .fusion import FusedPath
 from .geometry import rotation_angle, rots_from_euler_zyx
-from .pathml import Layer, PathMLDocument, Violation, unsign_zeros, validate_document
+from .pathml import PROCESS_NUMBERS, Layer, PathMLDocument, Violation, unsign_zeros, validate_document
 
 
 @dataclass(frozen=True)
@@ -184,13 +184,10 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
 
     p = doc.process
     lines = [_comment(f"program: {doc.project_name}"), _comment(f"process_type: {p.process_type.value}")]
-    for label, v in (
-        ("glue_flow_rate_ml_min", p.glue_flow_rate),
-        ("wire_feed_rate_mm_s", p.wire_feed_rate),
-        ("layer_height_mm", p.layer_height),
-    ):
-        if v is not None:
-            lines.append(_comment(f"{label}: " + unsign_zeros(f"{v:.3f}", 3)))
+    for field, attr in PROCESS_NUMBERS:
+        v = getattr(p, field)
+        if v is not None:  # glue_flow_rate_ml_min: the field and the attribute's unit
+            lines.append(_comment(f"{field}_{attr.partition('_')[2]}: " + unsign_zeros(f"{v:.3f}", 3)))
     for k, v in p.extra:
         lines.append(_comment(f"{k}: {v}"))
 
@@ -323,11 +320,15 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("...i,...i->...", v, v))
 
 
+# deviation_report's default tolerance, which the CLI's config keeps too.
+TOLERANCE_MM = 4.0
+
+
 def deviation_report(
     executed: FusedPath,
     nominal: FusedPath,
     section_breaks: tuple[float, ...] = (),
-    tolerance_mm: float = 4.0,
+    tolerance_mm: float = TOLERANCE_MM,
 ) -> DeviationReport:
     """Positional deviation of an executed path from a nominal one.
 

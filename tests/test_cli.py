@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import shutil
 import subprocess
@@ -11,6 +13,7 @@ import pathfuse
 from conftest import child_env
 from pathfuse import Frame, FusedPath, fused_path_to_json, parse_xml
 from pathfuse.cli import main
+from pathfuse.pathml import PROCESS_NUMBERS
 
 CAD_CSV = "x_mm,y_mm,z_mm\n0,0,0\n100,0,0\n200,0,0\n300,0,0\n400,0,0\n"
 
@@ -105,6 +108,33 @@ class TestOutputs:
         assert main(["synth", "--truth", str(ws / "truth.json"), "--rate", "50"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg")
+
+    @pytest.mark.parametrize("encoding", ["latin-1", "ascii"])
+    def test_stdout_holds_the_output_bytes_whatever_the_locale_encoding(self, ws, encoding):
+        run_chain(ws)
+        f = lambda name: str(ws / name)  # noqa: E731
+        commands = [
+            ["pathml", "gen", "--fused", f("fused.json"), "--project", "café", "--process-type", "other",
+             "--extra", "Düse=N-2 é"],
+            ["emit", f("café.aml"), "--config", f("config.json")],
+            ["fuse", "--cad", f("cad.csv"), "--demo", f("demo.csv"), "--calib", f("calib.json"),
+             "--config", f("config.json")],
+        ]
+        env = {**child_env(), "PYTHONIOENCODING": encoding}
+        for argv, out in zip(commands, ["café.aml", "café.txt", "fused_again.json"]):
+            assert main(argv + ["-o", f(out)]) == 0
+            proc = subprocess.run([sys.executable, "-m", "pathfuse", *argv], env=env, capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, b""), argv
+            assert proc.stdout == (ws / out).read_bytes(), argv
+        assert "é" in (ws / "café.txt").read_text()
+
+    def test_stdout_without_a_byte_layer_takes_the_text(self, ws):
+        argv = ["synth", "--truth", str(ws / "truth.json"), "--rate", "50"]
+        assert main(argv + ["-o", str(ws / "demo.csv")]) == 0
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        assert sink.getvalue() == (ws / "demo.csv").read_text()
 
     def test_validate_prints_violations_to_stdout(self, ws, capsys):
         run_chain(ws)
@@ -243,6 +273,34 @@ class TestConfig:
         doc = parse_xml((ws / "over.aml").read_bytes())
         assert doc.process.glue_flow_rate == 12.0
 
+    # field: (CLI flag, PathML attribute, program comment label)
+    PROCESS_SPELLINGS = {
+        "glue_flow_rate": ("--glue-flow-rate", "GlueFlowRate_ml_min", "glue_flow_rate_ml_min"),
+        "wire_feed_rate": ("--wire-feed-rate", "WireFeedRate_mm_s", "wire_feed_rate_mm_s"),
+        "layer_height": ("--layer-height", "LayerHeight_mm", "layer_height_mm"),
+    }
+
+    @pytest.mark.parametrize("name, attr", PROCESS_NUMBERS)
+    def test_each_process_number_goes_from_config_to_program(self, ws, name, attr):
+        assert [n for n, _ in PROCESS_NUMBERS] == list(self.PROCESS_SPELLINGS)
+        flag, spelled, label = self.PROCESS_SPELLINGS[name]
+        assert attr == spelled
+        run_chain(ws)
+        (ws / "proc.json").write_text(json.dumps(dict(CONFIG, process={"process_type": "other", name: 1.25})))
+        gen = ["pathml", "gen", "--fused", str(ws / "fused.json"), "--project", "p", "--config", str(ws / "proc.json")]
+        for argv, value in ((gen, "1.25"), (gen + [flag, "2.5"], "2.5")):  # a flag wins over the config
+            assert main(argv + ["-o", str(ws / "p.aml")]) == 0
+            text = (ws / "p.aml").read_text()
+            assert f'<Attribute Name="{attr}"><Value>{float(value):.6f}</Value></Attribute>' in text
+            process = parse_xml(text).process
+            assert [getattr(process, n) for n, _ in PROCESS_NUMBERS] == [
+                float(value) if n == name else None for n, _ in PROCESS_NUMBERS
+            ]
+            assert main(["emit", str(ws / "p.aml"), "--config", str(ws / "config.json"),
+                         "-o", str(ws / "p.txt")]) == 0
+            head = (ws / "p.txt").read_text().splitlines()[:3]
+            assert head == ["# program: p", "# process_type: other", f"# {label}: {float(value):.3f}"]
+
     def test_gen_extras_keep_flag_order(self, ws):
         run_chain(ws)
         assert main(["pathml", "gen", "--fused", str(ws / "fused.json"), "--project", "p",
@@ -337,6 +395,21 @@ class TestExitCodes:
         code = main(["synth", "--truth", str(ws / "truth.json"), "--rate", rate])
         assert code == 2
         assert "rate_hz must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--xy-noise", "nan", "xy_noise_sigma must be finite, got nan"),
+        ("--z-bias-max", "inf", "z_bias_max must be finite, got inf"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+        ("--orient-noise", "1e308", "an orientation in degrees is beyond the float range"),
+    ])
+    def test_synth_refuses_a_model_whose_capture_it_could_not_write(self, ws, capsys, flag, value, message):
+        out = ws / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["synth", "--truth", str(ws / "truth.json"), "--rate", "50", flag, value, "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_synth_rate_past_the_sample_bound_exits_2(self, ws, capsys, monkeypatch):
         monkeypatch.setattr(pathfuse.demo, "MAX_POINTS", 10)  # the truth is 4 s: 401 samples at 100 Hz

@@ -241,6 +241,16 @@ class TestFormat:
         s = PoseSeries(t, vals[:, :3], vals[:, 3:])
         assert format_demo_csv(s) == oracles.demo_csv(s.t, s.positions, s.orientations)
 
+    @pytest.mark.parametrize("angle", [1e307, -1e307])
+    def test_an_angle_beyond_the_float_range_in_degrees_is_refused(self, angle):
+        s = make_series(n=5)
+        orient = s.orientations.copy()
+        orient[3, 1] = angle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beyond the float range"):
+                format_demo_csv(PoseSeries(s.t, s.positions, orient))
+
 
 class TestFilter:
     def _spiked(self, n=200, spikes=(30, 90, 150)):
@@ -654,3 +664,30 @@ class TestSynth:
             TrackerErrorModel(spike_rate=1.5)
         with pytest.raises(ValueError):
             TrackerErrorModel(xy_noise_sigma=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("z_bias_max", math.inf), ("z_bias_range", math.nan), ("z_bias_range", math.inf),
+        ("xy_noise_sigma", math.nan), ("orient_noise_sigma", math.inf), ("spike_rate", math.nan),
+    ])
+    def test_model_rejects_a_field_that_is_not_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            TrackerErrorModel(**{field: value})
+
+    def test_model_rejects_a_negative_seed(self):
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+            TrackerErrorModel(seed=-1)
+
+    def test_a_tiny_bias_range_saturates_without_a_warning(self):
+        truth = self._truth(z=400.0)
+        model = TrackerErrorModel(z_bias_range=1e-308, xy_noise_sigma=0, orient_noise_sigma=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = synth_demo(truth, model, 50.0)
+        assert np.all(s.positions[:, 2] == 460.0)
+
+    def test_orientation_noise_beyond_the_float_range_in_degrees_is_refused(self):
+        s = synth_demo(self._truth(), TrackerErrorModel(orient_noise_sigma=1e308, seed=1), 50.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="beyond the float range"):
+                format_demo_csv(s)

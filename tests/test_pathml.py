@@ -32,6 +32,7 @@ from pathfuse import (
     validate_document,
     write_xml,
 )
+from pathfuse import pathml
 from pathfuse.cli import main
 from pathfuse.pathml import POINT_ATTRS, _escape, _parse_tree, _points_xml, _quoteattr, _scan_canonical
 from test_acceptance import _random_grid_doc
@@ -559,6 +560,25 @@ MUTATION_BASE = PathMLDocument(
 )
 
 
+_PROCESS_TYPE_LINE = '      <Attribute Name="ProcessType"><Value>adhesive</Value></Attribute>\n'
+
+# Edits of MUTATION_BASE's canonical bytes that keep the writer's layout and
+# break, or stretch, a content rule: (id, old, new), applied once.
+CONTENT_RULE_EDITS = [
+    ("unknown_process_type", ">adhesive<", ">glue<"),
+    ("process_number_x", ">12.500000<", ">x<"),
+    ("process_number_spaced_exponent", ">12.500000<", "> 1e3 <"),
+    ("index_negative", '"Index"><Value>0<', '"Index"><Value>-1<'),
+    ("index_22_digits", '"Index"><Value>1<', '"Index"><Value>' + "9" * 22 + "<"),
+    ("index_word", '"Index"><Value>1<', '"Index"><Value>one<'),
+    ("tool_active_upper_case", '"ToolActive"><Value>true<', '"ToolActive"><Value>TRUE<'),
+    ("tool_active_yes", '"ToolActive"><Value>false<', '"ToolActive"><Value>yes<'),
+    ("point_attribute_at_project_level", _PROCESS_TYPE_LINE,
+     _PROCESS_TYPE_LINE + '      <Attribute Name="X_mm"><Value>1.000000</Value></Attribute>\n'),
+    ("repeated_extra_name", '"Note"', '"Nozzle"'),
+]
+
+
 def mutations(data: bytes, rng: random.Random):
     """Seeded variants of canonical PathML ``data``, most of them off the writer's layout."""
     text = data.decode()
@@ -588,6 +608,8 @@ def mutations(data: bytes, rng: random.Random):
     yield data.replace(b"\n", b"\r\n")
     yield b"\xef\xbb\xbf" + data
     yield data.replace("é".encode(), b"\xe9")  # Latin-1, not UTF-8
+    for _, old, new in CONTENT_RULE_EDITS:
+        yield text.replace(old, new, 1).encode()
 
 
 class TestScanner:
@@ -613,8 +635,29 @@ class TestScanner:
                     assert isinstance(got, PathMLDocument) and same_document(got, want), given
                 else:
                     assert got == want, given
-            scanned += _scan_canonical(data) is not None
+            scanned += outcome(_scan_canonical, data) is not None  # a document or the scanner's own error
         assert scanned >= 40  # the changed digits and the names that stay plain
+
+    @pytest.mark.parametrize("old, new", [edit[1:] for edit in CONTENT_RULE_EDITS],
+                             ids=[edit[0] for edit in CONTENT_RULE_EDITS])
+    def test_content_rules_apply_without_the_tree_parser(self, monkeypatch, old, new):
+        text = write_xml(MUTATION_BASE).decode()
+        edited = text.replace(old, new, 1)
+        assert edited != text
+        want = outcome(_parse_tree, edited)
+
+        def no_tree(data):
+            pytest.fail("the scanner declined input in the writer's layout")
+
+        monkeypatch.setattr(pathml, "_parse_tree", no_tree)
+        for given in (edited, edited.encode()):
+            got = outcome(parse_xml, given)
+            if isinstance(want, PathMLDocument):
+                assert isinstance(got, PathMLDocument) and same_document(got, want)
+            else:
+                assert got == want and want[0] is SchemaError
+        if new == "> 1e3 <":
+            assert got.process.glue_flow_rate == 1000.0
 
 
 grid_floats = st.integers(-10 ** 12, 10 ** 12).map(lambda n: n / 1e6)
