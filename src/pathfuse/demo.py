@@ -12,6 +12,7 @@ degrees on write.  Smoothing, and the speed it yields, belong to ``fusion.fuse``
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 import warnings
@@ -42,10 +43,12 @@ MIN_ARC_MM = 1.0
 # Position glitches injected by the synthetic tracker, worst case seen on hardware.
 SPIKE_MAGNITUDE_MM = 100.0
 
-# Most windows ``_hampel`` sorts in one pass, over all channels.  Passes are
-# bounded because one sort of a whole six-channel 28k-sample capture was slower
-# than six per-channel sorts; 2**11 to 2**14 read the same within noise on a
-# 2-core Xeon (2 MB L2 per core).  At the default window of 11 a pass is 0.7 MB.
+# Most windows ``_hampel`` sorts in one pass, over all channels.  At the default
+# window of 11 a pass's buffer is 0.8 MB.  On the 28k-sample capture (2-core
+# Xeon, 2 MB L2 per core) 2**13 and 2**14 read the same within noise; 2**11
+# took 1.6x and 2**16 1.3x as long.  Passes are counted in windows, not buffer
+# values, because every compare-exchange is a call per pass: the value budget
+# best at window 11 (2**17, 1 MB) made window 101 take 1.6x as long.
 _PASS_WINDOWS = 2**13
 
 
@@ -172,31 +175,40 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
     lie within one row and are truncated at its ends.  Medians and flags
     equal ``np.median``'s bit for bit (``tests/oracles.hampel``, row by row).
 
-    The full windows (h = window // 2 on each side) are sorted in passes of
-    at most ``_PASS_WINDOWS`` windows over all rows, each pass transposed to
-    ``(window, c, block)`` so that order statistic ``j`` of every window is
-    ``s[j]``, c contiguous rows; ``s[h]`` is the median ``m``.  The MAD is
-    the smallest half-width around ``m`` that holds h + 1 samples, and any
+    The full windows (h = window // 2 on each side) go in passes of at most
+    ``_PASS_WINDOWS`` windows over all rows.  A pass copies its ``window``
+    shifted views into the first rows of one ``(window + 1, c, block)``
+    buffer, and ``_network_sort`` sorts them with whole-row minima and maxima
+    (Batcher's network: 38 compare-exchanges at the default window of 11,
+    O(w log^2 w) in general, where ``np.sort`` sorts each window by itself).
+    Order statistic ``j`` of every window is then row ``s[j]``, ``s[h]`` is the
+    median ``m``, and the spare row holds ``m`` with -0.0 made 0.0.  The MAD
+    is the smallest half-width around ``m`` that holds h + 1 samples, and any
     h + 1 consecutive sorted samples include ``m``, so it is the minimum over
-    j = 0..h of ``max(m - s[j], s[j + h] - m)``: h + 1 elementwise passes,
-    with no absolute deviations formed.  The 2h truncated edge windows of
-    every row are padded with NaN to full length and sorted in one array
-    (NaN sorts last); their median and MAD are read from each window's
-    middle index or indices.
+    j = 0..h of ``max(m - s[j], s[j + h] - m)``: h + 1 terms, each a few
+    whole-row passes over the sorted rows, written into rows no longer
+    needed, with no absolute deviations formed.  The 2h truncated edge
+    windows of every row are padded with NaN to full length and sorted in
+    one array (NaN sorts last); their median and MAD are read from each
+    window's middle index or indices.
     """
     c, n = x.shape
     h = window // 2
     full = sliding_window_view(x, window, axis=1)
     med, mad = np.empty((c, n)), np.empty((c, n))
     block = max(1, _PASS_WINDOWS // c)
+    buf = np.empty((window + 1, c, min(block, n - 2 * h)))
     for lo in range(h, n - h, block):
         hi = min(lo + block, n - h)
-        s = np.sort(full[:, lo - h : hi - h].transpose(2, 0, 1), axis=0)
+        buf[:window, :, : hi - lo] = full[:, lo - h : hi - h].transpose(2, 0, 1)
+        s = _network_sort(list(buf[..., : hi - lo]))
         # ``+ 0.0`` turns a -0.0 into 0.0 as np.median's mean, which sums from 0.0, does.
-        m = s[h] + 0.0
-        d = s[2 * h] - m  # the j = h term: m - s[h] is 0
-        for j in range(h):
-            np.minimum(d, np.maximum(m - s[j], s[j + h] - m), out=d)
+        m = np.add(s[h], 0.0, out=s[window])
+        d = np.subtract(s[2 * h], m, out=s[2 * h])  # the j = h term: m - s[h] is 0
+        for j in range(h):  # rows s[j] and s[j + h] are not read again
+            np.subtract(m, s[j], out=s[j])
+            np.subtract(s[j + h], m, out=s[j + h])
+            np.minimum(d, np.maximum(s[j], s[j + h], out=s[j]), out=d)
         med[:, lo:hi], mad[:, lo:hi] = m, d
 
     # the windows centred on the first and last h samples, NaN beyond either end
@@ -210,6 +222,52 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
     mad[:, :h], mad[:, n - h :] = edge_mad[:, :h], edge_mad[:, h:]
     flags = np.abs(x - med) > k * MAD_SCALE * mad
     return med, flags
+
+
+def _network_sort(rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Sort ``window`` rows elementwise in place with ``_sorting_network(window)``.
+
+    ``rows`` holds the window's values in its first ``window`` arrays and a
+    spare array last, all of one shape.  Returns the same arrays reordered:
+    order statistic j is ``rows[j]`` of the result, and the last array is
+    the spare, free for scratch.  Minima and maxima are exact, so each
+    column comes out as ``np.sort`` sorts it, except that a compare-exchange
+    of -0.0 and 0.0 may give both outputs one sign.
+    """
+    steps, order = _sorting_network(len(rows) - 1)
+    for a, b, spare in steps:
+        np.minimum(rows[a], rows[b], out=rows[spare])
+        np.maximum(rows[a], rows[b], out=rows[b])
+    return [rows[r] for r in order]
+
+
+@functools.cache
+def _sorting_network(window: int) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """Batcher's odd-even merge sort of ``window`` values, as steps on ``window + 1`` rows.
+
+    The network for the next power of two is pruned to the compare-exchanges
+    between its first ``window`` inputs: the others would hold +inf, which
+    no compare-exchange moves.  Rows 0..window-1 hold the inputs and row
+    ``window`` is spare.  A step ``(a, b, spare)`` puts the minimum of rows
+    a and b into row ``spare`` and the maximum into row b; row a is then the
+    spare.  Returns the steps and ``order``: order statistic j ends in row
+    ``order[j]``, and ``order[window]`` is the spare row.  ``filter_outliers``'
+    window bound keeps the cache to at most 50 networks.
+    """
+    size = 1 << (window - 1).bit_length()
+    row, spare, steps = list(range(window)), window, []
+    p = 1
+    while p < size:
+        k = p
+        while k:
+            for j in range(k % p, size - k, 2 * k):
+                for i in range(j, min(j + k, window - k)):
+                    if i // (2 * p) == (i + k) // (2 * p):
+                        steps.append((row[i], row[i + k], spare))
+                        row[i], spare = spare, row[i]
+            k //= 2
+        p *= 2
+    return tuple(steps), (*row, spare)
 
 
 def _sorted_median(s: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -233,6 +291,12 @@ def _sorted_median(s: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 FILTER_WINDOW = 11
 FILTER_K = 3.0
 
+# Widest window filter_outliers takes: 0.42 s at 240 Hz and 1 s at 100 Hz, far
+# past any glitch the filter is meant for (fuse's smoothing window is 0.25 s).
+# Its network has 1,121 compare-exchanges and its edge-window sort holds 0.5 MB
+# for six channels; a window of 20,001 would allocate 18 GiB there.
+MAX_FILTER_WINDOW = 101
+
 
 def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = FILTER_K) -> PoseSeries:
     """Hampel-filter every channel; flagged samples take the window median.
@@ -241,23 +305,47 @@ def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = 
     call as the rows of a ``(6, n)`` array.  Angles are unwrapped so a stream
     hovering around +/-pi is not mistaken for spikes; replacement values are
     wrapped back to (-pi, pi].  Samples that are not flagged are returned
-    bit-for-bit unchanged.
+    bit-for-bit unchanged.  The window is odd, at least 3 and at most
+    ``MAX_FILTER_WINDOW``; anything else raises ValueError.
     """
     window = int(window)
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 3, got {window}")
+    if window > MAX_FILTER_WINDOW:
+        raise ValueError(f"window must be at most {MAX_FILTER_WINDOW}, got {window}")
     if window > len(series):
         raise ValueError(f"window {window} exceeds series length {len(series)}")
     if not (k > 0.0):
         raise ValueError(f"k must be positive, got {k}")
 
-    med, flags = _hampel(np.vstack([series.positions.T, np.unwrap(series.orientations.T)]), window, k)
+    med, flags = _hampel(np.vstack([series.positions.T, _unwrap(series.orientations.T)]), window, k)
     pos, orient = series.positions.copy(), series.orientations.copy()
     for c in range(3):
         pos[flags[c], c] = med[c, flags[c]]
         orient[flags[c + 3], c] = wrap_angle(med[c + 3, flags[c + 3]])
 
     return PoseSeries(series.t, pos, orient)
+
+
+def _unwrap(p: np.ndarray) -> np.ndarray:
+    """``np.unwrap(p)`` along the last axis, bit for bit, with ``np.mod`` taken only where needed.
+
+    np.unwrap corrects each step of at least pi by ``mod(step + pi, 2 pi) - pi
+    - step`` (pi, not -pi, for a positive step that lands on -pi) and every
+    other step by 0, then adds the running sum of the corrections to every
+    sample after the first, which turns a -0.0 there into 0.0.  Steps under
+    pi are the rule, so only the others go through ``np.mod``.
+    """
+    step = np.diff(p)
+    big = ~(np.abs(step) < math.pi)  # as np.unwrap's ``abs(dd) < discont``: a NaN step is corrected
+    jump = step[big]
+    wrapped = np.mod(jump + math.pi, 2 * math.pi) - math.pi
+    wrapped[(wrapped == -math.pi) & (jump > 0)] = math.pi
+    correction = np.zeros_like(step)
+    correction[big] = wrapped - jump
+    out = p.copy()
+    out[..., 1:] += np.cumsum(correction, axis=-1)
+    return out
 
 
 def path_parameters(positions: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -319,7 +407,8 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
     occasional position spikes of ``SPIKE_MAGNITUDE_MM`` on one axis.
     Output is deterministic for a fixed model (seeded generator).  A rate
     that would make more than ``MAX_POINTS`` samples raises ValueError
-    before the samples are allocated.
+    before the samples are allocated, and so does an ``xy_noise_sigma``
+    whose draw leaves the float range.
     """
     if not (0.0 < rate_hz < math.inf):
         raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
@@ -356,8 +445,11 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
 
     dist = np.linalg.norm(clean_pos, axis=1)
     noisy[:, 2] += model.z_bias_max * (np.minimum(dist, model.z_bias_range) / model.z_bias_range)
-    noisy[:, 0] += rng.normal(0.0, model.xy_noise_sigma, n)
-    noisy[:, 1] += rng.normal(0.0, model.xy_noise_sigma, n)
+    with np.errstate(over="ignore"):  # such a draw raises just below
+        noisy[:, 0] += rng.normal(0.0, model.xy_noise_sigma, n)
+        noisy[:, 1] += rng.normal(0.0, model.xy_noise_sigma, n)
+    if not np.isfinite(noisy[:, :2]).all():
+        raise ValueError(f"xy_noise_sigma {model.xy_noise_sigma} draws x/y noise beyond the float range")
     orient = orient + rng.normal(0.0, math.radians(model.orient_noise_sigma), (n, 3))
 
     if model.spike_rate > 0.0:

@@ -13,6 +13,7 @@ import pathfuse
 from conftest import child_env
 from pathfuse import Frame, FusedPath, fused_path_to_json, parse_xml
 from pathfuse.cli import main
+from pathfuse.demo import MAX_FILTER_WINDOW
 from pathfuse.pathml import PROCESS_NUMBERS
 
 CAD_CSV = "x_mm,y_mm,z_mm\n0,0,0\n100,0,0\n200,0,0\n300,0,0\n400,0,0\n"
@@ -401,6 +402,7 @@ class TestExitCodes:
         ("--z-bias-max", "inf", "z_bias_max must be finite, got inf"),
         ("--seed", "-1", "seed must be >= 0, got -1"),
         ("--orient-noise", "1e308", "an orientation in degrees is beyond the float range"),
+        ("--xy-noise", "1e308", "xy_noise_sigma 1e+308 draws x/y noise beyond the float range"),
     ])
     def test_synth_refuses_a_model_whose_capture_it_could_not_write(self, ws, capsys, flag, value, message):
         out = ws / "never.csv"
@@ -508,6 +510,18 @@ class TestExitCodes:
                      "--calib", str(ws / "calib.json"), "--config", str(ws / "fine.json")])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_fuse_refuses_a_filter_window_past_the_bound(self, ws, capsys):
+        demo, *_ = run_chain(ws)
+        fuse = ["fuse", "--cad", str(ws / "cad.csv"), "--demo", demo, "--calib", str(ws / "calib.json")]
+        for window, code in ((MAX_FILTER_WINDOW, 0), (MAX_FILTER_WINDOW + 2, 2), (20001, 2)):
+            (ws / "wide.json").write_text(json.dumps({"filter": {"window": window}}))
+            out = ws / f"wide_{window}.json"
+            capsys.readouterr()
+            assert main(fuse + ["--config", str(ws / "wide.json"), "-o", str(out)]) == code
+            if code:
+                assert capsys.readouterr().err == f"error: window must be at most {MAX_FILTER_WINDOW}, got {window}\n"
+            assert out.exists() == (code == 0)
 
 
 def test_module_entry_point_smoke():

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import oracles
 from pathfuse import (
@@ -350,6 +352,48 @@ class TestFilter:
         with pytest.raises(ValueError):
             filter_outliers(s, k=0.0)
 
+    def test_window_past_the_bound_is_refused(self, monkeypatch):
+        widest = demo.MAX_FILTER_WINDOW
+        s = make_series(n=widest + 2)
+        pos = s.positions.copy()
+        pos[50, 0] += 1000.0
+        s = PoseSeries(s.t, pos, s.orientations)
+        assert filter_outliers(s, window=widest).positions[50, 0] < pos[50, 0] - 900.0
+        monkeypatch.setattr(demo, "_hampel", None)  # refused before anything is sorted
+        with pytest.raises(ValueError, match=f"window must be at most {widest}, got {widest + 2}"):
+            filter_outliers(s, window=widest + 2)
+        with pytest.raises(ValueError, match=f"window must be at most {widest}, got 20001"):
+            filter_outliers(s, window=20001)  # longer than the series too
+
+    def test_unwrap_matches_np_unwrap_on_exact_steps(self):
+        pi = math.pi
+        p = np.array([
+            [0.0, pi, 0.0, -pi, 0.0, pi, 2 * pi, pi],  # steps of exactly +pi and -pi
+            [-0.0, -0.0, 3.5 * pi, -0.0, -3.25 * pi, -0.0, 0.0, -0.0],  # -0.0 samples, steps over 3 pi
+            [pi, -pi, np.nextafter(pi, 0), -pi, pi, -np.nextafter(pi, 0), 7.0, -7.0],
+        ])
+        for q in (p, p[:, :2], p[:, 3:5], -p):  # rows of length 2 too
+            assert demo._unwrap(q).tobytes() == np.unwrap(q).tobytes()
+        zeros = demo._unwrap(np.full((3, 4), -0.0))  # the first sample keeps its sign, the rest get + 0.0
+        assert np.signbit(zeros[:, 0]).all() and not np.signbit(zeros[:, 1:]).any()
+
+    def test_unwrap_matches_np_unwrap_seeded(self):
+        rng = np.random.default_rng(19)
+        specials = np.array([0.0, -0.0, math.pi, -math.pi, 2 * math.pi, 3.1, -3.1, 1e300, -1e300, np.nan])
+        for case in range(300):
+            n = int(rng.integers(2, 80))
+            p = rng.choice(specials, (3, n)) if case % 3 == 0 else rng.uniform(-4 * math.pi, 4 * math.pi, (3, n))
+            if case % 3 == 1:  # a drifting angle, wrapped to [-pi, pi)
+                p = np.mod(np.cumsum(rng.normal(0.0, 0.5, (3, n)), axis=1) + math.pi, 2 * math.pi) - math.pi
+            with np.errstate(invalid="ignore"):
+                assert demo._unwrap(p).tobytes() == np.unwrap(p).tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(hnp.arrays(np.float64, st.tuples(st.just(3), st.integers(2, 30)),
+                      elements=st.floats(-20.0, 20.0) | st.sampled_from([math.pi, -math.pi, 2 * math.pi, -0.0])))
+    def test_unwrap_matches_np_unwrap_hypothesis(self, p):
+        assert demo._unwrap(p).tobytes() == np.unwrap(p).tobytes()
+
 
 class TestHampel:
     @staticmethod
@@ -504,6 +548,35 @@ class TestHampel:
                 demo._hampel(row[None], window, 3.0)
             demo._hampel(x, window, 3.0)
         self.assert_rows_match_oracle(x, window)
+
+
+class TestSortingNetwork:
+    @staticmethod
+    def sort(values):
+        """Columns of a ``(window, m)`` array sorted by ``demo._network_sort``."""
+        rows = list(np.vstack([values, np.empty((1, values.shape[1]))]))
+        return np.stack(demo._network_sort(rows)[:-1])
+
+    @pytest.mark.parametrize("window", range(3, 16, 2))
+    def test_sorts_every_zero_one_input(self, window):
+        # by the 0-1 principle, a network that sorts every 0/1 input sorts every input
+        bits = ((np.arange(2**window) >> np.arange(window)[:, None]) & 1).astype(float)
+        s = self.sort(bits)
+        assert np.all(s[:-1] <= s[1:])
+        assert np.array_equal(s.sum(axis=0), bits.sum(axis=0))
+
+    def test_matches_np_sort_up_to_the_window_bound(self):
+        rng = np.random.default_rng(1968)
+        specials = np.array([0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324])
+        for window in range(3, demo.MAX_FILTER_WINDOW + 1, 2):
+            values = np.round(rng.normal(0.0, 3.0, (window, 60)))  # ties
+            values[:, ::3] = rng.choice(specials, (window, 20))
+            # bit for bit once every zero is 0.0: a compare-exchange of -0.0 and 0.0
+            # may give both outputs one sign, which _hampel's ``+ 0.0`` makes moot
+            assert (self.sort(values) + 0.0).tobytes() == (np.sort(values, axis=0) + 0.0).tobytes(), window
+
+    def test_network_sizes(self):
+        assert [len(demo._sorting_network(w)[0]) for w in (3, 5, 11, 101)] == [3, 9, 38, 1121]
 
 
 class TestSpeed:
