@@ -11,6 +11,8 @@ one sha256 per part:
   first 240 operations (one full cycle of the grid) at seeds 1, 7 and 1431;
 * ``capture_long``, ``stack_dense``: every file one CLI-chain operation and the
   quality pass leave in the work directory, at seeds 1, 7 and 11;
+* ``open_stack``: the same for ``capture_long``'s chain expanded to 3 layers, an
+  open path whose odd layers run backwards;
 * ``near_lock``: 50 ``synth_demo`` captures of a path whose pitch passes through
   +-90 degrees, and their ``filter_outliers`` then ``fuse`` result.
 
@@ -19,6 +21,7 @@ seeded, so equal digests from two checkouts mean equal outputs.
 """
 
 import argparse
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -48,12 +51,12 @@ def noise_sweep(pf, workloads) -> str:
     return h.hexdigest()
 
 
-def chain(pf, workloads, name: str) -> str:
+def chain(pf, workloads, spec) -> str:
     h = hashlib.sha256()
     for seed in CHAIN_SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
-            wl = workloads.ChainWorkload(workloads.CHAIN_SPECS[name], seed, work, pf.cli.main)
+            wl = workloads.ChainWorkload(spec, seed, work, pf.cli.main)
             wl.op()
             wl.quality_pass()
             for f in sorted(p for p in work.rglob("*") if p.is_file()):
@@ -89,11 +92,13 @@ def main() -> int:
     if Path(pf.__file__).resolve().parent != root / "src" / "pathfuse":
         sys.exit(f"imported pathfuse from {pf.__file__}, not from {root / 'src'}")
 
+    specs = workloads.CHAIN_SPECS
     digests = {
         "noise_sweep": noise_sweep(pf, workloads),
-        "capture_long": chain(pf, workloads, "capture_long"),
-        "stack_dense": chain(pf, workloads, "stack_dense"),
+        "capture_long": chain(pf, workloads, specs["capture_long"]),
+        "stack_dense": chain(pf, workloads, specs["stack_dense"]),
         "near_lock": near_lock(pf),
+        "open_stack": chain(pf, workloads, dataclasses.replace(specs["capture_long"], layers=3)),
     }
     for name, digest in digests.items():
         print(f"{name:13s} {digest}")

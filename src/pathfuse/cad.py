@@ -46,8 +46,14 @@ class CadPath:
             raise DegeneratePathError(f"waypoints must be (n, 3), got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise DegeneratePathError("waypoints contain non-finite values")
-        keep = [0]
-        for i in range(1, len(w)):
+        # Every point before the first step that may be short is kept, and the
+        # per-point loop runs from there.  The margin covers a 1-D norm (a dot
+        # product) rounding differently from the row norms.
+        with np.errstate(over="ignore"):
+            step = np.linalg.norm(np.diff(w, axis=0), axis=1)
+        short = np.flatnonzero(step < MERGE_EPS_MM * (1.0 + 1e-9))
+        keep = list(range(short[0] + 1 if len(short) else len(w)))
+        for i in range(len(keep), len(w)):
             if np.linalg.norm(w[i] - w[keep[-1]]) >= MERGE_EPS_MM:
                 keep.append(i)
         w = w[keep].copy()

@@ -27,6 +27,7 @@ import re
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -307,10 +308,10 @@ _POINT_XML = "\n".join(
 )
 
 
-def _points_xml(points: np.ndarray) -> str:
-    """The Point elements of a track's ``(n, 7)`` points, laid out as write_xml writes them."""
-    rows = np.column_stack([np.arange(len(points)), points])
-    return unsign_zeros(fill_rows(_POINT_XML, rows), 6)
+def _points_xml(tracks: Iterable[np.ndarray]) -> list[str]:
+    """The Point elements of each track's ``(n, 7)`` points, laid out as write_xml writes them."""
+    rows = (np.column_stack([np.arange(len(points)), points]) for points in tracks)
+    return fill_rows(_POINT_XML, rows, clean=lambda text: unsign_zeros(text, 6))
 
 
 def write_xml(doc: PathMLDocument) -> bytes:
@@ -335,13 +336,14 @@ def write_xml(doc: PathMLDocument) -> bytes:
     for k, v in p.extra:
         lines.append(_attr_line(6, k, v))
 
+    points = iter(_points_xml(t.points for layer in doc.layers for t in layer.tracks))
     for layer in doc.layers:
         lines.append(_open_line(6, layer.name))
         lines.append(_attr_line(8, "Index", str(layer.index)))
         for track in layer.tracks:
             lines.append(_open_line(8, track.name))
             lines.append(_attr_line(10, "ToolActive", "true" if track.tool_active else "false"))
-            lines.append(_points_xml(track.points))
+            lines.append(next(points))
             lines.append(_close_line(8))
         lines.append(_close_line(6))
     lines.append(_TAIL_XML)
@@ -371,15 +373,12 @@ _HEAD_RE = re.compile(_layout_re(_head_xml("%s") + "\n"))
 _PROCESS_ATTR_RE = re.compile(_layout_re(_attr_line(6, "%s", "%s") + "\n"))
 _LAYER_RE = re.compile(_layout_re(_open_line(6, "%s") + "\n" + _attr_line(8, "Index", "%s") + "\n"))
 _LAYER_END = _close_line(6) + "\n"
-# A track whose body is nothing but point blocks.  No point block can match
-# the start of the closing line, so on a mismatch the repetition gives back
-# each block once: linear, like the possessive ``*+`` that Python 3.10 lacks.
-_TRACK_RE = re.compile(
-    _layout_re(_open_line(8, "%s") + "\n" + _attr_line(10, "ToolActive", "%s") + "\n")
-    + "((?:" + _layout_re(_POINT_XML + "\n", "[0-9]+", _NUMBER) + ")*)"
-    + re.escape(_close_line(8) + "\n")
-)
-_POINT_ROW_RE = re.compile(_layout_re(_POINT_XML + "\n", "[0-9]+"))
+_TRACK_RE = re.compile(_layout_re(_open_line(8, "%s") + "\n" + _attr_line(10, "ToolActive", "%s") + "\n"))
+_TRACK_END = "\n" + _close_line(8) + "\n"
+# A point block, its index captured too, and the length of its literal text:
+# blocks tile a track's body exactly when they and their captures add up to it.
+_POINT_ROW_RE = re.compile(_layout_re(_POINT_XML + "\n", "([0-9]+)"))
+_POINT_LITERAL = len(_POINT_XML.replace("%d", "").replace("%.6f", "")) + 1
 
 
 def _scan_canonical(data: bytes | str) -> PathMLDocument | None:
@@ -412,9 +411,16 @@ def _scan_canonical(data: bytes | str) -> PathMLDocument | None:
         pos = m.end()
         tracks = []
         while t := _TRACK_RE.match(text, pos):
-            rows = _POINT_ROW_RE.findall(text, t.start(3), t.end(3))
-            tracks.append((t[1], t[2], np.array(rows, dtype=float)))
-            pos = t.end()
+            # the body runs to the first closing line; an empty one ends where the head does
+            start, end = t.end(), text.find(_TRACK_END, t.end() - 1) + 1
+            if not end:
+                return None
+            rows = _POINT_ROW_RE.findall(text, start, end)
+            if len(rows) * _POINT_LITERAL + len("".join(chain.from_iterable(rows))) != end - start:
+                return None
+            points = np.fromiter(map(float, chain.from_iterable(rows)), float).reshape(-1, 8)[:, 1:]
+            tracks.append((t[1], t[2], points))
+            pos = end + len(_TRACK_END) - 1
         if not text.startswith(_LAYER_END, pos):
             return None
         pos += len(_LAYER_END)

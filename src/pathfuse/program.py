@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,9 +151,9 @@ class RobotProgram:
 _MOVEL = "MOVEL %.3f %.3f %.3f %.3f %.3f %.3f V=%.3f"
 
 
-def _movel_lines(points: np.ndarray) -> list[str]:
-    """One MOVEL line per row of a track's ``(n, 7)`` points."""
-    return unsign_zeros(fill_rows(_MOVEL, points), 3).splitlines()
+def _movel_lines(tracks: Iterable[np.ndarray]) -> list[list[str]]:
+    """One MOVEL line per row of each track's ``(n, 7)`` points."""
+    return [text.splitlines() for text in fill_rows(_MOVEL, tracks, clean=lambda text: unsign_zeros(text, 3))]
 
 
 def _comment(text: str) -> str:
@@ -191,12 +192,13 @@ def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None
     for k, v in p.extra:
         lines.append(_comment(f"{k}: {v}"))
 
+    moves = iter(_movel_lines(t.points for _, layer in layers for t in layer.tracks))
     for _, layer in layers:
         lines.append(_comment(f"layer: {layer.name}"))
         for track in layer.tracks:
             if track.tool_active:
                 lines.append("SET_IO TOOL 1")
-            lines.extend(_movel_lines(track.points))
+            lines.extend(next(moves))
             if track.tool_active:
                 lines.append("SET_IO TOOL 0")
 

@@ -12,6 +12,7 @@ from pathfuse import (
     PathMLDocument,
     ProcessParameters,
     Track,
+    expand_layers,
 )
 
 
@@ -44,3 +45,47 @@ def child_env():
     """Environment for a child Python process that imports this checkout's pathfuse."""
     paths = [str(Path(pathfuse.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+
+def shared_column_docs():
+    """(id, document) pairs whose tracks repeat columns, bit for bit or nearly.
+
+    Expanded stacks of a closed loop (every layer shares all but Z) and of an
+    open one (odd layers reversed, speeds rolled), and a hand-built document
+    whose tracks share columns, share them reversed, or differ from them only
+    in the sign of a zero.
+    """
+    process = ProcessParameters("other", layer_height=2.0)
+    rng = np.random.default_rng(20)
+    n = 40
+    theta = np.linspace(0.0, 2.0 * np.pi, n)
+    ring = np.column_stack([
+        150.0 * np.cos(theta), 90.0 * np.sin(theta), np.full(n, 12.5),
+        rng.uniform(-2.0, 2.0, n), np.full(n, -0.0), np.degrees(theta) - 180.0, rng.uniform(20.0, 80.0, n),
+    ])
+    ring[-1, :3] = ring[0, :3]  # closed: the last position is the first
+    closed = PathMLDocument("loop", process, (Layer("Layer_0", 0, (Track("Track_0", ring, True),)),))
+    line = ring[:12].copy()
+    line[:, 2] = np.linspace(-1e-7, 1e-7, 12)  # Z -0.000000 on one side of zero, 0.000000 on the other
+    bead = PathMLDocument("bead", process, (Layer("Layer_0", 0, (
+        Track("Track_0", line, True), Track("Track_1", ring[12:20], False))),))
+    ry_plus = line.copy()
+    ry_plus[:, 4] = 0.0  # RY +0.0 where the other tracks hold -0.0
+    lifted = line.copy()
+    lifted[:, 2] += 2.0
+    grid = PathMLDocument("grid", process, (
+        Layer("L2", 2, (Track("same", line, True), Track("reversed", line[::-1], False))),
+        Layer("L0", 0, (Track("signed", ry_plus, True), Track("lifted", lifted, True))),
+        Layer("L1", 0, (Track("again", line, False), Track("slice", line[3:5], True))),
+    ))
+    return [
+        ("closed_stack_6", expand_layers(closed, 6, (0.0, 0.0, 1.0))),
+        ("open_serpentine_3", expand_layers(bead, 3, (0.0, 0.0, 1.0))),
+        ("hand_built", grid),
+    ]
+
+
+def plain_layers(doc):
+    """A document's layers as (name, index, [(name, tool_active, points)]), for the oracles."""
+    return [(layer.name, layer.index, [(t.name, t.tool_active, t.points) for t in layer.tracks])
+            for layer in doc.layers]

@@ -303,6 +303,43 @@ def movel_lines(points):
     return [line.format(*row).replace("-0.000", "0.000") for row in np.asarray(points).tolist()]
 
 
+def pathml_xml(project, process_attrs, layers):
+    """A whole PathML document, one line at a time, its points by ``pathml_points``.
+
+    ``process_attrs`` are the project's (name, text) attributes; ``layers``
+    are (name, index, tracks) with tracks (name, tool_active, points), in
+    listing order.  Names and texts must need no escaping.
+    """
+    out = ['<?xml version="1.0" encoding="UTF-8"?>', f'<CAEXFile FileName="{project}.aml">',
+           '  <InstanceHierarchy Name="PathML">', f'    <InternalElement Name="{project}">']
+    out += [f'      <Attribute Name="{k}"><Value>{v}</Value></Attribute>' for k, v in process_attrs]
+    for name, index, tracks in layers:
+        out += [f'      <InternalElement Name="{name}">',
+                f'        <Attribute Name="Index"><Value>{index}</Value></Attribute>']
+        for tname, active, points in tracks:
+            out += [f'        <InternalElement Name="{tname}">',
+                    f'          <Attribute Name="ToolActive"><Value>{str(active).lower()}</Value></Attribute>',
+                    pathml_points(points), '        </InternalElement>']
+        out.append('      </InternalElement>')
+    out += ['    </InternalElement>', '  </InstanceHierarchy>', '</CAEXFile>', '']
+    return "\n".join(out).encode("utf-8")
+
+
+def program_lines(project, process_comments, layers):
+    """Lines of the program of a document: ``layers`` as for ``pathml_xml``, emitted by index.
+
+    ``process_comments`` are the comment lines after the program name.
+    Equal indices keep their listing order; tool-active tracks are wrapped in
+    SET_IO TOOL 1 / 0.
+    """
+    out = [f"# program: {project}", *process_comments]
+    for name, _, tracks in sorted(layers, key=lambda layer: layer[1]):
+        out.append(f"# layer: {name}")
+        for _, active, points in tracks:
+            out += ["SET_IO TOOL 1"] * active + movel_lines(points) + ["SET_IO TOOL 0"] * active
+    return out
+
+
 def fused_path_json(positions, orientations, speeds, frame, closed):
     """Fused-path JSON built as a dict, one per point, and written by ``json.dumps(indent=2)``.
 

@@ -49,6 +49,8 @@ class TestCadPath:
             CadPath(np.array([[1.0, 2, 3], [1.0, 2, 3]]))
         with pytest.raises(DegeneratePathError):
             CadPath(np.array([[1.0, 2, 3]]))
+        with pytest.raises(DegeneratePathError):
+            CadPath(np.empty((0, 3)))
 
     def test_merge_matches_the_per_waypoint_loop(self):
         rng = np.random.default_rng(3)
@@ -79,6 +81,51 @@ class TestCadPath:
             assert got.tobytes() == want.tobytes()
             merged += len(got) < n
         assert merged > 150
+
+    def test_merge_after_a_long_clean_prefix_matches_the_per_waypoint_loop(self):
+        rng = np.random.default_rng(5)
+        eps = 1e-6
+        w = np.cumsum(rng.uniform(0.5, 2.0, (300, 3)), axis=0)
+        steps = rng.normal(0.0, 1.0, (40, 3))
+        steps *= rng.choice([0.3, 0.7, 1.3], (40, 1)) * eps / np.linalg.norm(steps, axis=1, keepdims=True)
+        w[250:290] = w[249] + np.cumsum(steps, axis=0)
+        for closed in (False, True):
+            want = oracles.cad_waypoints(w, closed)
+            assert 250 < len(want) < len(w)
+            assert CadPath(w, closed).waypoints.tobytes() == want.tobytes()
+
+    def test_merge_decides_steps_of_about_eps_as_the_per_waypoint_loop(self):
+        # np.linalg.norm of a 1-D vector (a dot product) and of the rows of an
+        # (n, 3) array may round a length apart: find steps of at least eps as
+        # a row that the per-waypoint loop, measuring 1-D, merges
+        rng = np.random.default_rng(7)
+        eps = 1e-6
+        apart = []
+        for _ in range(500):
+            d = rng.normal(size=3)
+            for k in range(-4, 5):
+                v = d * (eps / np.linalg.norm(d)) * (1 + k * 1.1e-16)
+                if np.linalg.norm(v[None], axis=1)[0] >= eps > np.linalg.norm(v):
+                    apart.append(v)
+        if not apart:
+            pytest.skip("both norms round every tried step alike here")
+        w = rng.uniform(1.0, 2.0, (300, 3))
+        for i, v in enumerate(apart[:50]):  # from the origin, so each step is v exactly
+            w[100 + 3 * i], w[101 + 3 * i] = 0.0, v  # the first after a clean prefix of 100 points
+        for closed in (False, True):
+            want = oracles.cad_waypoints(w, closed)
+            assert CadPath(w, closed).waypoints.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_merge_of_a_resampled_loop_matches_the_per_waypoint_loop(self, closed):
+        theta = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
+        ring = np.column_stack([300.0 * np.cos(theta), 200.0 * np.sin(theta), np.full(12, 40.0)])
+        points = oracles.split_polyline(ring, closed, CadPath(ring, closed).total_length() / 1200.0)
+        points = np.vstack([points, points[:1]])  # closed: the repeated first point is dropped
+        assert len(points) > 1200
+        want = oracles.cad_waypoints(points, closed)
+        assert len(want) == len(points) - closed
+        assert CadPath(points, closed).waypoints.tobytes() == want.tobytes()
 
     def test_read_only(self):
         p = CadPath(SQUARE)

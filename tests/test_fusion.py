@@ -221,6 +221,15 @@ class TestJson:
             want = oracles.fused_path_json(positions, orientations, speeds, frame.value, closed)
             assert fused_path_to_json(path) == want
 
+    def test_columns_equal_but_for_a_zero_sign_are_written_apart(self):
+        # x and z are the same column bit for bit; y and the speeds differ from them only in sign
+        zeros = np.zeros(4)
+        positions = np.column_stack([-zeros, zeros, -zeros])
+        orientations = np.column_stack([zeros, -zeros, zeros])
+        path = FusedPath(positions, orientations, zeros, Frame.R)
+        want = oracles.fused_path_json(positions, orientations, zeros, "R", False)
+        assert fused_path_to_json(path) == want and '"y_mm": 0.0' in want and '"x_mm": -0.0' in want
+
     @settings(deadline=None, max_examples=60)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(2, 12), st.just(7)), elements=st.floats(-1e16, 1e16)))
     def test_matches_dict_writer_hypothesis(self, rows):

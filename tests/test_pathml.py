@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import make_doc
+from conftest import make_doc, plain_layers, shared_column_docs
 from pathfuse import (
     CadPath,
     FrameMismatchError,
@@ -270,12 +270,12 @@ class TestWriter:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_points_match_per_row_format(self, n):
         points = np.array(self.EDGE_ROWS[:n], dtype=float).reshape(n, 7)
-        assert _points_xml(points) == oracles.pathml_points(points)
+        assert _points_xml([points]) == [oracles.pathml_points(points)]
 
     @settings(deadline=None, max_examples=60)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(7)), elements=st.floats(-1e16, 1e16)))
     def test_points_match_per_row_format_hypothesis(self, points):
-        assert _points_xml(points) == oracles.pathml_points(points)
+        assert _points_xml([points]) == [oracles.pathml_points(points)]
 
     def test_document_points_match_per_row_format(self):
         rows = np.array(self.EDGE_ROWS)
@@ -292,6 +292,17 @@ class TestWriter:
                  if line.startswith(" " * 10) and "ToolActive" not in line]
         tracks = [t.points for layer in doc.layers for t in layer.tracks]
         assert lines == "\n".join(oracles.pathml_points(pts) for pts in tracks).splitlines()
+
+    @pytest.mark.parametrize("doc", [d for _, d in shared_column_docs()],
+                             ids=[name for name, _ in shared_column_docs()])
+    def test_documents_with_shared_columns_match_per_row_format(self, doc):
+        attrs = [("ProcessType", "other"), ("LayerHeight_mm", "2.000000")]
+        assert write_xml(doc) == oracles.pathml_xml(doc.project_name, attrs, plain_layers(doc))
+
+    def test_tracks_of_zero_and_one_row_match_per_row_format(self):
+        rows = np.array(self.EDGE_ROWS)
+        tracks = [rows[:0], rows[:1], rows, rows[:1], rows[:0], rows[::-1], rows[1:2]]
+        assert _points_xml(tracks) == [oracles.pathml_points(t) for t in tracks]
 
     def test_special_characters_escaped(self):
         doc = make_doc(project='a<b>&"c\'')
@@ -610,6 +621,16 @@ def mutations(data: bytes, rng: random.Random):
     yield data.replace("é".encode(), b"\xe9")  # Latin-1, not UTF-8
     for _, old, new in CONTENT_RULE_EDITS:
         yield text.replace(old, new, 1).encode()
+    # the edges of a track's body: its closing line, the lines between point blocks
+    for m in re.finditer("(?m)^        </InternalElement>\n", text):
+        head, line, rest = text[:m.start()], m[0], text[m.end():]
+        yield (head + rest).encode()
+        yield (head + "  " + line + rest).encode()
+        yield (head + line + line + rest).encode()
+    for m in re.finditer("(?m)^          </InternalElement>\n(?=          <)", text):
+        yield (text[:m.end()] + "\n" + text[m.end():]).encode()
+    for m in re.finditer("(?m)^            <Attribute.*\n", text):
+        yield (text[:m.start()] + text[m.end():]).encode()
 
 
 class TestScanner:
@@ -637,6 +658,17 @@ class TestScanner:
                     assert got == want, given
             scanned += outcome(_scan_canonical, data) is not None  # a document or the scanner's own error
         assert scanned >= 40  # the changed digits and the names that stay plain
+
+    def test_an_empty_track_is_read_without_the_tree_parser(self, monkeypatch):
+        text = write_xml(MUTATION_BASE).decode()
+        blocks = re.compile('(?s)          <InternalElement Name="Point_.*?          </InternalElement>\n')
+        track_1 = text.index('"Track_1"')
+        empty = text[:track_1] + blocks.sub("", text[track_1:], count=2)
+        want = _parse_tree(empty)
+        assert [len(t.points) for layer in want.layers for t in layer.tracks] == [2, 0, 2]
+        monkeypatch.setattr(pathml, "_parse_tree", lambda data: pytest.fail("the scanner declined an empty track"))
+        for given in (empty, empty.encode()):
+            assert same_document(parse_xml(given), want)
 
     @pytest.mark.parametrize("old, new", [edit[1:] for edit in CONTENT_RULE_EDITS],
                              ids=[edit[0] for edit in CONTENT_RULE_EDITS])

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import child_env, make_doc
+from conftest import child_env, make_doc, plain_layers, shared_column_docs
 from pathfuse import (
     Frame,
     FrameMismatchError,
@@ -609,12 +609,24 @@ class TestMovel:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_lines_match_per_row_format(self, n):
         points = np.array(self.rows[:n], dtype=float).reshape(n, 7)
-        assert _movel_lines(points) == oracles.movel_lines(points)
+        assert _movel_lines([points]) == [oracles.movel_lines(points)]
 
     @settings(deadline=None, max_examples=60)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(7)), elements=st.floats(-1e16, 1e16)))
     def test_lines_match_per_row_format_hypothesis(self, points):
-        assert _movel_lines(points) == oracles.movel_lines(points)
+        assert _movel_lines([points]) == [oracles.movel_lines(points)]
+
+    @pytest.mark.parametrize("doc", [d for _, d in shared_column_docs()],
+                             ids=[name for name, _ in shared_column_docs()])
+    def test_programs_of_documents_with_shared_columns_match_per_row_format(self, doc):
+        comments = ["# process_type: other", "# layer_height_mm: 2.000"]
+        want = oracles.program_lines(doc.project_name, comments, plain_layers(doc))
+        assert emit_program(doc).text == "\n".join(want) + "\n"
+
+    def test_tracks_of_zero_and_one_row_match_per_row_format(self):
+        rows = np.array(self.rows)
+        tracks = [rows[:0], rows[:1], rows, rows[:1], rows[:0], rows[::-1], rows[1:2]]
+        assert _movel_lines(tracks) == [oracles.movel_lines(t) for t in tracks]
 
     def test_program_moves_match_per_row_format(self):
         doc = doc_with_points(self.rows)
