@@ -4,15 +4,16 @@ The writers format thousands of rows per path, and formatting a row at a time
 costs more than the numbers themselves.  So each column is formatted in one
 call, a printf-style ``%`` over its hole repeated once per row (``repr`` for a
 ``%r`` hole), and a table's text is one ``"".join`` of the template's literal
-pieces with those strings slice-assigned between them.  A column whose values repeat bit for bit in the
-same call is formatted once: the layers of an expanded stack share every
-column but the lifted ones.
+pieces with those strings slice-assigned between them, yielded before the next
+table is laid out.  A column whose values repeat bit for bit in the same call
+is formatted once: the layers of an expanded stack share every column but the
+lifted ones.
 """
 
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -21,8 +22,8 @@ _HOLE = re.compile(r"%[^a-zA-Z%]*[a-zA-Z]")  # one printf-style conversion
 
 def fill_rows(
     row: str, tables: Iterable[np.ndarray], sep: str = "\n", clean: Callable[[str], str] | None = None
-) -> list[str]:
-    """The text of each 2-D table in ``tables``: ``row`` once per table row, joined by ``sep``.
+) -> Iterator[str]:
+    """Yield the text of each 2-D table in ``tables``: ``row`` once per table row, joined by ``sep``.
 
     ``row`` is a printf-style template with one hole per column, filled left
     to right.  ``%.6f`` gives the same text as ``{:.6f}`` and ``%r`` the same
@@ -36,12 +37,11 @@ def fill_rows(
     unit = [piece for literal in literals[1:] for piece in (None, literal)]
     unit[-1] += sep + literals[0]
     formatted: dict[tuple[str, bytes], list[str]] = {}
-    out = []
     for table in tables:
         table = np.asarray(table, dtype=float)
         n = len(table)
         if not n:
-            out.append("")
+            yield ""
             continue
         cells = [literals[0], *unit * n]
         cells[-1] = literals[-1]
@@ -56,5 +56,4 @@ def fill_rows(
                     text = "\0".join([hole] * n) % tuple(values)
                     formatted[key] = (clean(text) if clean else text).split("\0")
             cells[1 + 2 * j :: 2 * len(holes)] = formatted[key]
-        out.append("".join(cells))
-    return out
+        yield "".join(cells)

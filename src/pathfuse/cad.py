@@ -46,20 +46,21 @@ class CadPath:
             raise DegeneratePathError(f"waypoints must be (n, 3), got {w.shape}")
         if not np.all(np.isfinite(w)):
             raise DegeneratePathError("waypoints contain non-finite values")
-        # Every point before the first step that may be short is kept, and the
-        # per-point loop runs from there.  The margin covers a 1-D norm (a dot
-        # product) rounding differently from the row norms.
+        # Every point before the first short step is kept, and the per-point
+        # loop runs from there.  Each step is measured as segment_lengths
+        # measures it, a row norm: a 1-D norm is a dot product, which rounds
+        # one ulp apart on about 1 step in 10.
         with np.errstate(over="ignore"):
             step = np.linalg.norm(np.diff(w, axis=0), axis=1)
-        short = np.flatnonzero(step < MERGE_EPS_MM * (1.0 + 1e-9))
-        keep = list(range(short[0] + 1 if len(short) else len(w)))
-        for i in range(len(keep), len(w)):
-            if np.linalg.norm(w[i] - w[keep[-1]]) >= MERGE_EPS_MM:
-                keep.append(i)
-        w = w[keep].copy()
-        closed = bool(self.closed)
-        if closed and len(w) > 2 and np.linalg.norm(w[-1] - w[0]) < MERGE_EPS_MM:
-            w = w[:-1]
+            short = np.flatnonzero(step < MERGE_EPS_MM)
+            keep = list(range(short[0] + 1 if len(short) else len(w)))
+            for i in range(len(keep), len(w)):
+                if np.linalg.norm(w[i] - w[keep[-1]], axis=-1) >= MERGE_EPS_MM:
+                    keep.append(i)
+            w = w[keep].copy()
+            closed = bool(self.closed)
+            if closed and len(w) > 2 and np.linalg.norm(w[-1] - w[0], axis=-1) < MERGE_EPS_MM:
+                w = w[:-1]
         if len(w) < 2:
             raise DegeneratePathError(
                 "a path needs at least 2 distinct waypoints after deduplication"

@@ -15,7 +15,7 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,7 +40,7 @@ from .pathml import (
     build_document,
     expand_layers,
     parse_xml,
-    write_xml,
+    xml_chunks,
 )
 from .program import TOLERANCE_MM, PathLimits, deviation_report, emit_program, validate_path
 
@@ -159,17 +159,19 @@ def _read(path: str) -> bytes:
         return f.read()
 
 
-def _write_out(path: str | None, data: bytes | str) -> None:
+def _write_out(path: str | None, data: bytes | str | Iterable[bytes]) -> None:
+    """Write ``data``, or each bytes chunk of it as it comes, to ``path`` or to stdout."""
     if isinstance(data, str):
         data = data.encode("utf-8")
+    chunks = [data] if isinstance(data, bytes) else data
     if path is None and hasattr(sys.stdout, "buffer"):  # the bytes, not re-encoded in the locale's encoding
         sys.stdout.flush()
-        sys.stdout.buffer.write(data)
+        sys.stdout.buffer.writelines(chunks)
     elif path is None:  # a text stream with no byte layer, such as io.StringIO
-        sys.stdout.write(data.decode("utf-8"))
+        sys.stdout.writelines(chunk.decode("utf-8") for chunk in chunks)
     else:
         with open(path, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
 
 
 def _config_from(args) -> PipelineConfig:
@@ -247,7 +249,7 @@ def _cmd_pathml_gen(args) -> int:
     extra = _parse_extras(args.extra) if args.extra else getattr(base, "extra", ())
     process = ProcessParameters(process_type, extra=extra, **numbers)
     doc = build_document(fused, process, args.project)
-    _write_out(args.output, write_xml(doc))
+    _write_out(args.output, xml_chunks(doc))
     return 0
 
 
@@ -270,7 +272,7 @@ def _cmd_pathml_expand(args) -> int:
     doc = parse_xml(_read(args.file))
     direction = _parse_vector3(args.direction)
     out = expand_layers(doc, args.layers, direction)
-    _write_out(args.output, write_xml(out))
+    _write_out(args.output, xml_chunks(out))
     return 0
 
 

@@ -164,7 +164,7 @@ def format_demo_csv(series: PoseSeries) -> bytes:
         rows = np.column_stack([series.t, series.positions, np.degrees(series.orientations)])
     if not np.isfinite(rows).all():
         raise ValueError("an orientation in degrees is beyond the float range")
-    return f"{DEMO_CSV_HEADER}\n{fill_rows(','.join(['%.9f'] * 7), [rows])[0]}\n".encode()
+    return f"{DEMO_CSV_HEADER}\n{next(fill_rows(','.join(['%.9f'] * 7), [rows]))}\n".encode()
 
 
 def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarray]:

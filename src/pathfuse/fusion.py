@@ -195,7 +195,7 @@ def fused_path_to_json(path: FusedPath) -> str:
     """Serialize to the fused-path JSON interchange form (degrees, mm)."""
     rows = np.column_stack([path.positions, np.degrees(path.orientations), path.speeds])
     head = '{\n  "frame": "%s",\n  "closed": %s,\n  "points": [\n' % (path.frame.value, json.dumps(path.closed))
-    return head + fill_rows(_JSON_POINT, [rows], ",\n")[0] + "\n  ]\n}\n"
+    return head + next(fill_rows(_JSON_POINT, [rows], ",\n")) + "\n  ]\n}\n"
 
 
 def fused_path_from_json(data: bytes | str) -> FusedPath:

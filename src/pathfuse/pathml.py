@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
@@ -308,24 +308,29 @@ _POINT_XML = "\n".join(
 )
 
 
-def _points_xml(tracks: Iterable[np.ndarray]) -> list[str]:
+def _points_xml(tracks: Iterable[np.ndarray]) -> Iterator[str]:
     """The Point elements of each track's ``(n, 7)`` points, laid out as write_xml writes them."""
     rows = (np.column_stack([np.arange(len(points)), points]) for points in tracks)
     return fill_rows(_POINT_XML, rows, clean=lambda text: unsign_zeros(text, 6))
 
 
-def write_xml(doc: PathMLDocument) -> bytes:
-    """Serialize a valid document to canonical XML bytes.
+def xml_chunks(doc: PathMLDocument) -> Iterator[bytes]:
+    """The canonical XML bytes of a valid document, a track at a time.
 
-    Equal documents yield identical bytes.  Invalid documents are refused
-    with a ValidationError listing the problems.
+    An invalid document is refused here, before any chunk is made, with a
+    ValidationError listing the problems.  The iterator yields the text up to
+    each track's Points, then those Points, and last the text after the last
+    track, each UTF-8 encoded, so a writer holds one track at a time.
     """
     bad = validate_document(doc)
     if bad:
         raise ValidationError(
             "cannot serialize an invalid document: " + "; ".join(str(v) for v in bad)
         )
+    return _chunks(doc)
 
+
+def _chunks(doc: PathMLDocument) -> Iterator[bytes]:
     lines = [_head_xml(doc.project_name)]
     p = doc.process
     lines.append(_attr_line(6, "ProcessType", p.process_type.value))
@@ -336,18 +341,24 @@ def write_xml(doc: PathMLDocument) -> bytes:
     for k, v in p.extra:
         lines.append(_attr_line(6, k, v))
 
-    points = iter(_points_xml(t.points for layer in doc.layers for t in layer.tracks))
+    points = _points_xml(t.points for layer in doc.layers for t in layer.tracks)
     for layer in doc.layers:
         lines.append(_open_line(6, layer.name))
         lines.append(_attr_line(8, "Index", str(layer.index)))
         for track in layer.tracks:
             lines.append(_open_line(8, track.name))
             lines.append(_attr_line(10, "ToolActive", "true" if track.tool_active else "false"))
-            lines.append(next(points))
-            lines.append(_close_line(8))
+            yield "\n".join([*lines, ""]).encode("utf-8")
+            yield next(points).encode("utf-8")
+            lines = ["", _close_line(8)]
         lines.append(_close_line(6))
     lines.append(_TAIL_XML)
-    return "\n".join(lines).encode("utf-8")
+    yield "\n".join(lines).encode("utf-8")
+
+
+def write_xml(doc: PathMLDocument) -> bytes:
+    """Canonical XML bytes of a valid document, ``xml_chunks(doc)`` joined; equal documents, equal bytes."""
+    return b"".join(xml_chunks(doc))
 
 
 # The scanner reads back exactly the layout above.  A name or text may hold
@@ -357,75 +368,93 @@ def write_xml(doc: PathMLDocument) -> bytes:
 # unchanged.  A name holding " is written in ' quotes, which the scanner
 # leaves to the tree parser.  A point number is the writer's six-decimal
 # form; every other value is any such text, read by the content rules below.
-_TEXT = '[^\x00-\x1f\x7f-\x9f&<>"\ud800-\udfff\ufffe\uffff]*'
+_TEXT = re.compile('[^\x00-\x1f\x7f-\x9f&<>"\ud800-\udfff\ufffe\uffff]*')
 _NUMBER = r"-?[0-9]+\.[0-9]{6}"
+# The scanner matches the bytes of a file: a name or text is captured as any
+# bytes but ASCII controls and markup, then decoded on its own and held to _TEXT.
+_NAME = r'([^\x00-\x1f\x7f&<>"]*)'
 
 
-def _layout_re(template: str, name: str = f"({_TEXT})", number: str = f"({_NUMBER})") -> str:
-    """Regex of a piece of the writer's layout: ``%s``, ``%d`` holes match ``name``, ``%.6f`` ``number``."""
+def _layout_re(template: str, name: str = _NAME) -> re.Pattern[bytes]:
+    """Bytes regex of a piece of the writer's layout: ``%s``, ``%d`` holes match ``name``, ``%.6f`` a number."""
     esc = re.escape(template)
-    for hole, pattern in (("%.6f", number), ("%d", name), ("%s", name)):
+    for hole, pattern in (("%.6f", f"({_NUMBER})"), ("%d", name), ("%s", name)):
         esc = esc.replace(re.escape(hole), pattern)
-    return esc
+    return re.compile(esc.encode("ascii"))
 
 
-_HEAD_RE = re.compile(_layout_re(_head_xml("%s") + "\n"))
-_PROCESS_ATTR_RE = re.compile(_layout_re(_attr_line(6, "%s", "%s") + "\n"))
-_LAYER_RE = re.compile(_layout_re(_open_line(6, "%s") + "\n" + _attr_line(8, "Index", "%s") + "\n"))
-_LAYER_END = _close_line(6) + "\n"
-_TRACK_RE = re.compile(_layout_re(_open_line(8, "%s") + "\n" + _attr_line(10, "ToolActive", "%s") + "\n"))
-_TRACK_END = "\n" + _close_line(8) + "\n"
+_HEAD_RE = _layout_re(_head_xml("%s") + "\n")
+_PROCESS_ATTR_RE = _layout_re(_attr_line(6, "%s", "%s") + "\n")
+_LAYER_RE = _layout_re(_open_line(6, "%s") + "\n" + _attr_line(8, "Index", "%s") + "\n")
+_LAYER_END = (_close_line(6) + "\n").encode("ascii")
+_TRACK_RE = _layout_re(_open_line(8, "%s") + "\n" + _attr_line(10, "ToolActive", "%s") + "\n")
+_TRACK_END = ("\n" + _close_line(8) + "\n").encode("ascii")
+_TAIL = _TAIL_XML.encode("ascii")
 # A point block, its index captured too, and the length of its literal text:
 # blocks tile a track's body exactly when they and their captures add up to it.
-_POINT_ROW_RE = re.compile(_layout_re(_POINT_XML + "\n", "([0-9]+)"))
+_POINT_ROW_RE = _layout_re(_POINT_XML + "\n", "([0-9]+)")
 _POINT_LITERAL = len(_POINT_XML.replace("%d", "").replace("%.6f", "")) + 1
+
+
+def _text(raw: bytes) -> str:
+    """A captured name or text; ValueError unless it is UTF-8 of _TEXT's characters."""
+    text = raw.decode("utf-8")
+    if _TEXT.fullmatch(text) is None:
+        raise ValueError(f"{text!r} holds a character the scanner leaves to the tree parser")
+    return text
 
 
 def _scan_canonical(data: bytes | str) -> PathMLDocument | None:
     """Read the exact layout write_xml emits without building a tree.
 
-    Returns None on any deviation from that layout, the character set or the
-    point number form above, so that _parse_tree reads the input instead.
-    Once the whole layout has matched, the attribute texts go through the
-    content rules _parse_tree applies, in document order, so the result is
-    _parse_tree's document or its SchemaError.
+    Reads the bytes of ``data``; a str is encoded first.  Returns None on any
+    deviation from that layout, the character set or the point number form
+    above, so that _parse_tree reads the input instead.  Once the whole
+    layout has matched, the attribute texts go through the content rules
+    _parse_tree applies, in document order, so the result is _parse_tree's
+    document or its SchemaError.
     """
-    if isinstance(data, bytes):
+    if isinstance(data, str):
         try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError:
             return None
-    else:
-        text = data
-    m = _HEAD_RE.match(text)
+    m = _HEAD_RE.match(data)
     if m is None or m[1] != m[2]:
         return None
     project_name, pos = m[2], m.end()
     attrs = []
-    while m := _PROCESS_ATTR_RE.match(text, pos):
+    while m := _PROCESS_ATTR_RE.match(data, pos):
         attrs.append(m.groups())
         pos = m.end()
 
     layers = []  # (name, Index text, [(name, ToolActive text, points)])
-    while m := _LAYER_RE.match(text, pos):
+    while m := _LAYER_RE.match(data, pos):
         pos = m.end()
         tracks = []
-        while t := _TRACK_RE.match(text, pos):
+        while t := _TRACK_RE.match(data, pos):
             # the body runs to the first closing line; an empty one ends where the head does
-            start, end = t.end(), text.find(_TRACK_END, t.end() - 1) + 1
+            start, end = t.end(), data.find(_TRACK_END, t.end() - 1) + 1
             if not end:
                 return None
-            rows = _POINT_ROW_RE.findall(text, start, end)
-            if len(rows) * _POINT_LITERAL + len("".join(chain.from_iterable(rows))) != end - start:
+            rows = _POINT_ROW_RE.findall(data, start, end)
+            if len(rows) * _POINT_LITERAL + len(b"".join(chain.from_iterable(rows))) != end - start:
                 return None
-            points = np.fromiter(map(float, chain.from_iterable(rows)), float).reshape(-1, 8)[:, 1:]
-            tracks.append((t[1], t[2], points))
+            numbers = np.fromiter(map(float, chain.from_iterable(rows)), float, 8 * len(rows))
+            tracks.append((t[1], t[2], numbers.reshape(-1, 8)[:, 1:]))
             pos = end + len(_TRACK_END) - 1
-        if not text.startswith(_LAYER_END, pos):
+        if not data.startswith(_LAYER_END, pos):
             return None
         pos += len(_LAYER_END)
         layers.append((*m.groups(), tracks))
-    if text[pos:] != _TAIL_XML:
+    if data[pos:] != _TAIL:
+        return None
+    try:
+        project_name = _text(project_name)
+        attrs = [(_text(name), _text(text)) for name, text in attrs]
+        layers = [(_text(lname), _text(index), [(_text(tname), _text(flag), pts) for tname, flag, pts in tracks])
+                  for lname, index, tracks in layers]
+    except ValueError:  # a name or text that is not UTF-8 or holds a character _TEXT excludes
         return None
 
     process = _process(_attribute_dict(attrs, "project"))

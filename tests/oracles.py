@@ -92,20 +92,26 @@ def point_to_polyline_all_pairs(points, poly):
     return out
 
 
+def row_length(d):
+    """Length of a 3-vector as a row norm measures it: its squares summed left to right."""
+    x, y, z = map(float, d)
+    return math.sqrt(x * x + y * y + z * z)
+
+
 def cad_waypoints(points, closed, eps=1e-6):
     """Waypoints of a CAD polyline after merging, one waypoint at a time, or None.
 
     A waypoint closer than ``eps`` to the last one kept merges into it; a
-    closed path then drops a last waypoint within ``eps`` of its first.  None
-    when fewer than two waypoints remain.
+    closed path then drops a last waypoint within ``eps`` of its first.  Each
+    distance is a ``row_length``.  None when fewer than two waypoints remain.
     """
     w = np.asarray(points, dtype=float)
     keep = [0]
     for i in range(1, len(w)):
-        if np.linalg.norm(w[i] - w[keep[-1]]) >= eps:
+        if row_length(w[i] - w[keep[-1]]) >= eps:
             keep.append(i)
     w = w[keep]
-    if closed and len(w) > 2 and np.linalg.norm(w[-1] - w[0]) < eps:
+    if closed and len(w) > 2 and row_length(w[-1] - w[0]) < eps:
         w = w[:-1]
     return w if len(w) >= 2 else None
 

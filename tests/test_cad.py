@@ -97,7 +97,7 @@ class TestCadPath:
     def test_merge_decides_steps_of_about_eps_as_the_per_waypoint_loop(self):
         # np.linalg.norm of a 1-D vector (a dot product) and of the rows of an
         # (n, 3) array may round a length apart: find steps of at least eps as
-        # a row that the per-waypoint loop, measuring 1-D, merges
+        # a row and below it 1-D, which the merge, measuring rows, keeps
         rng = np.random.default_rng(7)
         eps = 1e-6
         apart = []
@@ -115,6 +115,24 @@ class TestCadPath:
         for closed in (False, True):
             want = oracles.cad_waypoints(w, closed)
             assert CadPath(w, closed).waypoints.tobytes() == want.tobytes()
+
+    def test_merge_decides_steps_within_ulps_of_eps_as_row_lengths(self):
+        rng = np.random.default_rng(11)
+        eps = 1e-6
+        kept = []
+        for case in range(200):
+            d = rng.normal(size=(41, 3))
+            # steps within 4 ulps of eps: 40 from the origin, between points far from it, and a closing one
+            steps = d * (eps / np.linalg.norm(d, axis=1, keepdims=True)) * (1 + rng.integers(-4, 5, (41, 1)) * 1.1e-16)
+            w = np.zeros((121, 3))
+            w[1:120:3], w[2:120:3], w[120] = steps[:40], rng.uniform(1.0, 2.0, (40, 3)), steps[40]
+            for closed in (False, True):
+                want = oracles.cad_waypoints(w, closed)
+                path = CadPath(w, closed)
+                assert path.waypoints.tobytes() == want.tobytes(), f"case {case}"
+                assert np.all(path.segment_lengths() >= eps), f"case {case}"
+            kept += [oracles.row_length(v) >= eps for v in steps]
+        assert 0.2 < np.mean(kept) < 0.8
 
     @pytest.mark.parametrize("closed", [False, True])
     def test_merge_of_a_resampled_loop_matches_the_per_waypoint_loop(self, closed):

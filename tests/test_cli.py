@@ -4,6 +4,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,7 +12,17 @@ import pytest
 
 import pathfuse
 from conftest import child_env
-from pathfuse import Frame, FusedPath, fused_path_to_json, parse_xml
+from pathfuse import (
+    Frame,
+    FusedPath,
+    Layer,
+    PathMLDocument,
+    ProcessParameters,
+    Track,
+    fused_path_to_json,
+    parse_xml,
+    write_xml,
+)
 from pathfuse.cli import main
 from pathfuse.demo import MAX_FILTER_WINDOW
 from pathfuse.pathml import PROCESS_NUMBERS
@@ -116,13 +127,14 @@ class TestOutputs:
         f = lambda name: str(ws / name)  # noqa: E731
         commands = [
             ["pathml", "gen", "--fused", f("fused.json"), "--project", "café", "--process-type", "other",
-             "--extra", "Düse=N-2 é"],
+             "--layer-height", "2", "--extra", "Düse=N-2 é"],
             ["emit", f("café.aml"), "--config", f("config.json")],
             ["fuse", "--cad", f("cad.csv"), "--demo", f("demo.csv"), "--calib", f("calib.json"),
              "--config", f("config.json")],
+            ["pathml", "expand", f("café.aml"), "--layers", "4"],
         ]
         env = {**child_env(), "PYTHONIOENCODING": encoding}
-        for argv, out in zip(commands, ["café.aml", "café.txt", "fused_again.json"]):
+        for argv, out in zip(commands, ["café.aml", "café.txt", "fused_again.json", "café_stack.aml"]):
             assert main(argv + ["-o", f(out)]) == 0
             proc = subprocess.run([sys.executable, "-m", "pathfuse", *argv], env=env, capture_output=True)
             assert (proc.returncode, proc.stderr) == (0, b""), argv
@@ -130,12 +142,14 @@ class TestOutputs:
         assert "é" in (ws / "café.txt").read_text()
 
     def test_stdout_without_a_byte_layer_takes_the_text(self, ws):
-        argv = ["synth", "--truth", str(ws / "truth.json"), "--rate", "50"]
-        assert main(argv + ["-o", str(ws / "demo.csv")]) == 0
-        sink = io.StringIO()
-        with contextlib.redirect_stdout(sink):
-            assert main(argv) == 0
-        assert sink.getvalue() == (ws / "demo.csv").read_text()
+        run_chain(ws)
+        for argv in (["synth", "--truth", str(ws / "truth.json"), "--rate", "50"],
+                     ["pathml", "expand", str(ws / "doc.aml"), "--layers", "4"]):
+            assert main(argv + ["-o", str(ws / "out")]) == 0
+            sink = io.StringIO()
+            with contextlib.redirect_stdout(sink):
+                assert main(argv) == 0
+            assert sink.getvalue() == (ws / "out").read_text(encoding="utf-8"), argv
 
     def test_validate_prints_violations_to_stdout(self, ws, capsys):
         run_chain(ws)
@@ -187,6 +201,69 @@ class TestOutputs:
         assert main(args) == 1
 
 
+def traced_peak(call):
+    """Bytes ``call()`` allocates at its peak, by tracemalloc, and its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture
+def big_part(tmp_path):
+    """A single-layer document of 1,000 points, which 6 layers make a 3.6 MB stack."""
+    rng = np.random.default_rng(21)
+    points = np.round(rng.uniform(-500.0, 500.0, (1000, 7)), 6)
+    points[:, 6] = np.abs(points[:, 6])
+    doc = PathMLDocument("big", ProcessParameters("adhesive", glue_flow_rate=12.0, layer_height=2.0),
+                         (Layer("Layer_0", 0, (Track("Track_0", points, True),)),))
+    (tmp_path / "part.aml").write_bytes(write_xml(doc))
+    return tmp_path / "part.aml"
+
+
+class TestStreamedWriter:
+    """gen and expand write the document a track at a time, after checking it."""
+
+    # tracemalloc peaks over the 3.6 MB stack, measured with Python 3.11 and
+    # numpy 2.4: 0.91 of its size for expand and 0.40 for parse_xml.  A writer
+    # that holds its output as text, joined and encoded, reads 3.11, and a
+    # scanner that decodes its input 1.35.
+    def test_expand_holds_no_whole_copy_of_its_output(self, big_part):
+        out = big_part.with_name("stack.aml")
+        argv = ["pathml", "expand", str(big_part), "--layers", "6", "-o", str(out)]
+        assert main(argv) == 0  # loads what a first call loads
+        peak, code = traced_peak(lambda: main(argv))
+        assert code == 0
+        size = out.stat().st_size
+        assert size > 3_500_000
+        assert peak < 1.25 * size, f"peak {peak} for a {size}-byte stack"
+
+    def test_parse_holds_no_copy_of_its_input(self, big_part):
+        out = big_part.with_name("stack.aml")
+        assert main(["pathml", "expand", str(big_part), "--layers", "6", "-o", str(out)]) == 0
+        data = out.read_bytes()
+        peak, doc = traced_peak(lambda: parse_xml(data))
+        assert sum(len(t.points) for layer in doc.layers for t in layer.tracks) == 6000
+        assert peak < 1.0 * len(data), f"peak {peak} for a {len(data)}-byte stack"
+
+    def test_a_refused_document_writes_nothing(self, ws, capsys):
+        run_chain(ws)
+        bad = (ws / "doc.aml").read_text().replace(
+            '"Velocity_mm_s"><Value>', '"Velocity_mm_s"><Value>-', 1)
+        (ws / "bad.aml").write_text(bad)
+        (ws / "kept.aml").write_bytes(b"earlier output\n")
+        gen = ["pathml", "gen", "--fused", str(ws / "fused.json"), "--project", "p", "--process-type", "adhesive"]
+        expand = ["pathml", "expand", str(ws / "bad.aml"), "--layers", "2"]
+        for argv, message in ((gen, "adhesive requires GlueFlowRate_ml_min"), (expand, "velocity must be >= 0")):
+            for out in ("new.aml", "kept.aml"):
+                assert main(argv + ["-o", str(ws / out)]) == 2, argv
+                assert message in capsys.readouterr().err
+            assert not (ws / "new.aml").exists()
+            assert (ws / "kept.aml").read_bytes() == b"earlier output\n"
+
+
 class TestOneCheck:
     """``pathml validate`` and ``emit`` run the same check, once per command."""
 
@@ -233,7 +310,7 @@ class TestOneCheck:
                    if getattr(m, "validate_document", None) is original]
         for m in modules:
             monkeypatch.setattr(m, "validate_document", counted)
-        assert len(modules) >= 2  # pathml's write_xml and program's validate_path
+        assert len(modules) >= 2  # pathml's xml_chunks and program's validate_path
         for argv in (
             ["pathml", "gen", "--fused", fused, "--project", "p", "--process-type", "adhesive",
              "--glue-flow-rate", "12", "-o", str(ws / "again.aml")],

@@ -34,7 +34,15 @@ from pathfuse import (
 )
 from pathfuse import pathml
 from pathfuse.cli import main
-from pathfuse.pathml import POINT_ATTRS, _escape, _parse_tree, _points_xml, _quoteattr, _scan_canonical
+from pathfuse.pathml import (
+    POINT_ATTRS,
+    _escape,
+    _parse_tree,
+    _points_xml,
+    _quoteattr,
+    _scan_canonical,
+    xml_chunks,
+)
 from test_acceptance import _random_grid_doc
 from test_fusion import SQUARE, make_calib, ramp_demo
 
@@ -270,12 +278,12 @@ class TestWriter:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_points_match_per_row_format(self, n):
         points = np.array(self.EDGE_ROWS[:n], dtype=float).reshape(n, 7)
-        assert _points_xml([points]) == [oracles.pathml_points(points)]
+        assert list(_points_xml([points])) == [oracles.pathml_points(points)]
 
     @settings(deadline=None, max_examples=60)
     @given(hnp.arrays(np.float64, st.tuples(st.integers(0, 12), st.just(7)), elements=st.floats(-1e16, 1e16)))
     def test_points_match_per_row_format_hypothesis(self, points):
-        assert _points_xml([points]) == [oracles.pathml_points(points)]
+        assert list(_points_xml([points])) == [oracles.pathml_points(points)]
 
     def test_document_points_match_per_row_format(self):
         rows = np.array(self.EDGE_ROWS)
@@ -302,7 +310,21 @@ class TestWriter:
     def test_tracks_of_zero_and_one_row_match_per_row_format(self):
         rows = np.array(self.EDGE_ROWS)
         tracks = [rows[:0], rows[:1], rows, rows[:1], rows[:0], rows[::-1], rows[1:2]]
-        assert _points_xml(tracks) == [oracles.pathml_points(t) for t in tracks]
+        assert list(_points_xml(tracks)) == [oracles.pathml_points(t) for t in tracks]
+
+    @pytest.mark.parametrize("doc", [d for _, d in shared_column_docs()],
+                             ids=[name for name, _ in shared_column_docs()])
+    def test_chunks_are_the_document_a_track_at_a_time(self, doc):
+        chunks = list(xml_chunks(doc))
+        attrs = [("ProcessType", "other"), ("LayerHeight_mm", "2.000000")]
+        assert b"".join(chunks) == oracles.pathml_xml(doc.project_name, attrs, plain_layers(doc))
+        tracks = [t.points for layer in doc.layers for t in layer.tracks]
+        assert chunks[1::2] == [oracles.pathml_points(points).encode() for points in tracks]
+        assert len(chunks) == 2 * len(tracks) + 1
+
+    def test_chunks_refuse_an_invalid_document_before_the_first(self):
+        with pytest.raises(ValidationError, match="velocity must be >= 0"):
+            xml_chunks(make_doc(velocity=-1.0))
 
     def test_special_characters_escaped(self):
         doc = make_doc(project='a<b>&"c\'')
@@ -631,6 +653,12 @@ def mutations(data: bytes, rng: random.Random):
         yield (text[:m.end()] + "\n" + text[m.end():]).encode()
     for m in re.finditer("(?m)^            <Attribute.*\n", text):
         yield (text[:m.start()] + text[m.end():]).encode()
+    # bytes a strict UTF-8 decoder refuses, an overlong "/" and an encoded
+    # surrogate, in names; a NUL inside a point number
+    for bad in (b"\xc0\xaf", b"\xed\xa0\x80"):
+        yield data.replace(b"cell 7", b"ce" + bad + b"ll 7")
+        yield data.replace(b"Track_1", b"Tr" + bad + b"ack_1")
+    yield data.replace(b"<Value>20.250000<", b"<Value>20.25\x000000<", 1)
 
 
 class TestScanner:
