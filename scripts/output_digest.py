@@ -16,12 +16,17 @@ one sha256 per part:
 * ``near_lock``: 50 ``synth_demo`` captures of a path whose pitch passes through
   +-90 degrees, and their ``filter_outliers`` then ``fuse`` result.
 
-The last line is one JSON object of the same digests.  Only the inputs are
-seeded, so equal digests from two checkouts mean equal outputs.
+Then, for each chain workload, one sha256 per output file name over the same
+seeds (``OUTPUT_FILES``; ``capture*/fused.json`` are the quality pass's fused
+captures), so that two checkouts whose chain digests differ show which outputs
+moved.  The last line is one JSON object of the same digests, the per-file ones
+under ``"files"``.  Only the inputs are seeded, so equal digests from two
+checkouts mean equal outputs.
 """
 
 import argparse
 import dataclasses
+import fnmatch
 import hashlib
 import importlib
 import json
@@ -34,6 +39,7 @@ import numpy as np
 NOISE_SEEDS = (1, 7, 1431)
 CHAIN_SEEDS = (1, 7, 11)
 NEAR_LOCK_CAPTURES = 50
+OUTPUT_FILES = ("fused.json", "part.aml", "stack.aml", "program.txt", "report.json", "capture*/fused.json")
 
 
 def _update(h, *arrays) -> None:
@@ -51,8 +57,9 @@ def noise_sweep(pf, workloads) -> str:
     return h.hexdigest()
 
 
-def chain(pf, workloads, spec) -> str:
-    h = hashlib.sha256()
+def chain(pf, workloads, spec) -> tuple[str, dict[str, str]]:
+    """The digest of every file in the work directory, and one per name in ``OUTPUT_FILES``."""
+    h, per_file = hashlib.sha256(), {name: hashlib.sha256() for name in OUTPUT_FILES}
     for seed in CHAIN_SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
@@ -60,8 +67,13 @@ def chain(pf, workloads, spec) -> str:
             wl.op()
             wl.quality_pass()
             for f in sorted(p for p in work.rglob("*") if p.is_file()):
-                h.update(str(f.relative_to(work)).encode() + b"\0" + f.read_bytes())
-    return h.hexdigest()
+                rel = str(f.relative_to(work))
+                entry = rel.encode() + b"\0" + f.read_bytes()
+                h.update(entry)
+                for name in OUTPUT_FILES:
+                    if fnmatch.fnmatchcase(rel, name):
+                        per_file[name].update(entry)
+    return h.hexdigest(), {name: d.hexdigest() for name, d in per_file.items()}
 
 
 def near_lock(pf) -> str:
@@ -93,16 +105,25 @@ def main() -> int:
         sys.exit(f"imported pathfuse from {pf.__file__}, not from {root / 'src'}")
 
     specs = workloads.CHAIN_SPECS
-    digests = {
-        "noise_sweep": noise_sweep(pf, workloads),
+    chains = {
         "capture_long": chain(pf, workloads, specs["capture_long"]),
         "stack_dense": chain(pf, workloads, specs["stack_dense"]),
-        "near_lock": near_lock(pf),
         "open_stack": chain(pf, workloads, dataclasses.replace(specs["capture_long"], layers=3)),
+    }
+    digests = {
+        "noise_sweep": noise_sweep(pf, workloads),
+        "capture_long": chains["capture_long"][0],
+        "stack_dense": chains["stack_dense"][0],
+        "near_lock": near_lock(pf),
+        "open_stack": chains["open_stack"][0],
     }
     for name, digest in digests.items():
         print(f"{name:13s} {digest}")
-    print(json.dumps(digests))
+    files = {workload: per_file for workload, (_, per_file) in chains.items()}
+    for workload, per_file in files.items():
+        for name, digest in per_file.items():
+            print(f"{workload + ' ' + name:33s} {digest}")
+    print(json.dumps({**digests, "files": files}))
     return 0
 
 

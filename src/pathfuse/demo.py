@@ -100,6 +100,7 @@ def parse_demo(data: bytes | str) -> PoseSeries:
     line breaks, spaces and tabs; seven fields on each line that is not blank,
     two or more rows, finite values and strictly increasing time.  Any other
     input goes to the line reader, which raises every error with its line.
+    The gate and numpy read ``bytes`` input in place, without a copy of its body.
     """
     series = _read_plain(data)
     return series if series is not None else _parse_lines(data)
@@ -119,11 +120,14 @@ def _read_plain(data: bytes | str) -> PoseSeries | None:
     """
     if isinstance(data, str):
         data = data.encode(errors="replace")  # text that is not ASCII fails the gate
-    head, _, body = data.removeprefix(b"\xef\xbb\xbf").partition(b"\n")
-    rest = body.translate(None, _NUMBER_BYTES)
-    if head.rstrip(b"\r") != DEMO_CSV_HEADER.encode() or rest.translate(None, b"\r \t"):
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    body = data.find(b"\n", start) + 1 or len(data)  # where the line after the header starts
+    # what the body holds besides number bytes, without copying the body out
+    rest = data.translate(None, _NUMBER_BYTES)[len(data[:body].translate(None, _NUMBER_BYTES)) :]
+    if data[start:body].rstrip(b"\r\n") != DEMO_CSV_HEADER.encode() or rest.translate(None, b"\r \t"):
         return None
-    lines = io.BytesIO(body)
+    lines = io.BytesIO(data)  # shares the bytes: nothing is copied
+    lines.seek(body)
     if rest:  # the line reader skips whitespace-only lines; loadtxt reads them as rows
         lines = filter(bytes.strip, lines)
     try:

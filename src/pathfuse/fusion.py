@@ -84,7 +84,8 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
     Savitzky & Golay 1964): fitted positions give the normalized progress and
     their slope the speed, normalized fitted quaternions the orientation (a
     windowed chordal rotation mean, Markley et al. 2007).  Each CAD point blends
-    the two fitted samples bracketing its progress; the result is in receiver frame S.
+    the two fitted samples bracketing its progress, whose orientations alone are fitted;
+    the result is in receiver frame S.
     """
     t = demo.t
     lo, hi = _windows(t, SMOOTH_WINDOW_S)
@@ -127,10 +128,11 @@ def _windows(t: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _line_fit(t, x, lo, hi, at=slice(None)):
-    """Value and slope at ``t[at]`` of the least-squares line through samples ``lo[at]:hi[at]``.
+    """Value and slope at each ``t[at]`` of the least-squares line through samples ``lo:hi``.
 
-    ``x`` is (n, c); each window holds 2 or more distinct times.  Window means come from
-    prefix sums taken about the middle sample, so a call costs O(n) whatever the window.
+    ``x`` is (n, c); ``lo`` and ``hi`` give each evaluated sample's window, which holds 2 or
+    more distinct times.  Window means come from prefix sums taken about the middle sample,
+    so a call costs O(n) in the samples it is given, whatever the window.
     """
     n, c = x.shape
     tc, x0 = t - t[n // 2], x[n // 2]
@@ -138,7 +140,6 @@ def _line_fit(t, x, lo, hi, at=slice(None)):
     sums[0, 1:], sums[1, 1:] = tc, tc * tc
     np.subtract(x.T, x0[:, None], out=sums[2 : 2 + c, 1:])
     np.multiply(tc, sums[2 : 2 + c, 1:], out=sums[2 + c :, 1:])
-    lo, hi = lo[at], hi[at]
     np.cumsum(sums, axis=1, out=sums)
     means = (np.take(sums, hi, axis=1) - np.take(sums, lo, axis=1)) / (hi - lo)
     t_bar, x_bar = means[0], means[2 : 2 + c]
@@ -147,19 +148,28 @@ def _line_fit(t, x, lo, hi, at=slice(None)):
 
 
 def _fit_rotations(t, angles_zyx, lo, hi, at) -> np.ndarray:
-    """(len(at), 4) unit quaternions of the fitted orientation at samples ``at``.
+    """(len(at), 4) unit quaternions of the fitted orientation at samples ``at``, from
+    only the samples inside their windows (each window is contiguous among those).
 
     The chordal fit is exact only at a window's centre, so samples with an end
     window fit rotation vectors about its middle sample: exact for a steady turn.
     """
-    q = _quat.make_continuous(_quat.from_euler_zyx(angles_zyx))
-    fit = _line_fit(t, q, lo, hi, at)[0]
+    lo_at, hi_at = lo[at], hi[at]
+    # how many windows of ``at`` hold each sample: +1 where one starts, -1 where one ends
+    held = np.cumsum(np.bincount(lo_at, minlength=len(t) + 1) - np.bincount(hi_at, minlength=len(t) + 1))
+    read = np.flatnonzero(held[:-1])
+    w_lo, w_hi, w_at = (np.searchsorted(read, i) for i in (lo_at, hi_at, at))  # places among them
+    t, q = t[read], _quat.make_continuous(_quat.from_euler_zyx(angles_zyx[read]))
+    fit = _line_fit(t, q, w_lo, w_hi, w_at)[0]
     fit /= np.linalg.norm(fit, axis=1, keepdims=True)
     for a, b in {(lo[0], hi[0]), (lo[-1], hi[-1])}:
-        end = (lo[at] == a) & (hi[at] == b)
+        end = (lo_at == a) & (hi_at == b)
+        if not end.any():
+            continue
+        a, b = w_lo[end][0], w_hi[end][0]
         mid = q[(a + b - 1) // 2]
         rel = _quat.to_rotvec(_quat.mul(mid * [1.0, -1.0, -1.0, -1.0], q[a:b]))
-        vec = _line_fit(t[a:b], rel, lo[a:b] - a, hi[a:b] - a, at[end] - a)[0]
+        vec = _line_fit(t[a:b], rel, w_lo[end] - a, w_hi[end] - a, w_at[end] - a)[0]
         fit[end] = _quat.mul(mid, _quat.from_rotvec(vec))
     return fit
 

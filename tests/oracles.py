@@ -383,3 +383,48 @@ def line_fit(t, x, width):
         values.append(slope * t[i] + intercept)
         slopes.append(slope)
     return np.array(values), np.array(slopes)
+
+
+def quat_rotvec(q):
+    """Rotation vector (angle times unit axis) of a unit [w, x, y, z] quaternion."""
+    s = float(np.linalg.norm(q[1:]))
+    return np.zeros(3) if s == 0.0 else 2.0 * math.atan2(s, q[0]) * np.asarray(q[1:]) / s
+
+
+def quat_from_rotvec(r):
+    angle = float(np.linalg.norm(r))
+    if angle == 0.0:
+        return np.array([1.0, 0.0, 0.0, 0.0])
+    return np.concatenate([[math.cos(angle / 2.0)], math.sin(angle / 2.0) * np.asarray(r) / angle])
+
+
+def fitted_rotations(t, angles_zyx, lo, hi, at):
+    """Unit quaternions of the orientation fitted at samples ``at``, one window at a time.
+
+    Every sample's quaternion is made, sign-aligned along the whole capture.
+    Sample i's window is ``lo[i]:hi[i]``; a least-squares line in time through
+    the window's quaternions, taken about the window's mean time, is read at
+    t[i] and normalized.  A sample whose window is the first or the last
+    sample's instead fits the rotation vectors of the window's quaternions
+    relative to its middle one, and turns the middle one by the fitted vector.
+    """
+    q = make_continuous([quat_intrinsic_zyx(*a) for a in angles_zyx])
+    ends = {(lo[0], hi[0]), (lo[-1], hi[-1])}
+    out = []
+    for i in at:
+        a, b = lo[i], hi[i]
+        if (a, b) in ends:
+            mid = q[(a + b - 1) // 2]
+            rel = [quat_rotvec(quat_mul(mid * np.array([1.0, -1.0, -1.0, -1.0]), p)) for p in q[a:b]]
+            out.append(quat_mul(mid, quat_from_rotvec(_line_at(t[a:b], np.array(rel), t[i]))))
+        else:
+            fit = _line_at(t[a:b], q[a:b], t[i])
+            out.append(fit / np.linalg.norm(fit))
+    return np.array(out)
+
+
+def _line_at(t, x, at_t):
+    """Value at ``at_t`` of the least-squares line through rows ``x`` at times ``t``."""
+    dt = t - t.mean()
+    mean = x.mean(axis=0)
+    return mean + (dt @ (x - mean)) / (dt @ dt) * (at_t - t.mean())

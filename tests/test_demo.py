@@ -223,6 +223,25 @@ class TestArrayReader:
             assert is_plain(data)
             assert outcome(parse_demo, data) == outcome(read_by_lines, data) == outcome(parse_demo, plain)
 
+    @pytest.mark.parametrize(
+        "text, plain",
+        [
+            ("\ufeff{h}\n{rows}\n", True),  # a BOM
+            ("{h}\r\n{rows}\n", True),  # a CRLF header
+            ("{h}\n{rows}", True),  # no newline after the last row
+            ("{h}", False),  # a header with no newline
+            ("\ufeff{h}\r", False),
+            ("{h}\n", False),  # a header only
+            ("{h}\n\n{rows}\n\n \t\n", True),  # blank and whitespace-only lines
+            ("t_s,x_mm,y_mm,z_mm,az_deg,\u00e9l_deg,roll_deg\n{rows}\n", False),  # a non-ASCII header
+        ],
+    )
+    def test_header_edges_keep_their_path_and_outcome(self, text, plain):
+        text = text.format(h=HEADER, rows="0,1,2,3,10,20,30\n0.5,1,2,3,10,20,30\n1,4,5,6,1,2,3")
+        for data in (text, text.encode()):
+            assert is_plain(data) == plain
+            assert outcome(parse_demo, data) == outcome(read_by_lines, data)
+
     @pytest.mark.parametrize("body", ["", "\n", "0,0,0,0,0,0,0\n"])
     def test_short_bodies_raise_as_before_without_warnings(self, body):
         for data in (f"{HEADER}\n{body}", f"{HEADER}\n{body}".encode()):

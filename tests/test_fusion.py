@@ -24,7 +24,8 @@ from pathfuse import (
     fused_path_to_json,
     to_robot_frame,
 )
-from pathfuse.fusion import SMOOTH_WINDOW_S, _line_fit, _windows
+from pathfuse import _quat, fusion
+from pathfuse.fusion import SMOOTH_WINDOW_S, _fit_rotations, _line_fit, _windows
 
 SQUARE = np.array([[0.0, 0, 0], [100.0, 0, 0], [100.0, 100.0, 0], [0.0, 100.0, 0]])
 
@@ -128,6 +129,97 @@ class TestLineFit:
         lo, hi = _windows(t, 0.25)
         assert np.all(hi - lo >= 25)
         assert lo[0] == lo[12] == 0 and hi[-1] == hi[-13] == 100
+
+
+def weave_capture(closed=False, seconds=8.0, rate=240.0, seed=0):
+    """A noisy capture along a line, or once around a circle, whose tool turns and weaves."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(int(seconds * rate)) / rate
+    s = t / t[-1]
+    if closed:
+        pos = np.column_stack([100.0 * np.cos(2 * np.pi * s), 100.0 * np.sin(2 * np.pi * s), np.zeros_like(s)])
+    else:
+        pos = np.column_stack([400.0 * s, np.zeros_like(s), np.zeros_like(s)])
+    yaw = 2 * np.pi * s if closed else 0.8 * s
+    turns = np.column_stack([yaw, 0.3 * np.sin(3 * np.pi * t), 0.2 + 0.1 * np.cos(1.4 * np.pi * t)])
+    return PoseSeries(t, pos + rng.normal(0.0, 0.5, pos.shape), turns + rng.normal(0.0, 0.01, turns.shape))
+
+
+def sparse_cad(closed):
+    if closed:
+        a = np.arange(8) * np.pi / 4
+        return CadPath(np.column_stack([100.0 * np.cos(a), 100.0 * np.sin(a), np.zeros(8)]), closed=True)
+    return CadPath(np.column_stack([np.linspace(0.0, 400.0, 6), np.zeros(6), np.zeros(6)]))
+
+
+def fit_call(monkeypatch, cad, demo):
+    """The arguments and the result of fuse's one ``_fit_rotations`` call."""
+    calls = []
+
+    def spy(*args):
+        calls.append((args, _fit_rotations(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(fusion, "_fit_rotations", spy)
+    fuse(cad, demo)
+    (call,) = calls
+    return call
+
+
+def read_samples(lo, hi, at):
+    """The samples inside the windows of ``at``."""
+    return set().union(*(range(lo[i], hi[i]) for i in at))
+
+
+def geodesic(qa, qb):
+    return np.array([oracles.rotation_distance(oracles.quat_to_rot(a), oracles.quat_to_rot(b)) for a, b in zip(qa, qb)])
+
+
+def full_series_fit(t, angles_zyx, lo, hi, at):
+    """``_fit_rotations``' arithmetic with every sample of the capture converted and summed."""
+    q = _quat.make_continuous(_quat.from_euler_zyx(angles_zyx))
+    fit = _line_fit(t, q, lo[at], hi[at], at)[0]
+    fit /= np.linalg.norm(fit, axis=1, keepdims=True)
+    for a, b in {(lo[0], hi[0]), (lo[-1], hi[-1])}:
+        end = (lo[at] == a) & (hi[at] == b)
+        mid = q[(a + b - 1) // 2]
+        rel = _quat.to_rotvec(_quat.mul(mid * [1.0, -1.0, -1.0, -1.0], q[a:b]))
+        vec = _line_fit(t[a:b], rel, lo[at][end] - a, hi[at][end] - a, at[end] - a)[0]
+        fit[end] = _quat.mul(mid, _quat.from_rotvec(vec))
+    return fit
+
+
+class TestFitOnReadSamples:
+    """The orientation fit converts and sums only the samples inside the windows it reads."""
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_sparse_cad_matches_the_window_by_window_oracle(self, monkeypatch, closed):
+        (t, angles, lo, hi, at), got = fit_call(monkeypatch, sparse_cad(closed), weave_capture(closed))
+        assert len(read_samples(lo, hi, at)) < len(t) / 2
+        assert np.max(geodesic(got, oracles.fitted_rotations(t, angles, lo, hi, at))) < 1e-12
+
+    @pytest.mark.parametrize("ends", ["first", "last", "both"])
+    def test_samples_of_the_moved_end_windows(self, ends):
+        demo = weave_capture(seed=3)
+        t, n = demo.t, len(demo.t)
+        lo, hi = _windows(t, SMOOTH_WINDOW_S)
+        at = np.array({"first": [3, 4], "last": [n - 5, n - 4], "both": [3, 4, n - 5, n - 4]}[ends])
+        assert {(lo[i], hi[i]) for i in at} <= {(lo[0], hi[0]), (lo[-1], hi[-1])}
+        got = _fit_rotations(t, demo.orientations, lo, hi, at)
+        assert np.max(geodesic(got, oracles.fitted_rotations(t, demo.orientations, lo, hi, at))) < 1e-12
+
+    def test_every_sample_read_is_the_full_series_fit_bit_for_bit(self, monkeypatch):
+        demo = weave_capture(seconds=2.0, rate=100.0, seed=5)
+        cad = CadPath(np.column_stack([np.linspace(0.0, 400.0, 60), np.zeros(60), np.zeros(60)]))
+        (t, angles, lo, hi, at), got = fit_call(monkeypatch, cad, demo)
+        assert read_samples(lo, hi, at) == set(range(len(t)))
+        assert got.tobytes() == full_series_fit(t, angles, lo, hi, at).tobytes()
+
+    def test_converts_no_sample_outside_the_read_windows(self, monkeypatch):
+        sizes, convert = [], _quat.from_euler_zyx
+        monkeypatch.setattr(_quat, "from_euler_zyx", lambda angles: sizes.append(len(angles)) or convert(angles))
+        (t, _, lo, hi, at), _ = fit_call(monkeypatch, sparse_cad(False), weave_capture(seed=1))
+        assert sizes and max(sizes) <= len(read_samples(lo, hi, at)) < len(t)
 
 
 def make_calib(seed=0):

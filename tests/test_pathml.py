@@ -225,6 +225,18 @@ class TestWriter:
         with pytest.raises(ValidationError):
             write_xml(make_doc(velocity=-1.0))
 
+    def test_the_point_writer_keeps_nothing_of_a_track_while_its_text_is_out(self):
+        # the caller encodes and writes each track's text while the generator waits: it
+        # holds no pieces of that text then, and after the last track no column cache
+        tracks = [np.arange(21.0).reshape(3, 7), np.arange(21.0).reshape(3, 7) + [0, 0, 1, 0, 0, 0, 0]]
+        texts = pathml._points_xml(tracks)
+        for _ in tracks:
+            text = next(texts)
+            held = texts.gi_frame.f_locals
+            assert held["cells"] == [] and all(value is not text for value in held.values())
+        assert held["formatted"] == {}
+        assert next(texts, None) is None
+
     def test_layout(self):
         data = write_xml(make_doc(project="widget"))
         text = data.decode("utf-8")
