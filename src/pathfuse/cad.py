@@ -76,9 +76,6 @@ class CadPath:
         """Lengths of every traversed segment, closing one included if closed."""
         return np.linalg.norm(np.diff(traverse(self.waypoints, self.closed), axis=0), axis=1)
 
-    def total_length(self) -> float:
-        return float(np.sum(self.segment_lengths()))
-
 
 def traverse(points: np.ndarray, closed: bool) -> np.ndarray:
     """Polyline vertices in traversal order: a closed one returns to its first point."""

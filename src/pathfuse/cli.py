@@ -256,15 +256,14 @@ def _cmd_pathml_gen(args) -> int:
 def _validated(args, out):
     """Parse ``args.file`` and check it once with the config's limits; print
     the document violations, then the limit violations, to ``out``."""
-    doc = parse_xml(_read(args.file))
-    report = validate_path(doc, _config_from(args).limits)
+    report = validate_path(parse_xml(_read(args.file)), _config_from(args).limits)
     for v in report.document + report.violations:
         print(v, file=out)
-    return doc, report
+    return report
 
 
 def _cmd_pathml_validate(args) -> int:
-    _, report = _validated(args, sys.stdout)
+    report = _validated(args, sys.stdout)
     return 0 if report.passed else 1
 
 
@@ -277,10 +276,10 @@ def _cmd_pathml_expand(args) -> int:
 
 
 def _cmd_emit(args) -> int:
-    doc, report = _validated(args, sys.stderr)
+    report = _validated(args, sys.stderr)
     if not report.passed:
         return 1
-    _write_out(args.output, emit_program(doc, report).text)
+    _write_out(args.output, emit_program(report).text)
     return 0
 
 

@@ -118,14 +118,6 @@ def orthonormality_error(r: np.ndarray) -> float:
     return float(max(err, np.abs(np.linalg.det(r) - 1.0).max()))
 
 
-def check_rotation(r: np.ndarray) -> np.ndarray:
-    """Validate a 3x3 rotation matrix; returns it as float64."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (3, 3):
-        raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
-    return check_rotations(r[None])[0]
-
-
 def check_rotations(r: np.ndarray) -> np.ndarray:
     """Validate an (m, 3, 3) stack of rotation matrices; returns it as float64."""
     r = np.asarray(r, dtype=float)
@@ -165,7 +157,10 @@ class Transform4:
     child: Frame | None = None
 
     def __post_init__(self):
-        r = check_rotation(self.rotation).copy()
+        r = np.array(self.rotation, dtype=float)  # a copy
+        if r.shape != (3, 3):
+            raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
+        check_rotations(r[None])
         t = np.asarray(self.translation, dtype=float).reshape(3).copy()
         if not np.all(np.isfinite(t)):
             raise ValueError("translation contains non-finite entries")

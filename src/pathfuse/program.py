@@ -75,14 +75,13 @@ class LimitViolation:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """The limit violations of a document's moves, and its document rule violations."""
+    """``validate_path``'s verdict on ``doc``: its document rule violations
+    (``document``) and the limit violations of its moves (``violations``).
+    ``emit_program`` emits ``doc`` only from a report that passed."""
 
+    doc: PathMLDocument
     violations: tuple[LimitViolation, ...]
-    document: tuple[Violation, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "violations", tuple(self.violations))
-        object.__setattr__(self, "document", tuple(self.document))
+    document: tuple[Violation, ...]
 
     @property
     def passed(self) -> bool:
@@ -132,11 +131,11 @@ def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
         measured[1:, 1] = np.degrees(rotation_angle(np.swapaxes(rots[:-1], 1, 2) @ rots[1:]))
     measured[:, 2] = np.linalg.norm(pts[:, :3] - limits.workspace_center, axis=1)
     measured[:, 3] = pts[:, 6]
-    violations = (
+    violations = tuple(
         LimitViolation(*address[pi].tolist(), rules[ri], float(measured[pi, ri]), limit[ri])
         for pi, ri in zip(*np.nonzero(measured > limit))
     )
-    return ValidationReport(violations, validate_document(doc))
+    return ValidationReport(doc, violations, tuple(validate_document(doc)))
 
 
 @dataclass(frozen=True)
@@ -161,27 +160,21 @@ def _comment(text: str) -> str:
     return "# " + " ".join(str(text).split())
 
 
-def emit_program(doc: PathMLDocument, validation: ValidationReport | None = None) -> RobotProgram:
-    """Emit the neutral-dialect program for a document.
+def emit_program(report: ValidationReport) -> RobotProgram:
+    """Emit the neutral-dialect program for the document ``report`` checked.
 
-    ``validation`` is ``validate_path``'s report on this document, whose
-    checks are then not run again.  Emission refuses to encode a path known
-    to violate limits (ValueError) and raises ValidationError for a document
-    that breaks the document rules; with no report, it checks only those.
-    The moves are emitted in the order ``validate_path`` checks them: layers
-    by ``Index`` (equal indices in listing order), then tracks, then points.
+    ``report`` is ``validate_path``'s report on ``report.doc``; emission runs
+    no check of its own.  A report that did not pass raises ValidationError
+    naming every violation, document rules first, then limits, as ``pathml
+    validate`` prints them.  The moves are emitted in the order
+    ``validate_path`` checks them (``_traverse``): layers by ``Index`` (equal
+    indices in listing order), then tracks, then points.
     Tool-active tracks are wrapped in SET_IO TOOL 1/0.
     """
-    if validation is not None and validation.violations:
-        raise ValueError(
-            f"refusing to emit: validation failed with {len(validation.violations)} violation(s)"
-        )
-    layers, points, _ = _traverse(doc)
-    if not len(points):
-        raise ValueError("document has no points to emit")
-    bad = validate_document(doc) if validation is None else validation.document
-    if bad:
-        raise ValidationError("refusing to emit an invalid document: " + "; ".join(str(v) for v in bad))
+    if not report.passed:
+        raise ValidationError("refusing to emit: " + "; ".join(map(str, report.document + report.violations)))
+    doc = report.doc
+    layers = _traverse(doc)[0]
 
     p = doc.process
     lines = [_comment(f"program: {doc.project_name}"), _comment(f"process_type: {p.process_type.value}")]
@@ -211,10 +204,6 @@ class SectionDeviation:
     max_deviation_mm: float
     point_count: int
 
-    @property
-    def empty(self) -> bool:
-        return self.point_count == 0
-
 
 @dataclass(frozen=True)
 class DeviationReport:
@@ -242,7 +231,6 @@ class DeviationReport:
 
 _BLOCK = 16  # consecutive segments under one bounding ball
 _PAIRS = 1 << 15  # point-segment pairs per pass: (n, 3) temporaries stay under 1 MB
-_DENSE = 0.5  # kept share of a pass above which every pair is measured by broadcasting
 
 
 def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -262,10 +250,8 @@ def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     coordinate of 2**500 or more, where a square could overflow.
 
     The skip pays when points lie near the polyline compared with a block's
-    size.  Points go in passes of at most ``_PAIRS`` pairs; a pass that
-    keeps more than ``_DENSE`` of its pairs (points far inside a loop, say)
-    measures all of them by broadcasting, as cheap per pair as the search
-    without blocks, instead of gathering the kept ones.
+    size.  Points go in passes of at most ``_PAIRS`` pairs; each pass gathers
+    the segments of the blocks it keeps.
     """
     a = poly[:-1]
     d = poly[1:] - a
@@ -291,17 +277,14 @@ def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
         gap = _norm(pts[:, None, :] - centre)
         ub = np.min(gap + radius, axis=1)
         pi, bi = np.nonzero(~(gap - radius > ub[:, None] + margin))
+        # the segments of every kept (point, block), point by point
         n = size[bi]
-        if n.sum() > _DENSE * len(pts) * len(a):
-            sq = np.min(_sq_gaps(pts[:, None, :], a, d, dd, dd_safe), axis=1)
-        else:
-            # the segments of every kept (point, block), point by point
-            seg = np.repeat(first[bi] - np.cumsum(n) + n, n) + np.arange(n.sum())
-            row = np.repeat(pi, n)
-            counts = np.bincount(row, minlength=len(pts))
-            sq = np.minimum.reduceat(
-                _sq_gaps(pts[row], a[seg], d[seg], dd[seg], dd_safe[seg]), np.cumsum(counts) - counts
-            )
+        seg = np.repeat(first[bi] - np.cumsum(n) + n, n) + np.arange(n.sum())
+        row = np.repeat(pi, n)
+        counts = np.bincount(row, minlength=len(pts))
+        sq = np.minimum.reduceat(
+            _sq_gaps(pts[row], a[seg], d[seg], dd[seg], dd_safe[seg]), np.cumsum(counts) - counts
+        )
         out[start : start + chunk] = np.sqrt(sq)
     return out
 

@@ -9,11 +9,22 @@ from pathfuse import (
     Frame,
     FusedPath,
     Layer,
+    PathLimits,
     PathMLDocument,
     ProcessParameters,
     Track,
+    emit_program,
     expand_layers,
+    validate_path,
 )
+
+# limits no move between finite points breaks: a relative rotation is at most 180 degrees
+NO_LIMITS = PathLimits(max_step_mm=1e300, max_speed_mm_s=1e300, workspace_radius_mm=1e300, max_orient_step_deg=180.0)
+
+
+def emitted(doc):
+    """The program of ``doc``, whose moves pass any limit: only its document rules can refuse it."""
+    return emit_program(validate_path(doc, NO_LIMITS))
 
 
 @pytest.fixture

@@ -26,12 +26,12 @@ class TestCadPath:
     def test_lengths_open(self):
         p = CadPath(np.array([[0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]]))
         assert np.allclose(p.segment_lengths(), [3.0, 4.0])
-        assert math.isclose(p.total_length(), 7.0)
+        assert math.isclose(p.segment_lengths().sum(), 7.0)
 
     def test_lengths_closed_include_return_segment(self):
         p = CadPath(SQUARE, closed=True)
         assert np.allclose(p.segment_lengths(), [100.0] * 4)
-        assert math.isclose(p.total_length(), 400.0)
+        assert math.isclose(p.segment_lengths().sum(), 400.0)
 
     def test_merges_coincident_neighbors(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [10.0, 0, 0], [10.0, 0, 0], [10.0, 5.0, 0]])
@@ -138,7 +138,7 @@ class TestCadPath:
     def test_merge_of_a_resampled_loop_matches_the_per_waypoint_loop(self, closed):
         theta = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
         ring = np.column_stack([300.0 * np.cos(theta), 200.0 * np.sin(theta), np.full(12, 40.0)])
-        points = oracles.split_polyline(ring, closed, CadPath(ring, closed).total_length() / 1200.0)
+        points = oracles.split_polyline(ring, closed, CadPath(ring, closed).segment_lengths().sum() / 1200.0)
         points = np.vstack([points, points[:1]])  # closed: the repeated first point is dropped
         assert len(points) > 1200
         want = oracles.cad_waypoints(points, closed)
@@ -200,7 +200,7 @@ class TestResample:
             pts[rng.random((n, 3)) < 0.2] = -0.0
             p = CadPath(pts, closed=closed)
             spacing = float(rng.uniform(1.0, 80.0))
-            if spacing > p.total_length():
+            if spacing > p.segment_lengths().sum():
                 continue
             got = resample_cad(p, spacing).waypoints
             want = CadPath(oracles.split_polyline(p.waypoints, closed, spacing), closed).waypoints
@@ -235,7 +235,7 @@ class TestResample:
         rng = np.random.default_rng(8)
         p = CadPath(np.cumsum(rng.uniform(0.5, 9.0, (9, 3)), axis=0))
         r = resample_cad(p, 2.5)
-        assert math.isclose(r.total_length(), p.total_length(), rel_tol=1e-12)
+        assert math.isclose(r.segment_lengths().sum(), p.segment_lengths().sum(), rel_tol=1e-12)
         assert r.closed == p.closed
 
     def test_exact_division_counts(self):
@@ -251,7 +251,7 @@ class TestResample:
                 warnings.simplefilter("error")
                 r = resample_cad(p, spacing)
             assert np.array_equal(r.waypoints, p.waypoints)
-            assert r.total_length() == p.total_length() == 7.0
+            assert r.segment_lengths().sum() == p.segment_lengths().sum() == 7.0
 
     def test_closed_path_wide_spacing_returns_path(self):
         p = CadPath(SQUARE, closed=True)
@@ -376,7 +376,7 @@ def test_resample_property(points, spacing):
         return
     r = resample_cad(p, spacing)
     # length never changes, step never exceeds the request
-    assert math.isclose(r.total_length(), p.total_length(), rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(r.segment_lengths().sum(), p.segment_lengths().sum(), rel_tol=1e-9, abs_tol=1e-9)
     steps = np.linalg.norm(np.diff(r.waypoints, axis=0), axis=1)
     assert np.max(steps) <= spacing + 1e-6
     poly = p.waypoints

@@ -16,7 +16,6 @@ from pathfuse import (
     wrap_angle,
 )
 from pathfuse.geometry import (
-    check_rotation,
     euler_zyx_from_rots,
     orthonormality_error,
     rots_from_euler_zyx,
@@ -100,6 +99,11 @@ class TestWrap:
         assert np.allclose(w, [0.0, math.pi, math.pi])
 
 
+def check_rotation(r):
+    """Transform4's check of its rotation."""
+    return Transform4(r, np.zeros(3)).rotation
+
+
 class TestRotationChecks:
     def test_accepts_valid(self):
         rng = np.random.default_rng(5)
@@ -117,7 +121,7 @@ class TestRotationChecks:
             check_rotation(m)
 
     def test_rejects_bad_shape_and_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="rotation must be 3x3"):
             check_rotation(np.eye(4))
         m = np.eye(3)
         m[0, 0] = math.nan

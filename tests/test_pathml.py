@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import make_doc, plain_layers, shared_column_docs
+from conftest import emitted, make_doc, plain_layers, shared_column_docs
 from pathfuse import (
     CadPath,
     FrameMismatchError,
@@ -23,7 +23,6 @@ from pathfuse import (
     Track,
     ValidationError,
     build_document,
-    emit_program,
     expand_layers,
     fuse,
     fused_path_to_json,
@@ -278,7 +277,7 @@ class TestWriter:
         values = [line.split("<Value>")[1].split("</Value>")[0]
                   for line in write_xml(doc).decode().splitlines() if "_mm" in line or "_deg" in line]
         assert values == [six] * 6 + ["0.000000"] + [six] * 6 + ["0.000000"]
-        moves = [line for line in emit_program(doc).lines if line.startswith("MOVEL")]
+        moves = [line for line in emitted(doc).lines if line.startswith("MOVEL")]
         assert moves == [f"MOVEL {' '.join([three] * 6)} V=0.000"] * 2
 
     EDGE_ROWS = [

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import child_env, make_doc, plain_layers, shared_column_docs
+from conftest import NO_LIMITS, child_env, emitted, make_doc, plain_layers, shared_column_docs
 from pathfuse import (
     Frame,
     FrameMismatchError,
@@ -23,7 +23,6 @@ from pathfuse import (
     ProcessParameters,
     Track,
     ValidationError,
-    ValidationReport,
     deviation_report,
     emit_program,
     parse_xml,
@@ -34,6 +33,8 @@ from pathfuse import program
 from pathfuse.program import _movel_lines, _point_to_polyline_mm
 
 GOLDEN = Path(__file__).parent / "data" / "golden_program.txt"
+# the golden document's base -> cap move is 50.040 mm and 90 degrees
+GOLDEN_LIMITS = PathLimits(max_step_mm=51.0, max_orient_step_deg=91.0)
 
 
 def doc_with_points(points, process=None, tool_active=True):
@@ -216,13 +217,10 @@ class TestDocumentRulesInReport:
         assert [v.rule for v in report.violations] == ["step", "step", "reachability"]  # 100 mm, inf, inf
 
     def test_emit_trusts_the_report(self, monkeypatch):
-        doc = make_doc()
-        report = validate_path(doc, PathLimits())
+        report = validate_path(make_doc(), PathLimits())
+        want = emit_program(report).text
         monkeypatch.setattr(program, "validate_document", None)  # any call would raise TypeError
-        assert emit_program(doc, report).text == emit_program(doc, ValidationReport(())).text
-        bad = ValidationReport((), validate_document(make_doc(velocity=-1.0)))
-        with pytest.raises(ValidationError, match="refusing to emit an invalid document"):
-            emit_program(doc, bad)
+        assert emit_program(report).text == want
 
 
 def _scaled(limits, f):
@@ -297,18 +295,20 @@ class TestEmit:
             ),
         )
 
+    def _golden_program(self):
+        return emit_program(validate_path(self._golden_doc(), GOLDEN_LIMITS))
+
     def test_matches_golden_file(self):
-        prog = emit_program(self._golden_doc())
-        assert prog.text == GOLDEN.read_text()
+        assert self._golden_program().text == GOLDEN.read_text()
 
     def test_layers_emitted_by_index_not_listing_order(self):
-        lines = emit_program(self._golden_doc()).lines
+        lines = self._golden_program().lines
         base_at = lines.index("# layer: base")
         cap_at = lines.index("# layer: cap")
         assert base_at < cap_at
 
     def test_tool_wrapping_only_for_active_tracks(self):
-        lines = emit_program(self._golden_doc()).lines
+        lines = self._golden_program().lines
         assert lines.count("SET_IO TOOL 1") == 1
         assert lines.count("SET_IO TOOL 0") == 1
         cap_block = lines[lines.index("# layer: cap") :]
@@ -316,22 +316,25 @@ class TestEmit:
 
     def test_line_count_invariant(self):
         doc = self._golden_doc()
-        lines = emit_program(doc).lines
+        lines = self._golden_program().lines
         points = sum(len(t.points) for l in doc.layers for t in l.tracks)
         active = sum(1 for l in doc.layers for t in l.tracks if t.tool_active)
         header = 5  # program, process_type, glue rate, layer height, one extra
         assert len(lines) == header + len(doc.layers) + points + 2 * active
 
     def test_refuses_failing_validation(self):
-        doc = self._golden_doc()
-        report = validate_path(doc, PathLimits(max_speed_mm_s=10.0))
-        assert not report.passed
-        with pytest.raises(ValueError, match="refusing"):
-            emit_program(doc, report)
-        # the base -> cap move is 50.040 mm and 90 degrees
-        ok = validate_path(doc, PathLimits(max_step_mm=51.0, max_orient_step_deg=91.0))
-        assert ok.passed
-        assert emit_program(doc, ok).lines
+        report = validate_path(self._golden_doc(), PathLimits())
+        assert report.document == ()
+        with pytest.raises(ValidationError) as refused:
+            emit_program(report)
+        assert str(refused.value) == (
+            "refusing to emit: "
+            "layer 1 track 0 point 1: orient_step 45.000 exceeds limit 30.000; "
+            "layer 1 track 0 point 2: orient_step 45.000 exceeds limit 30.000; "
+            "layer 0 track 0 point 0: step 50.040 exceeds limit 50.000; "
+            "layer 0 track 0 point 0: orient_step 90.000 exceeds limit 30.000"
+        )
+        assert validate_path(self._golden_doc(), GOLDEN_LIMITS).passed
 
     def test_golden_validates_in_emission_order(self):
         found = validate_path(self._golden_doc(), PathLimits()).violations
@@ -344,8 +347,9 @@ class TestEmit:
 
     def test_refuses_empty_document(self):
         doc = PathMLDocument("p", ProcessParameters("other"), (Layer("L", 0, (Track("T", (), True),)),))
-        with pytest.raises(ValueError, match="no points"):
-            emit_program(doc)
+        with pytest.raises(ValidationError) as refused:
+            emit_program(validate_path(doc, PathLimits()))
+        assert str(refused.value) == "refusing to emit: L/T: structure: track has 0 point(s), needs at least 2"
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -357,17 +361,35 @@ class TestEmit:
         ids=["negative_velocity", "nan_coordinate", "adhesive_without_glue_rate"],
     )
     def test_refuses_invalid_document(self, kwargs):
-        doc = make_doc(**kwargs)
-        with pytest.raises(ValidationError, match="refusing to emit an invalid document"):
-            emit_program(doc)
+        # the 10 mm steps break the step limit too, except where a NaN coordinate makes them NaN
+        report = validate_path(make_doc(**kwargs), PathLimits(max_step_mm=5.0))
+        assert report.document
+        with pytest.raises(ValidationError) as refused:
+            emit_program(report)
+        assert str(refused.value) == "refusing to emit: " + "; ".join(map(str, report.document + report.violations))
+
+    def test_moves_follow_the_checked_order(self):
+        # layer indices out of listing order, one of them twice; every value exact at three decimals
+        rows = np.arange(5 * 3 * 7, dtype=float).reshape(5, 3, 7) / 8.0
+        listed = [(2, [rows[0]]), (0, [rows[1], rows[2]]), (1, [rows[3]]), (0, [rows[4]])]
+        doc = PathMLDocument("p", ProcessParameters("other"), tuple(
+            Layer(f"L{li}", index, tuple(Track(f"T{ti}", pts, ti % 2 == 0) for ti, pts in enumerate(tracks)))
+            for li, (index, tracks) in enumerate(listed)
+        ))
+        report = validate_path(doc, NO_LIMITS)
+        assert report.doc is doc and report.passed
+        moves = [line.split()[1:] for line in emit_program(report).lines if line.startswith("MOVEL")]
+        read_back = np.array([[float(f.removeprefix("V=")) for f in fields] for fields in moves])
+        assert np.array_equal(read_back, program._traverse(doc)[1])
+        assert np.array_equal(read_back, np.concatenate([rows[1], rows[2], rows[4], rows[3], rows[0]]))
 
     def test_multiline_names_collapsed_in_comments(self):
         doc = make_doc(project="two\nline  name")
-        lines = emit_program(doc).lines
+        lines = emitted(doc).lines
         assert lines[0] == "# program: two line name"
 
     def test_text_ends_with_newline(self):
-        assert emit_program(make_doc()).text.endswith("\n")
+        assert emitted(make_doc()).text.endswith("\n")
 
 
 def fused(positions, frame=Frame.R, closed=False):
@@ -436,7 +458,6 @@ class TestDeviation:
         executed = fused([[0, 0, 0], [25.0, 0, 0], [100.0, 0, 0]])
         rep = deviation_report(executed, nominal, section_breaks=(0.4, 0.6))
         assert rep.sections[1].point_count == 0
-        assert rep.sections[1].empty
         assert rep.sections[1].max_deviation_mm == 0.0
 
     def test_closed_executed_param_includes_return_leg(self):
@@ -500,23 +521,13 @@ class TestDeviation:
 
 
 def _same(points, poly):
-    """The block-pruned search gives exactly the all-pairs distances, NaN where they are NaN.
-
-    Checked as shipped, with every pass gathering its kept pairs
-    (``_DENSE`` 1.0), and with every pass that keeps a pair broadcasting
-    (``_DENSE`` 0.0).
-    """
+    """The block-pruned search gives exactly the all-pairs distances, NaN where they are NaN."""
     points, poly = np.asarray(points, dtype=float), np.asarray(poly, dtype=float)
     with np.errstate(all="ignore"):
         want = oracles.point_to_polyline_all_pairs(points, poly)
-        for dense in (program._DENSE, 1.0, 0.0):
-            saved, program._DENSE = program._DENSE, dense
-            try:
-                got = _point_to_polyline_mm(points, poly)
-            finally:
-                program._DENSE = saved
-            assert got.shape == want.shape
-            assert np.array_equal(got, want, equal_nan=True), f"_DENSE = {dense}"
+        got = _point_to_polyline_mm(points, poly)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
 
 
 def _polygon(sides, radius=100.0):
@@ -621,7 +632,7 @@ class TestMovel:
     def test_programs_of_documents_with_shared_columns_match_per_row_format(self, doc):
         comments = ["# process_type: other", "# layer_height_mm: 2.000"]
         want = oracles.program_lines(doc.project_name, comments, plain_layers(doc))
-        assert emit_program(doc).text == "\n".join(want) + "\n"
+        assert emitted(doc).text == "\n".join(want) + "\n"
 
     def test_tracks_of_zero_and_one_row_match_per_row_format(self):
         rows = np.array(self.rows)
@@ -630,5 +641,5 @@ class TestMovel:
 
     def test_program_moves_match_per_row_format(self):
         doc = doc_with_points(self.rows)
-        moves = [line for line in emit_program(doc).lines if line.startswith("MOVEL")]
+        moves = [line for line in emitted(doc).lines if line.startswith("MOVEL")]
         assert moves == oracles.movel_lines(doc.layers[0].tracks[0].points)
