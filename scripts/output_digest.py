@@ -14,7 +14,12 @@ one sha256 per part:
 * ``open_stack``: the same for ``capture_long``'s chain expanded to 3 layers, an
   open path whose odd layers run backwards;
 * ``near_lock``: 50 ``synth_demo`` captures of a path whose pitch passes through
-  +-90 degrees, and their ``filter_outliers`` then ``fuse`` result.
+  +-90 degrees, and their ``filter_outliers`` then ``fuse`` result;
+* ``deviation``: ``deviation_report`` JSON, with section breaks 0.05 ... 0.95,
+  of four executed paths against the ``stack_dense`` nominal path (the chain's
+  fused path) at seeds 7 and 11: the chain's jittered path, the same moved
+  150 mm along z (``far150``), points at the loop's centre (``centre``, where
+  the search can skip no segment) and a log five times denser (``dense``).
 
 Then, for each chain workload, one sha256 per output file name over the same
 seeds (``OUTPUT_FILES``; ``capture*/fused.json`` are the quality pass's fused
@@ -39,6 +44,8 @@ import numpy as np
 NOISE_SEEDS = (1, 7, 1431)
 CHAIN_SEEDS = (1, 7, 11)
 NEAR_LOCK_CAPTURES = 50
+DEVIATION_SEEDS = (7, 11)
+DEVIATION_BREAKS = tuple(k / 20 for k in range(1, 20))
 OUTPUT_FILES = ("fused.json", "part.aml", "stack.aml", "program.txt", "report.json", "capture*/fused.json")
 
 
@@ -93,6 +100,30 @@ def near_lock(pf) -> str:
     return h.hexdigest()
 
 
+def deviation(pf, workloads) -> str:
+    h = hashlib.sha256()
+    for seed in DEVIATION_SEEDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            workloads.ChainWorkload(workloads.CHAIN_SPECS["stack_dense"], seed, work, pf.cli.main).op()
+            nominal = pf.fused_path_from_json((work / "fused.json").read_bytes())
+            executed = pf.fused_path_from_json((work / "executed.json").read_bytes())
+        ex = executed.positions
+        u = np.arange(5 * (len(ex) - 1) + 1) / 5.0  # four more points between each two
+        centre = nominal.positions.mean(axis=0)
+        cases = {
+            "chain": ex,
+            "far150": ex + [0.0, 0.0, 150.0],
+            "centre": centre + 1e-3 * (ex - centre),
+            "dense": np.column_stack([np.interp(u, np.arange(len(ex)), ex[:, c]) for c in range(3)]),
+        }
+        for name, pos in cases.items():
+            path = pf.FusedPath(pos, np.zeros_like(pos), np.full(len(pos), 100.0), executed.frame, executed.closed)
+            report = pf.deviation_report(path, nominal, DEVIATION_BREAKS)
+            h.update(f"{seed} {name}".encode() + b"\0" + report.to_json().encode())
+    return h.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -116,6 +147,7 @@ def main() -> int:
         "stack_dense": chains["stack_dense"][0],
         "near_lock": near_lock(pf),
         "open_stack": chains["open_stack"][0],
+        "deviation": deviation(pf, workloads),
     }
     for name, digest in digests.items():
         print(f"{name:13s} {digest}")

@@ -4,9 +4,11 @@ spelled as ASCII decimals in text (``number``, ``integer``) and as JSON numbers 
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import re
+import warnings
 from itertools import chain
 
 import numpy as np
@@ -23,6 +25,9 @@ _NUMBER = re.compile(
 
 # Spaces or tabs around an optional sign and ASCII digits.
 _INTEGER = re.compile(r"[ \t]*[+-]?[0-9]+[ \t]*")
+
+# The bytes of plain numbers in comma-separated rows (see ``plain_rows``).
+_NUMBER_BYTES = b"0123456789.,+-eE\n"
 
 # The exact types json.loads gives numbers; true and false are of type bool.
 _JSON_NUMBER_TYPES = {int, float}
@@ -76,6 +81,35 @@ def csv_row(line: str, width: int, lineno: int) -> list[float]:
     if not all(map(math.isfinite, values)):
         raise ParseError("non-finite value in row", line=lineno)
     return values
+
+
+def plain_rows(data: bytes, start: int, width: int) -> np.ndarray | None:
+    """The rows of ``data[start:]`` as one ``(n, width)`` array, read by numpy's C reader, or None.
+
+    The rows qualify when the bytes hold only ASCII digits, ``.,+-eE``, line
+    breaks, spaces and tabs, and each line that is not blank holds ``width``
+    fields; there is at least one row and every value is finite.  On those
+    bytes ``number`` accepts exactly what ``float()`` does, and ``float()`` and
+    loadtxt both convert a field with ``PyOS_string_to_double`` on its stripped
+    text, so every value equals ``csv_row``'s.  Rows of unequal width, a CR
+    inside a line and bad numbers make loadtxt raise.  ``data`` is read in
+    place, without a copy of its rows.
+    """
+    # what the rows hold besides number bytes, without copying them out
+    rest = data.translate(None, _NUMBER_BYTES)[len(data[:start].translate(None, _NUMBER_BYTES)) :]
+    if rest.translate(None, b"\r \t"):
+        return None
+    lines = io.BytesIO(data)  # shares the bytes: nothing is copied
+    lines.seek(start)
+    if rest:  # csv_lines skips whitespace-only lines; loadtxt reads them as rows
+        lines = filter(bytes.strip, lines)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no rows warn instead of raising
+            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    return rows if rows.shape[1] == width and np.all(np.isfinite(rows)) else None
 
 
 def json_value(data: bytes | str):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._read import csv_lines, csv_row, decode, json_rows, json_value
+from ._read import csv_lines, csv_row, decode, json_rows, json_value, plain_rows
 from .errors import DegeneratePathError, ParseError
 
 CAD_CSV_HEADER = "x_mm,y_mm,z_mm"
@@ -157,7 +157,9 @@ def _parse_cad_json(text: str) -> CadPath:
 
 
 def _parse_cad_csv(text: str) -> CadPath:
-    wps = []
+    """Directive lines set ``closed``; the other lines go through ``plain_rows``, and
+    rows it declines to ``csv_row``, which raises each error with its line."""
+    rows = []
     closed = False
     for lineno, line in csv_lines(text, CAD_CSV_HEADER):
         stripped = line.strip()
@@ -168,12 +170,17 @@ def _parse_cad_csv(text: str) -> CadPath:
             elif directive == "closed=false":
                 closed = False
             else:
+                for n, row in rows:  # a bad row above it is the first error
+                    csv_row(row, 3, n)
                 raise ParseError(f"unknown directive {stripped!r}", line=lineno)
             continue
-        wps.append(csv_row(line, 3, lineno))
+        rows.append((lineno, line))
+    wps = plain_rows("\n".join(line for _, line in rows).encode(errors="replace"), 0, 3)
+    if wps is None:
+        wps = np.array([csv_row(line, 3, lineno) for lineno, line in rows])
     if len(wps) < 2:
         raise DegeneratePathError("a path needs at least 2 waypoints")
-    return CadPath(np.array(wps), closed=closed)
+    return CadPath(wps, closed=closed)
 
 
 def parse_cad(data: bytes | str) -> CadPath:

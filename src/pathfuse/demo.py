@@ -13,9 +13,7 @@ degrees on write.  Smoothing, and the speed it yields, belong to ``fusion.fuse``
 from __future__ import annotations
 
 import functools
-import io
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -23,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _quat
-from ._read import csv_lines, csv_row, decode
+from ._read import csv_lines, csv_row, decode, plain_rows
 from ._rows import fill_rows
 from .cad import MAX_POINTS, arc_fraction, arc_lengths
 from .errors import ValidationError
@@ -106,40 +104,23 @@ def parse_demo(data: bytes | str) -> PoseSeries:
     return series if series is not None else _parse_lines(data)
 
 
-_NUMBER_BYTES = b"0123456789.,+-eE\n"
-
-
 def _read_plain(data: bytes | str) -> PoseSeries | None:
     """The series of a plain capture (see ``parse_demo``), or None.
 
-    On the gate's bytes ``_read.number`` accepts exactly what ``float()`` does,
-    and ``float()`` and loadtxt both convert such a field with
-    ``PyOS_string_to_double`` on its stripped text; ``np.radians`` matches
-    ``math.radians`` bit for bit, so the series equals the line reader's.  Rows
-    of unequal width, a CR inside a line and bad numbers make loadtxt raise.
+    ``_read.plain_rows`` reads the rows after the header, each value as the
+    line reader reads it, and ``np.radians`` matches ``math.radians`` bit for
+    bit, so the series equals the line reader's.
     """
     if isinstance(data, str):
         data = data.encode(errors="replace")  # text that is not ASCII fails the gate
     start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
     body = data.find(b"\n", start) + 1 or len(data)  # where the line after the header starts
-    # what the body holds besides number bytes, without copying the body out
-    rest = data.translate(None, _NUMBER_BYTES)[len(data[:body].translate(None, _NUMBER_BYTES)) :]
-    if data[start:body].rstrip(b"\r\n") != DEMO_CSV_HEADER.encode() or rest.translate(None, b"\r \t"):
+    if data[start:body].rstrip(b"\r\n") != DEMO_CSV_HEADER.encode():
         return None
-    lines = io.BytesIO(data)  # shares the bytes: nothing is copied
-    lines.seek(body)
-    if rest:  # the line reader skips whitespace-only lines; loadtxt reads them as rows
-        lines = filter(bytes.strip, lines)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # an empty body warns instead of raising
-            rows = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
-    except (ValueError, Warning):
+    rows = plain_rows(data, body, 7)
+    if rows is None or len(rows) < 2 or not np.all(rows[1:, 0] > rows[:-1, 0]):
         return None
-    t = rows[:, 0]
-    if rows.shape[1] != 7 or len(rows) < 2 or not (np.all(np.isfinite(rows)) and np.all(t[1:] > t[:-1])):
-        return None
-    return PoseSeries(t, rows[:, 1:4], np.radians(rows[:, 4:7]))
+    return PoseSeries(rows[:, 0], rows[:, 1:4], np.radians(rows[:, 4:7]))
 
 
 def _parse_lines(data: bytes | str) -> PoseSeries:

@@ -230,7 +230,8 @@ class DeviationReport:
 
 
 _BLOCK = 16  # consecutive segments under one bounding ball
-_PAIRS = 1 << 15  # point-segment pairs per pass: (n, 3) temporaries stay under 1 MB
+_BOUNDS = 1 << 13  # (point, block) bounds per pass
+_PAIRS = 1 << 12  # point-segment pairs per measurement: its work space stays under 0.6 MB
 
 
 def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
@@ -241,17 +242,27 @@ def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     nearest segment are skipped.  The segments go in blocks of ``_BLOCK``
     consecutive ones, each inside a ball (centre: the middle of its
     vertices' bounding box; radius: the farthest vertex from there), so
-    every segment of a block lies between ``|p-c|-r`` and ``|p-c|+r`` from a
-    point p.  A block is skipped when its lower bound exceeds ``ub``, the
-    smallest upper bound of any block, by a margin: ``1e-12`` times the
-    largest coordinate plus ``1e-150``, more than the rounding of the bounds
-    and of the measured distances.  So the result is bit-identical to
-    measuring every pair.  A NaN bound skips nothing, and neither does a
-    coordinate of 2**500 or more, where a square could overflow.
+    every segment of a block lies at least ``|p-c|-r`` from a point p.
+    Each point first measures every segment of the block with the smallest
+    such lower bound; the nearest distance found there, ``ub``, bounds the
+    point's nearest segment from above.  Of the other blocks it measures
+    those whose lower bound does not exceed ``ub`` by more than a margin:
+    ``1e-12`` times the largest coordinate plus ``1e-150``, more than the
+    rounding of the bounds and of the measured distances.  So the result is
+    bit-identical to measuring every pair.  A NaN bound skips nothing, and
+    neither does a coordinate of 2**500 or more, where a square could
+    overflow.
 
     The skip pays when points lie near the polyline compared with a block's
-    size.  Points go in passes of at most ``_PAIRS`` pairs; each pass gathers
-    the segments of the blocks it keeps.
+    size.  A pass takes ``min(_BOUNDS // blocks, _PAIRS // _BLOCK)`` points,
+    so its (point, block) bounds number at most ``_BOUNDS`` and its nearest
+    blocks' pairs at most ``_PAIRS``.  It measures the pairs of the other
+    blocks it keeps in slices of whole points, at most ``_PAIRS`` pairs each
+    unless one point alone has more, so memory stays bounded when nothing
+    can be skipped.  Every measurement gathers into one set of buffers, grown
+    to the largest so far, and ``_sq_gaps`` works in them, so slices reuse
+    their work space: freed after each slice, it would be handed back to the
+    system and faulted in again by the next one.
     """
     a = poly[:-1]
     d = poly[1:] - a
@@ -270,34 +281,60 @@ def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     top = np.maximum(np.max(np.abs(poly)), np.max(np.abs(points), initial=0.0))  # NaN if any is
     margin = 1e-12 * top + 1e-150 if top < 2.0**500 else np.inf  # inf: skip nothing
 
-    out = np.empty(len(points))
-    chunk = max(1, _PAIRS // len(a))
-    for start in range(0, len(points), chunk):
-        pts = points[start : start + chunk]
-        gap = _norm(pts[:, None, :] - centre)
-        ub = np.min(gap + radius, axis=1)
-        pi, bi = np.nonzero(~(gap - radius > ub[:, None] + margin))
-        # the segments of every kept (point, block), point by point
+    work = []  # the buffers _sq_gaps works in: p, a, d, p - a, then dd, dd_safe, t
+
+    def min_sq(pts, pi, bi):
+        """The points ``pi`` (ascending) and the smallest squared gap of each to the segments of its blocks ``bi``."""
         n = size[bi]
         seg = np.repeat(first[bi] - np.cumsum(n) + n, n) + np.arange(n.sum())
         row = np.repeat(pi, n)
-        counts = np.bincount(row, minlength=len(pts))
-        sq = np.minimum.reduceat(
-            _sq_gaps(pts[row], a[seg], d[seg], dd[seg], dd_safe[seg]), np.cumsum(counts) - counts
-        )
+        if not work or len(work[0]) < len(seg):
+            work[:] = [np.empty((len(seg), 3)) for _ in range(4)] + [np.empty(len(seg)) for _ in range(3)]
+        p, sa, sd, pa, sdd, sdd_safe, t = (w[: len(seg)] for w in work)
+        for src, idx, buf in ((pts, row, p), (a, seg, sa), (d, seg, sd), (dd, seg, sdd), (dd_safe, seg, sdd_safe)):
+            np.take(src, idx, axis=0, out=buf, mode="clip")  # "clip": no copy of buf; idx is in range
+        runs = np.flatnonzero(np.diff(pi, prepend=-1))  # each point's first (point, block) pair
+        return pi[runs], np.minimum.reduceat(_sq_gaps(p, sa, sd, sdd, sdd_safe, pa, t), (np.cumsum(n) - n)[runs])
+
+    out = np.empty(len(points))
+    chunk = max(1, min(_BOUNDS // len(first), _PAIRS // _BLOCK))
+    for start in range(0, len(points), chunk):
+        pts = points[start : start + chunk]
+        lower = _norm(pts[:, None, :] - centre) - radius
+        every = np.arange(len(pts))
+        near = np.argmin(lower, axis=1)
+        sq = min_sq(pts, every, near)[1]
+        keep = ~(lower > np.sqrt(sq)[:, None] + margin)
+        keep[every, near] = False
+        pi, bi = np.nonzero(keep)
+        # cum[k]: the pairs of the points before k; each slice ends at the last point that fits
+        cum = np.concatenate([[0.0], np.cumsum(np.bincount(pi, size[bi], len(pts)))])
+        p0 = 0
+        while p0 < len(pts):
+            p1 = max(p0 + 1, int(np.searchsorted(cum, cum[p0] + _PAIRS, side="right")) - 1)
+            k0, k1 = np.searchsorted(pi, (p0, p1))
+            if k1 > k0:
+                rows, rest = min_sq(pts, pi[k0:k1], bi[k0:k1])
+                sq[rows] = np.minimum(sq[rows], rest)
+            p0 = p1
         out[start : start + chunk] = np.sqrt(sq)
     return out
 
 
 def _sq_gaps(
-    p: np.ndarray, a: np.ndarray, d: np.ndarray, dd: np.ndarray, dd_safe: np.ndarray
+    p: np.ndarray, a: np.ndarray, d: np.ndarray, dd: np.ndarray, dd_safe: np.ndarray, pa: np.ndarray, t: np.ndarray
 ) -> np.ndarray:
-    """Squared gap from p to the segment a..a+d: clamp the projection, then square each axis."""
-    t = np.clip(np.einsum("...i,...i->...", p - a, d) / dd_safe, 0.0, 1.0)
-    t = np.where(dd > 0.0, t, 0.0)
-    g = p - (a + t[..., None] * d)
-    sq = g * g
-    return sq[..., 0] + sq[..., 1] + sq[..., 2]
+    """Squared gap from each p to the segment a..a+d: clamp the projection, then square each axis.
+
+    Works in place: ``p``, ``a`` and ``d`` are overwritten, ``pa`` (shaped like
+    ``p``) is work space, and the result is written to ``t`` (shaped like ``dd``).
+    """
+    np.einsum("ij,ij->i", np.subtract(p, a, out=pa), d, out=t)
+    np.clip(np.divide(t, dd_safe, out=t), 0.0, 1.0, out=t)
+    t[~(dd > 0.0)] = 0.0
+    g = np.subtract(p, np.add(a, np.multiply(t[:, None], d, out=d), out=a), out=p)
+    np.multiply(g, g, out=g)
+    return np.add(np.add(g[:, 0], g[:, 1], out=t), g[:, 2], out=t)
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -320,11 +357,15 @@ def deviation_report(
     Each executed point's deviation is its distance to the nearest point of
     the nominal polyline (closing segments included for closed paths).  The
     search skips only blocks of 16 consecutive segments whose bounding ball
-    is provably farther than another block's, so the distances are
-    bit-identical to measuring every segment; it needs no matching of
-    progress, so it holds for any executed path.  Skipping saves most on an
-    executed path that stays near the nominal; one far from it costs about
-    what measuring every segment costs.
+    is provably farther than a segment already measured: each point first
+    measures the block whose ball comes nearest, and that distance is its
+    upper bound.  So the distances are bit-identical to measuring every
+    segment; the search needs no matching of progress, so it holds for any
+    executed path.  Points go in passes sized so that their (point, block)
+    bounds number at most 2**13, and kept pairs in slices of at most 2**12,
+    so memory stays bounded however few blocks can be skipped.  Skipping
+    saves most on an executed path that stays near the nominal; one far from
+    it costs about what measuring every segment costs.
     Sections split the executed path at the given normalized arc-length
     breaks, which must be strictly increasing and inside (0, 1); deviations
     are reported per section and overall against ``tolerance_mm``.  The

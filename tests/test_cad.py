@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from pathfuse import (
     parse_cad,
     resample_cad,
 )
+from pathfuse import cad
 from pathfuse.cad import arc_fraction, arc_lengths, traverse
 
 HEADER = "x_mm,y_mm,z_mm"
@@ -358,6 +360,101 @@ class TestParse:
             else:
                 with pytest.raises(ParseError, match="expected header"):
                     parse_cad(data)
+
+
+# Every CSV text TestParse reads, then rows the line reader and the gate must read alike.
+CSV_CASES = [
+    f"{HEADER}\n0,0,0\n10,0,0\n10,5,0\n",
+    *(f"{HEADER}\n{d}\n0,0,0\n10,0,0\n10,5,0\n" for d in ["# closed=true", "#closed = TRUE", "#  Closed=True"]),
+    f"{HEADER}\n# closed=false\n0,0,0\n10,0,0\n",
+    f"{HEADER}\n# loop=yes\n0,0,0\n1,0,0\n",
+    "x,y\n0,0\n",
+    f"{HEADER}\n0,0,0\n1,2\n",
+    f"{HEADER}\n0,0,zero\n1,0,0\n",
+    f"{HEADER}\n0,0,nan\n1,0,0\n",
+    f"{HEADER}\n1,2,3\n1,2,3\n",
+    f"{HEADER}\n0,0,0\n9,0,0\n",
+    f"\ufeff{HEADER}\n0,0,0\n9,0,0\n",
+    f"\ufeff\ufeff{HEADER}\n0,0,0\n9,0,0\n",
+    f"{HEADER}\n0,0,1e999\n1,0,0\n",  # plain bytes, an infinite value
+    f"{HEADER}\n0,,0\n1,0,0\n",  # an empty field
+    f"{HEADER}\n1,2,3,\n4,5,6\n",  # a trailing comma
+    f"{HEADER}\n 1 ,\t2, 3e2 \n-.5,+4.,5E-3\n",  # white space, signs and exponents
+    f"{HEADER}\n1,2,3\n",  # one row
+    f"{HEADER}\n",  # no rows
+    f"{HEADER}\n0,0,0\n1,0,0\n# loop=yes\n2,0\n",  # a bad directive before a bad row
+    f"{HEADER}\n0,0,0\n1,0\n# loop=yes\n",  # a bad row before a bad directive
+    f"{HEADER}\n0,0,0\n1_0,0,0\n",  # a number float() takes and the grammar does not
+    f"{HEADER}\n0,0,0\n\u0661,0,0\n",  # a non-ASCII digit
+]
+
+
+def outcome(data):
+    try:
+        p = parse_cad(data)
+    except (ParseError, DegeneratePathError) as e:
+        return type(e).__name__, str(e), getattr(e, "line", None)
+    return p.waypoints.tobytes(), p.closed
+
+
+def read_by_lines(data):
+    """parse_cad's outcome with every row read by ``csv_row``, as before the plain-number gate."""
+    with mock.patch.object(cad, "plain_rows", lambda *args: None):
+        return outcome(data)
+
+
+def gate_reads(data) -> bool:
+    """Whether parse_cad reads the rows of ``data`` through the plain-number gate."""
+    read = []
+    gate = cad.plain_rows
+    with mock.patch.object(cad, "plain_rows", lambda *args: read.append(gate(*args)) or read[-1]):
+        parse_cad(data)
+    return len(read) == 1 and read[0] is not None
+
+
+class TestPlainRows:
+    @pytest.mark.parametrize("text", CSV_CASES)
+    def test_csv_cases_match_the_line_reader(self, text):
+        for data in (text, text.encode()):
+            assert outcome(data) == read_by_lines(data)
+
+    def test_directives_blank_lines_bom_and_crlf_keep_the_gate(self):
+        rows = [f"{x!r},{-x / 3!r},{x * 1e-7!r}" for x in np.linspace(-400.0, 400.0, 12).tolist()]
+        lines = ["# closed=true", "", *rows[:5], " \t", "#Closed = false", *rows[5:], "", "# closed=TRUE", ""]
+        for eol in ("\n", "\r\n"):
+            for bom in ("", "\ufeff"):
+                text = bom + eol.join([HEADER, *lines]) + eol
+                for data in (text, text.encode()):
+                    assert gate_reads(data)
+                    assert outcome(data) == read_by_lines(data)
+                    assert parse_cad(data).closed
+
+    def test_reads_a_long_file(self):
+        rng = np.random.default_rng(3)
+        text = HEADER + "\n" + "".join(f"{x!r},{y!r},{z!r}\n" for x, y, z in rng.uniform(-1e3, 1e3, (400, 3)).tolist())
+        assert gate_reads(text)
+        assert outcome(text) == read_by_lines(text)
+
+
+FIELDS = st.one_of(
+    st.floats(-1e6, 1e6, allow_nan=False).map(repr),
+    st.floats(-1e6, 1e6, allow_nan=False).map("{:.3e}".format),
+    st.integers(-10**6, 10**6).map(str),
+    st.sampled_from(["+1", "-.5", "5.", " 7 ", "\t8", "1e999", "", "1_0", "nan", "0x1", "1.2.3", "\u0661", "e5"]),
+)
+LINES = st.one_of(
+    st.lists(FIELDS, min_size=3, max_size=3).map(",".join),
+    st.lists(FIELDS, min_size=2, max_size=4).map(",".join),
+    st.sampled_from(["# closed=true", "#closed = FALSE", " # Closed=True ", "# loop", "", " \t"]),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.lists(LINES, max_size=12), st.sampled_from(["\n", "\r\n"]), st.booleans(), st.booleans())
+def test_gate_matches_the_line_reader(lines, eol, bom, as_bytes):
+    text = ("\ufeff" if bom else "") + eol.join([HEADER, *lines]) + eol
+    data = text.encode() if as_bytes else text
+    assert outcome(data) == read_by_lines(data)
 
 
 coords = st.floats(-500, 500, allow_nan=False, width=32).map(float)

@@ -24,7 +24,7 @@ from pathfuse import (
     path_parameters,
     synth_demo,
 )
-from pathfuse import demo
+from pathfuse import _read, demo
 from pathfuse.cad import arc_fraction, arc_lengths
 from pathfuse.geometry import wrap_angle
 
@@ -200,7 +200,7 @@ class TestArrayReader:
     def test_a_gate_that_admits_vertical_breaks_is_caught(self, monkeypatch):
         # splitlines() breaks lines at \v, \f and \x1c, while loadtxt strips them from
         # the ends of a field: a row split in two would be read as one.
-        monkeypatch.setattr(demo, "_NUMBER_BYTES", demo._NUMBER_BYTES + b"\v\f\x1c")
+        monkeypatch.setattr(_read, "_NUMBER_BYTES", _read._NUMBER_BYTES + b"\v\f\x1c")
         cases = mutated_captures()
         assert any(outcome(parse_demo, d) != outcome(read_by_lines, d) for d in cases)
 

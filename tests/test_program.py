@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -474,14 +475,19 @@ class TestDeviation:
         assert rep.sections[1].point_count == 2
 
     def test_point_to_polyline_across_chunks(self, monkeypatch):
-        monkeypatch.setattr(program, "_PAIRS", 64 * 39)  # 64 points per chunk on 39 segments
+        # 39 segments make 3 blocks: passes of min(_BOUNDS // 3, 1024 // 16) = 64 points, and
+        # slices of at most 1024 pairs
+        monkeypatch.setattr(program, "_PAIRS", 1024)
+        measured = _measured_pairs(monkeypatch)
         rng = np.random.default_rng(9)
         poly = rng.uniform(-100.0, 100.0, (40, 3))
         poly[7] = poly[6]  # a zero-length segment acts as a point
-        points = rng.uniform(-120.0, 120.0, (150, 3))  # two full chunks and a partial one
+        points = rng.uniform(-120.0, 120.0, (150, 3))  # two full passes and a partial one
         got = _point_to_polyline_mm(points, poly)
         want = [oracles.point_to_polyline(p, poly) for p in points]
         assert np.max(np.abs(got - want)) < 1e-9
+        assert max(measured) <= 1024
+        assert len(measured) > 2 * 3  # a nearest-block measurement and a slice per pass, and more slices
 
     def test_pipeline_report_measures_the_executed_path(self, pipeline_out):
         report = json.loads((pipeline_out / "report.json").read_text())
@@ -518,6 +524,13 @@ class TestDeviation:
             deviation_report(a, a, section_breaks=(0.5, 0.5))
         with pytest.raises(ValueError):
             deviation_report(a, a, section_breaks=(0.6, 0.4))
+
+
+def _measured_pairs(monkeypatch) -> list[int]:
+    """The pair count of every ``_sq_gaps`` call from now on: one per nearest-block measurement and one per slice."""
+    counts, measure = [], program._sq_gaps
+    monkeypatch.setattr(program, "_sq_gaps", lambda p, *rest: counts.append(len(p)) or measure(p, *rest))
+    return counts
 
 
 def _same(points, poly):
@@ -577,13 +590,39 @@ class TestBlockPrune:
         poly = np.cumsum(rng.uniform(-10.0, 10.0, (segments + 1, 3)), axis=0)
         _same(rng.uniform(-60.0, 60.0, (50, 3)), poly)
 
-    @pytest.mark.parametrize("pairs", [1, 40, 1000, 1 << 18])
+    @pytest.mark.parametrize("pairs", [1, 40, 100, 400, 1000, 1 << 18])
     def test_point_counts_across_the_chunk_size(self, monkeypatch, pairs):
-        monkeypatch.setattr(program, "_PAIRS", pairs)  # chunks of max(1, pairs // 40) points
+        # 40 segments make 3 blocks: passes of max(1, pairs // 16) points, at most _BOUNDS // 3,
+        # and slices of whole points with at most `pairs` pairs unless one point alone has more.
+        # At 40 and 100 some passes take two slices; at 400 a pass holds 25 points, so 24, 25 and
+        # 26 straddle it.
+        monkeypatch.setattr(program, "_PAIRS", pairs)
         rng = np.random.default_rng(pairs)
         poly = np.cumsum(rng.uniform(-10.0, 10.0, (41, 3)), axis=0)
         for n in (1, 24, 25, 26, 77):
             _same(rng.uniform(-60.0, 60.0, (n, 3)), poly)
+
+    def test_dense_log(self):
+        # 2.5 executed points per segment, as a log sampled faster than the nominal path
+        poly = _polygon(2400, 300.0)
+        a = np.linspace(0.0, 2.0 * np.pi, 6000, endpoint=False)
+        points = np.column_stack([300.0 * np.cos(a), 300.0 * np.sin(a), np.zeros(6000)])
+        _same(points + np.random.default_rng(5).uniform(-1.0, 1.0, (6000, 3)), poly)
+
+    def test_memory_when_nothing_can_be_skipped(self):
+        # Points at the centre of a regular 4,000-gon keep every block: a pass's 32 points hold
+        # 127k pairs, about 15 MB of work space if measured in one piece.  The bound is the
+        # search's peak before passes were sized by blocks (5,900,757 bytes) plus 1 MiB.
+        poly = _polygon(4000)
+        points = np.random.default_rng(4).uniform(-1e-3, 1e-3, (300, 3))
+        tracemalloc.start()
+        try:
+            _point_to_polyline_mm(points, poly)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_900_757 + 2**20
+        _same(points, poly)
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-3, 1e6, 1e150, 1e154, 1e300, 1e308])
     def test_extreme_coordinates(self, scale):
