@@ -13,7 +13,6 @@ from .errors import (
     ParseError,
     PathfuseError,
     SchemaError,
-    TimeParameterizationWarning,
     ValidationError,
 )
 from .geometry import (
@@ -23,7 +22,6 @@ from .geometry import (
     compose,
     rot_from_fixed_xyz,
     rotation_angle,
-    wrap_angle,
 )
 from .demo import (
     PoseSeries,
@@ -31,10 +29,9 @@ from .demo import (
     filter_outliers,
     format_demo_csv,
     parse_demo,
-    path_parameters,
     synth_demo,
 )
-from .cad import CadPath, arc_params, parse_cad, resample_cad
+from .cad import CadPath, parse_cad, resample_cad
 from .fusion import (
     FusedPath,
     fuse,
@@ -89,14 +86,12 @@ __all__ = [
     "RobotProgram",
     "SchemaError",
     "SectionDeviation",
-    "TimeParameterizationWarning",
     "Track",
     "TrackerErrorModel",
     "Transform4",
     "ValidationError",
     "ValidationReport",
     "Violation",
-    "arc_params",
     "build_document",
     "compose",
     "deviation_report",
@@ -110,7 +105,6 @@ __all__ = [
     "parse_cad",
     "parse_demo",
     "parse_xml",
-    "path_parameters",
     "resample_cad",
     "rot_from_fixed_xyz",
     "rotation_angle",
@@ -118,6 +112,5 @@ __all__ = [
     "to_robot_frame",
     "validate_document",
     "validate_path",
-    "wrap_angle",
     "write_xml",
 ]

@@ -95,20 +95,6 @@ def arc_fraction(cum: np.ndarray) -> np.ndarray:
     return cum / cum[-1] if cum[-1] > 0.0 else np.zeros(len(cum))
 
 
-def arc_params(path: CadPath) -> np.ndarray:
-    """Normalized arc-length parameter of every traversed point of ``path``.
-
-    The read-only result is non-decreasing, starts at exactly 0 and ends at
-    exactly 1.  For an open path there is one entry per waypoint.  For a
-    closed path the traversal returns to the start, so a final entry for that
-    virtual closing point is included and the result has ``len(path) + 1``
-    values.
-    """
-    params = arc_fraction(arc_lengths(traverse(path.waypoints, path.closed)))
-    params.flags.writeable = False
-    return params
-
-
 def resample_cad(path: CadPath, spacing_mm: float) -> CadPath:
     """Insert intermediate points so adjacent spacing is at most ``spacing_mm``.
 

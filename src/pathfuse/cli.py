@@ -32,7 +32,7 @@ from .demo import (
     synth_demo,
 )
 from .errors import PathfuseError
-from .fusion import fuse, fused_path_from_json, fused_path_to_json, to_robot_frame
+from .fusion import MIN_ARC_MM, fuse, fused_path_from_json, fused_path_to_json, to_robot_frame
 from .geometry import CalibrationSet, Frame, Transform4, rot_from_fixed_xyz
 from .pathml import (
     PROCESS_NUMBERS,
@@ -230,6 +230,9 @@ def _cmd_fuse(args) -> int:
         cad = resample_cad(cad, config.resample_spacing_mm)
 
     fused = fuse(cad, series)
+    if fused.time_parameterized:
+        print(f"note: the demonstration travels under {MIN_ARC_MM:g} mm; matched to CAD by normalized time",
+              file=sys.stderr)
     robot = to_robot_frame(fused, calib)
     _write_out(args.output, fused_path_to_json(robot))
     return 0

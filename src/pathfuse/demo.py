@@ -7,7 +7,8 @@ magnetic-tracker sensor.  The CSV layout is one header line ::
 
 followed by one row per sample.  Azimuth/elevation/roll are the tracker's
 intrinsic z-y'-x'' angles; they are converted to radians on parse and back to
-degrees on write.  Smoothing, and the speed it yields, belong to ``fusion.fuse``.
+degrees on write.  Smoothing, the speed it yields and progress along the path
+belong to ``fusion.fuse``.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import _quat
 from ._read import csv_lines, csv_row, decode, plain_rows
 from ._rows import fill_rows
-from .cad import MAX_POINTS, arc_fraction, arc_lengths
+from .cad import MAX_POINTS
 from .errors import ValidationError
-from .geometry import wrap_angle
 
 if TYPE_CHECKING:
     from .fusion import FusedPath
@@ -34,9 +34,6 @@ DEMO_CSV_HEADER = "t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg"
 
 # Consistency factor relating the median absolute deviation to a Gaussian sigma.
 MAD_SCALE = 1.4826
-
-# Below this much total travel, arc length is meaningless; fall back to time.
-MIN_ARC_MM = 1.0
 
 # Position glitches injected by the synthetic tracker, worst case seen on hardware.
 SPIKE_MAGNITUDE_MM = 100.0
@@ -307,9 +304,20 @@ def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = 
     pos, orient = series.positions.copy(), series.orientations.copy()
     for c in range(3):
         pos[flags[c], c] = med[c, flags[c]]
-        orient[flags[c + 3], c] = wrap_angle(med[c + 3, flags[c + 3]])
+        orient[flags[c + 3], c] = _wrap_angle(med[c + 3, flags[c + 3]])
 
     return PoseSeries(series.t, pos, orient)
+
+
+def _wrap_angle(a):
+    """Wrap angles (scalar or array) to the interval (-pi, pi]."""
+    a = np.asarray(a, dtype=float)
+    r = np.mod(a + np.pi, 2.0 * np.pi) - np.pi
+    # mod maps odd multiples of pi to -pi; the convention here is +pi.
+    r = np.where(r == -np.pi, np.pi, r)
+    if r.ndim == 0:
+        return float(r)
+    return r
 
 
 def _unwrap(p: np.ndarray) -> np.ndarray:
@@ -331,21 +339,6 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
     out = p.copy()
     out[..., 1:] += np.cumsum(correction, axis=-1)
     return out
-
-
-def path_parameters(positions: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Normalized progress in [0, 1] for each sample.
-
-    Progress is cumulative arc length over total arc length.  When the total
-    travel is below ``MIN_ARC_MM`` (a near-stationary capture) normalized time
-    is used instead; the second return value says which happened (True means
-    time).  The result is non-decreasing with first value 0 and last value 1.
-    """
-    cum = arc_lengths(np.asarray(positions, dtype=float))
-    if cum[-1] < MIN_ARC_MM:
-        t = np.asarray(t, dtype=float)
-        return (t - t[0]) / (t[-1] - t[0]), True
-    return arc_fraction(cum), False
 
 
 @dataclass(frozen=True)

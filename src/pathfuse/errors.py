@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 from __future__ import annotations
 
@@ -34,7 +34,3 @@ class FrameMismatchError(PathfuseError):
 
 class DegeneratePathError(PathfuseError):
     """A path has too few distinct points to be usable."""
-
-
-class TimeParameterizationWarning(UserWarning):
-    """A demonstration had too little travel for arc length; time was used instead."""

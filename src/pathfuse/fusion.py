@@ -10,7 +10,6 @@ demonstration, matched by normalized path progress.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -19,9 +18,9 @@ import numpy as np
 from . import _quat
 from ._read import json_rows, json_value
 from ._rows import fill_rows
-from .errors import FrameMismatchError, ParseError, TimeParameterizationWarning
-from .cad import CadPath, arc_params, traverse
-from .demo import PoseSeries, path_parameters
+from .errors import FrameMismatchError, ParseError
+from .cad import CadPath, arc_fraction, arc_lengths, traverse
+from .demo import PoseSeries
 from .geometry import CalibrationSet, Frame, compose, euler_zyx_from_rots, rots_from_euler_zyx
 
 
@@ -30,9 +29,9 @@ class FusedPath:
     """Robot-ready path: positions, orientations (rx, ry, rz radians), speeds.
 
     ``closed`` paths materialize the return to the first position as an
-    explicit final point.  ``time_parameterized`` records that the source
-    demonstration was matched by time rather than arc length; it is an
-    in-memory diagnostic and is not serialized.
+    explicit final point.  ``time_parameterized`` is the one record that
+    ``fuse`` matched the demonstration to CAD by normalized time, because it
+    travels under ``MIN_ARC_MM``; it is kept in memory only, not serialized.
     """
 
     positions: np.ndarray
@@ -74,6 +73,9 @@ class FusedPath:
 # more noise away but flattens faster hand motion: 0.25 s damps a 1 Hz swing by a tenth.
 SMOOTH_WINDOW_S = 0.25
 
+# Under this much travel of the fitted capture, ``fuse`` matches by time, not arc length.
+MIN_ARC_MM = 1.0
+
 
 def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
     """Combine CAD positions with demonstrated orientation and speed.
@@ -81,24 +83,20 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
     Output points are the CAD waypoints verbatim (plus the closing point for
     closed paths).  The capture is smoothed by a least-squares line in time over
     each sample's ``SMOOTH_WINDOW_S`` window (a degree-1 Savitzky-Golay filter,
-    Savitzky & Golay 1964): fitted positions give the normalized progress and
-    their slope the speed, normalized fitted quaternions the orientation (a
-    windowed chordal rotation mean, Markley et al. 2007).  Each CAD point blends
-    the two fitted samples bracketing its progress, whose orientations alone are fitted;
-    the result is in receiver frame S.
+    Savitzky & Golay 1964): fitted positions give the progress (normalized arc
+    length as on the CAD, or normalized time under ``MIN_ARC_MM`` of travel, which
+    ``time_parameterized`` records) and their slope the speed, normalized fitted
+    quaternions the orientation (a windowed chordal rotation mean, Markley et al.
+    2007).  Each CAD point blends the two fitted samples bracketing its progress,
+    whose orientations alone are fitted; the result is in receiver frame S.
     """
     t = demo.t
     lo, hi = _windows(t, SMOOTH_WINDOW_S)
     fitted, slopes = _line_fit(t, demo.positions, lo, hi)
-    demo_params, time_based = path_parameters(fitted, t)
-    if time_based:
-        msg = "demonstration travel is below the arc-length threshold; matching by normalized time instead"
-        warnings.warn(msg, TimeParameterizationWarning)
-
-    cad_u = arc_params(cad)
+    demo_params, time_based = _progress(fitted, t)
     positions = traverse(cad.waypoints, cad.closed)
 
-    j, frac = _quat.bracket(demo_params, cad_u)
+    j, frac = _quat.bracket(demo_params, arc_fraction(arc_lengths(positions)))
     at, m = np.concatenate([j, j + 1]), len(j)  # each CAD point's two samples
     q = _fit_rotations(t, demo.orientations, lo, hi, at)
     # (psi, theta, phi) reversed is the robot's fixed-axis (rx, ry, rz)
@@ -115,6 +113,16 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
         closed=cad.closed,
         time_parameterized=time_based,
     )
+
+
+def _progress(fitted: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Normalized progress of each fitted sample, from exactly 0 to exactly 1, and
+    whether it is normalized time: arc length over total, or time where the
+    total is under ``MIN_ARC_MM`` (a near-stationary capture)."""
+    cum = arc_lengths(fitted)
+    if cum[-1] < MIN_ARC_MM:
+        return (t - t[0]) / (t[-1] - t[0]), True
+    return arc_fraction(cum), False
 
 
 def _windows(t: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:

@@ -45,17 +45,6 @@ class Frame(str, Enum):
     R = "R"  # robot base
 
 
-def wrap_angle(a):
-    """Wrap angles (scalar or array) to the interval (-pi, pi]."""
-    a = np.asarray(a, dtype=float)
-    r = np.mod(a + np.pi, 2.0 * np.pi) - np.pi
-    # mod maps odd multiples of pi to -pi; the convention here is +pi.
-    r = np.where(r == -np.pi, np.pi, r)
-    if r.ndim == 0:
-        return float(r)
-    return r
-
-
 def rots_from_euler_zyx(angles: np.ndarray) -> np.ndarray:
     """Rotation matrices (..., 3, 3) for (..., 3) intrinsic z-y'-x'' angles.
 

@@ -175,6 +175,26 @@ class TestOutputs:
         assert "step" in captured.err
         assert not (ws / "never.txt").exists()
 
+    def test_fuse_notes_the_time_fallback_once_even_with_warnings_as_errors(self, ws):
+        # a capture that holds still is matched to CAD by time: one stderr note, no warning
+        rows = "".join(f"{0.01 * i:.2f},5,5,5,10,0,0\n" for i in range(60))
+        (ws / "still.csv").write_text("t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg\n" + rows)
+        assert main(["synth", "--truth", str(ws / "truth.json"), "--rate", "100", "-o", str(ws / "demo.csv")]) == 0
+        plain = child_env()
+        plain.pop("PYTHONWARNINGS", None)
+        strict = {**plain, "PYTHONWARNINGS": "error"}
+        note = b"note: the demonstration travels under 1 mm; matched to CAD by normalized time\n"
+        for capture, err in (("still.csv", note), ("demo.csv", b"")):
+            outs = []
+            for env in (plain, strict):
+                out = ws / f"fused{len(outs)}.json"
+                argv = ["fuse", "--cad", str(ws / "cad.csv"), "--demo", str(ws / capture),
+                        "--calib", str(ws / "calib.json"), "-o", str(out)]
+                proc = subprocess.run([sys.executable, "-m", "pathfuse", *argv], env=env, capture_output=True)
+                assert (proc.returncode, proc.stderr) == (0, err), capture
+                outs.append(out.read_bytes())
+            assert outs[0] == outs[1], capture
+
     def test_report_out_of_tolerance_still_writes(self, ws, capsys):
         run_chain(ws)
         fused = json.loads((ws / "fused.json").read_text())

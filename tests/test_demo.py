@@ -14,19 +14,17 @@ from pathfuse import (
     FusedPath,
     ParseError,
     PoseSeries,
-    TimeParameterizationWarning,
     TrackerErrorModel,
     ValidationError,
     filter_outliers,
     format_demo_csv,
     fuse,
     parse_demo,
-    path_parameters,
     synth_demo,
 )
-from pathfuse import _read, demo
+from pathfuse import _read, demo, fusion
 from pathfuse.cad import arc_fraction, arc_lengths
-from pathfuse.geometry import wrap_angle
+from pathfuse.demo import _wrap_angle as wrap_angle
 
 HEADER = "t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg"
 
@@ -617,8 +615,9 @@ class TestSpeed:
         t = np.linspace(1.0, 3.0, n)  # 0.1 s steps: 3-sample windows
         pos = np.column_stack([0.1 * t ** 2, np.zeros(n), np.zeros(n)])
         cad = CadPath(np.column_stack([50.0 * (t - 1.0), np.zeros(n), np.zeros(n)]))
-        with pytest.warns(TimeParameterizationWarning):
-            v = fuse(cad, PoseSeries(t, pos, np.zeros((n, 3)))).speeds
+        fused = fuse(cad, PoseSeries(t, pos, np.zeros((n, 3))))
+        assert fused.time_parameterized
+        v = fused.speeds
         assert np.max(np.abs(v[1:-1] - 0.2 * t[1:-1])) < 1e-9
 
     def test_two_samples(self):
@@ -627,10 +626,31 @@ class TestSpeed:
         assert np.allclose(v, [5.0, 5.0])
 
 
+class TestWrap:
+    @given(st.floats(-1e6, 1e6))
+    def test_wrap_lands_in_half_open_interval(self, a):
+        w = wrap_angle(a)
+        assert -math.pi < w <= math.pi
+        # same angle up to a full turn
+        assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-6)
+        assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-6)
+
+    def test_boundary_convention(self):
+        assert wrap_angle(math.pi) == math.pi
+        assert wrap_angle(-math.pi) == math.pi
+        assert wrap_angle(0.0) == 0.0
+
+    def test_array_input(self):
+        w = wrap_angle(np.array([0.0, 3 * math.pi, -3 * math.pi]))
+        assert np.allclose(w, [0.0, math.pi, math.pi])
+
+
 class TestPathParameters:
+    """``fuse``'s progress rule: arc length over total, or time under ``MIN_ARC_MM`` of travel."""
+
     def test_proportional_to_arc_length(self):
         pos = np.array([[0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]])
-        params, time_based = path_parameters(pos, np.array([0.0, 1.0, 2.0]))
+        params, time_based = fusion._progress(pos, np.array([0.0, 1.0, 2.0]))
         assert not time_based
         assert params[0] == 0.0 and params[-1] == 1.0
         assert math.isclose(params[1], 3.0 / 7.0, rel_tol=1e-12)
@@ -647,9 +667,9 @@ class TestPathParameters:
             pos = np.cumsum(rng.normal(0.0, 1.0, (n, 3)), axis=0)
             travel = float(np.sum(np.linalg.norm(np.diff(pos, axis=0), axis=1)))
             pos *= [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 0.5, 3.0, 1e3][case % 6] / travel
-            params, time_based = path_parameters(pos, t)
+            params, time_based = fusion._progress(pos, t)
             cum = arc_lengths(pos)
-            assert time_based == (cum[-1] < demo.MIN_ARC_MM)
+            assert time_based == (cum[-1] < fusion.MIN_ARC_MM)
             want = (t - t[0]) / (t[-1] - t[0]) if time_based else arc_fraction(cum)
             assert params.tobytes() == want.tobytes()
             by_time += time_based
@@ -657,7 +677,7 @@ class TestPathParameters:
 
     def test_stationary_falls_back_to_time(self):
         pos = np.zeros((3, 3))
-        params, time_based = path_parameters(pos, np.array([0.0, 1.0, 4.0]))
+        params, time_based = fusion._progress(pos, np.array([0.0, 1.0, 4.0]))
         assert time_based
         assert params[0] == 0.0 and params[-1] == 1.0
         assert math.isclose(params[1], 0.25)

@@ -17,7 +17,6 @@ from pathfuse import (
     FusedPath,
     ParseError,
     PoseSeries,
-    TimeParameterizationWarning,
     Transform4,
     fuse,
     fused_path_from_json,
@@ -87,8 +86,7 @@ class TestFuse:
         n = 20
         demo = PoseSeries(np.linspace(0, 1, n), np.zeros((n, 3)), np.zeros((n, 3)))
         cad = CadPath(np.array([[0, 0, 0], [10.0, 0, 0]]))
-        with pytest.warns(TimeParameterizationWarning):
-            fused = fuse(cad, demo)
+        fused = fuse(cad, demo)
         assert fused.time_parameterized
 
     def test_fused_path_validation(self):

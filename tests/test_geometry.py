@@ -13,7 +13,6 @@ from pathfuse import (
     compose,
     rot_from_fixed_xyz,
     rotation_angle,
-    wrap_angle,
 )
 from pathfuse.geometry import (
     euler_zyx_from_rots,
@@ -78,25 +77,6 @@ class TestEuler:
         stack = np.array([oracles.rand_rotation(rng) for _ in range(200)])
         for (rx, ry, rz), r in zip(euler_zyx_from_rots(stack)[:, ::-1], stack):
             assert np.max(np.abs(oracles.rot_extrinsic_xyz(rx, ry, rz) - r)) < 1e-9
-
-
-class TestWrap:
-    @given(st.floats(-1e6, 1e6))
-    def test_wrap_lands_in_half_open_interval(self, a):
-        w = wrap_angle(a)
-        assert -math.pi < w <= math.pi
-        # same angle up to a full turn
-        assert math.isclose(math.cos(w), math.cos(a), abs_tol=1e-6)
-        assert math.isclose(math.sin(w), math.sin(a), abs_tol=1e-6)
-
-    def test_boundary_convention(self):
-        assert wrap_angle(math.pi) == math.pi
-        assert wrap_angle(-math.pi) == math.pi
-        assert wrap_angle(0.0) == 0.0
-
-    def test_array_input(self):
-        w = wrap_angle(np.array([0.0, 3 * math.pi, -3 * math.pi]))
-        assert np.allclose(w, [0.0, math.pi, math.pi])
 
 
 def check_rotation(r):
