@@ -169,15 +169,22 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
     h + 1 consecutive sorted samples include ``m``, so it is the minimum over
     j = 0..h of ``max(m - s[j], s[j + h] - m)``: h + 1 terms, each a few
     whole-row passes over the sorted rows, written into rows no longer
-    needed, with no absolute deviations formed.  The 2h truncated edge
-    windows of every row are padded with NaN to full length and sorted in
-    one array (NaN sorts last); their median and MAD are read from each
-    window's middle index or indices.
+    needed, with no absolute deviations formed.  The pass then flags its
+    samples, writing ``|x - m|`` and ``k * MAD_SCALE * mad`` into two more of
+    those rows, so no MAD outlives its pass.  The 2h truncated edge windows
+    of every row are padded with NaN to full length and sorted in one array
+    (NaN sorts last); their median and MAD are read from each window's
+    middle index or indices.
+
+    Working memory: the only full-length arrays a call holds are ``x`` and the
+    two outputs.  The pass buffer holds at most ``(window + 1) * _PASS_WINDOWS``
+    values and the edge arrays ``(c, 2h, window)``, whatever n is.
     """
     c, n = x.shape
     h = window // 2
+    limit = k * MAD_SCALE
     full = sliding_window_view(x, window, axis=1)
-    med, mad = np.empty((c, n)), np.empty((c, n))
+    med, flags = np.empty((c, n)), np.empty((c, n), dtype=bool)
     block = max(1, _PASS_WINDOWS // c)
     buf = np.empty((window + 1, c, min(block, n - 2 * h)))
     for lo in range(h, n - h, block):
@@ -191,7 +198,9 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
             np.subtract(m, s[j], out=s[j])
             np.subtract(s[j + h], m, out=s[j + h])
             np.minimum(d, np.maximum(s[j], s[j + h], out=s[j]), out=d)
-        med[:, lo:hi], mad[:, lo:hi] = m, d
+        med[:, lo:hi] = m
+        dev = np.abs(np.subtract(x[:, lo:hi], m, out=s[0]), out=s[0])
+        np.greater(dev, np.multiply(limit, d, out=s[1]), out=flags[:, lo:hi])
 
     # the windows centred on the first and last h samples, NaN beyond either end
     ends = np.full((c, 2, 3 * h), np.nan)
@@ -200,9 +209,10 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
     lengths = np.r_[h + 1 : window, window - 1 : h : -1]  # samples each edge window holds
     edge_med = _sorted_median(edges, lengths)
     edge_mad = _sorted_median(np.sort(np.abs(edges - edge_med[..., None]), axis=2), lengths)
+    centres = ends[:, :, h : 2 * h].reshape(c, 2 * h)  # x[:, :h] and x[:, n - h :]
+    edge_flags = np.abs(centres - edge_med) > limit * edge_mad
     med[:, :h], med[:, n - h :] = edge_med[:, :h], edge_med[:, h:]
-    mad[:, :h], mad[:, n - h :] = edge_mad[:, :h], edge_mad[:, h:]
-    flags = np.abs(x - med) > k * MAD_SCALE * mad
+    flags[:, :h], flags[:, n - h :] = edge_flags[:, :h], edge_flags[:, h:]
     return med, flags
 
 
@@ -302,10 +312,10 @@ def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = 
 
     med, flags = _hampel(np.vstack([series.positions.T, _unwrap(series.orientations.T)]), window, k)
     pos, orient = series.positions.copy(), series.orientations.copy()
-    for c in range(3):
-        pos[flags[c], c] = med[c, flags[c]]
-        orient[flags[c + 3], c] = _wrap_angle(med[c + 3, flags[c + 3]])
-
+    np.copyto(pos, med[:3].T, where=flags[:3].T)
+    bad = flags[3:].T
+    orient[bad] = _wrap_angle(med[3:].T[bad])
+    del med, flags, bad  # before the series copies pos and orient
     return PoseSeries(series.t, pos, orient)
 
 

@@ -141,6 +141,12 @@ def _line_fit(t, x, lo, hi, at=slice(None)):
     ``x`` is (n, c); ``lo`` and ``hi`` give each evaluated sample's window, which holds 2 or
     more distinct times.  Window means come from prefix sums taken about the middle sample,
     so a call costs O(n) in the samples it is given, whatever the window.
+
+    Working memory, for m evaluated samples: the ``(2c + 2, n + 1)`` prefix sums, the
+    ``(2c + 2, m)`` window means gathered at ``hi``, and while the sums at ``lo`` are
+    subtracted, that ``(2c + 2, m)`` gather; the sums are freed before the means are
+    divided.  Slope and value are then written into the means' rows, with one ``(c, m)``
+    product alive at a time, and both outputs are views of the means.
     """
     n, c = x.shape
     tc, x0 = t - t[n // 2], x[n // 2]
@@ -149,10 +155,15 @@ def _line_fit(t, x, lo, hi, at=slice(None)):
     np.subtract(x.T, x0[:, None], out=sums[2 : 2 + c, 1:])
     np.multiply(tc, sums[2 : 2 + c, 1:], out=sums[2 + c :, 1:])
     np.cumsum(sums, axis=1, out=sums)
-    means = (np.take(sums, hi, axis=1) - np.take(sums, lo, axis=1)) / (hi - lo)
-    t_bar, x_bar = means[0], means[2 : 2 + c]
-    slope = (means[2 + c :] - t_bar * x_bar) / (means[1] - t_bar * t_bar)
-    return (x0[:, None] + x_bar + slope * (tc[at] - t_bar)).T, slope.T
+    means = np.take(sums, hi, axis=1)
+    means -= np.take(sums, lo, axis=1)
+    del sums
+    means /= hi - lo
+    t_bar, x_bar, tx_bar = means[0], means[2 : 2 + c], means[2 + c :]
+    var = np.subtract(means[1], t_bar * t_bar, out=means[1])
+    slope = np.divide(np.subtract(tx_bar, t_bar * x_bar, out=tx_bar), var, out=tx_bar)
+    fit = np.add(np.add(x0[:, None], x_bar, out=x_bar), slope * (tc[at] - t_bar), out=x_bar)
+    return fit.T, slope.T
 
 
 def _fit_rotations(t, angles_zyx, lo, hi, at) -> np.ndarray:

@@ -385,6 +385,24 @@ def line_fit(t, x, width):
     return np.array(values), np.array(slopes)
 
 
+def line_fit_by_prefix_sums(t, x, lo, hi, at=slice(None)):
+    """``fusion._line_fit``'s arithmetic written as whole-array expressions, each step a new array.
+
+    The same operations in the same order as the in-place form, so the two agree bit for bit.
+    """
+    n, c = x.shape
+    tc, x0 = t - t[n // 2], x[n // 2]
+    sums = np.zeros((2 * c + 2, n + 1))
+    sums[0, 1:], sums[1, 1:] = tc, tc * tc
+    sums[2 : 2 + c, 1:] = x.T - x0[:, None]
+    sums[2 + c :, 1:] = tc * sums[2 : 2 + c, 1:]
+    sums = np.cumsum(sums, axis=1)
+    means = (np.take(sums, hi, axis=1) - np.take(sums, lo, axis=1)) / (hi - lo)
+    t_bar, x_bar = means[0], means[2 : 2 + c]
+    slope = (means[2 + c :] - t_bar * x_bar) / (means[1] - t_bar * t_bar)
+    return (x0[:, None] + x_bar + slope * (tc[at] - t_bar)).T, slope.T
+
+
 def quat_rotvec(q):
     """Rotation vector (angle times unit axis) of a unit [w, x, y, z] quaternion."""
     s = float(np.linalg.norm(q[1:]))

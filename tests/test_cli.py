@@ -4,14 +4,13 @@ import json
 import shutil
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import pathfuse
-from conftest import child_env
+from conftest import child_env, traced_peak
 from pathfuse import (
     Frame,
     FusedPath,
@@ -219,16 +218,6 @@ class TestOutputs:
                 "-o", str(ws / "r.json")]
         assert main(args + ["--tolerance", "6"]) == 0
         assert main(args) == 1
-
-
-def traced_peak(call):
-    """Bytes ``call()`` allocates at its peak, by tracemalloc, and its result."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
 
 
 @pytest.fixture
