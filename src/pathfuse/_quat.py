@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import euler_zyx_from_entries
+from .geometry import euler_zyx_from_entries, row_norms
 
 # Above this quaternion dot the endpoints are nearly parallel and slerp
 # blends linearly, avoiding a division by sin(~0).
@@ -44,14 +44,14 @@ def from_euler_zyx(angles: np.ndarray) -> np.ndarray:
 
 def to_rotvec(q: np.ndarray) -> np.ndarray:
     """(m, 3) rotation vectors (angle times unit axis) of (m, 4) unit quaternions."""
-    s = np.linalg.norm(q[:, 1:], axis=1)
+    s = row_norms(q[:, 1:])
     scale = np.divide(2.0 * np.arctan2(s, q[:, 0]), s, out=np.zeros_like(s), where=s > 0.0)
     return q[:, 1:] * scale[:, None]
 
 
 def from_rotvec(r: np.ndarray) -> np.ndarray:
     """(m, 4) unit quaternions of (m, 3) rotation vectors."""
-    half = np.linalg.norm(r, axis=1) / 2.0
+    half = row_norms(r) / 2.0
     scale = np.divide(np.sin(half), 2.0 * half, out=np.full_like(half, 0.5), where=half > 0.0)  # sin(half) / |r|
     return np.column_stack([np.cos(half), r * scale[:, None]])
 
@@ -71,7 +71,7 @@ def make_continuous(qs: np.ndarray) -> np.ndarray:
     """
     qs = np.array(qs, dtype=float)
     d = _dot(qs[:-1], qs[1:])
-    flips = np.concatenate([[0], np.cumsum(d < 0.0)])
+    flips = np.concatenate([[0], (d < 0.0).cumsum()])
     restart = np.concatenate([[True], d == 0.0])
     since = flips - np.maximum.accumulate(np.where(restart, flips, 0))
     qs[since % 2 == 1] *= -1.0
@@ -97,7 +97,7 @@ def slerp(qa: np.ndarray, qb: np.ndarray, u: np.ndarray) -> np.ndarray:
         qa + w * (qb - qa),
         wa[:, None] * qa + wb[:, None] * qb,
     )
-    q = q / np.linalg.norm(q, axis=1, keepdims=True)
+    q = q / row_norms(q)[:, None]
     q = np.where((u <= 0.0)[:, None], qa, q)
     return np.where((u >= 1.0)[:, None], qb, q)
 
@@ -112,7 +112,7 @@ def to_euler_zyx(q: np.ndarray) -> np.ndarray:
     are finite: a zero, NaN or infinite row raises ValueError.
     """
     with np.errstate(invalid="ignore", divide="ignore"):  # such rows raise just below
-        q = q / np.linalg.norm(q, axis=1, keepdims=True)
+        q = q / row_norms(q)[:, None]
     if not np.isfinite(q).all():
         raise ValueError("quaternion has no unit form: a row is zero or not finite")
     w, x, y, z = q.T
@@ -130,11 +130,11 @@ def bracket(params: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     segment starts at the last sample whose parameter is <= it, clamped to the first and
     last segments; fractions are clipped to [0, 1], and a zero-width segment gives 1.
     """
-    j = np.clip(np.searchsorted(params, u, side="right") - 1, 0, len(params) - 2)
+    j = np.minimum(np.maximum(params.searchsorted(u, side="right") - 1, 0), len(params) - 2)
     lo = params[j]
     denom = params[j + 1] - lo
     with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(denom > 0.0, np.clip((u - lo) / denom, 0.0, 1.0), 1.0)
+        frac = np.where(denom > 0.0, np.minimum(np.maximum((u - lo) / denom, 0.0), 1.0), 1.0)
     return j, frac
 
 

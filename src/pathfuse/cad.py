@@ -16,6 +16,7 @@ import numpy as np
 
 from ._read import csv_lines, csv_row, decode, json_rows, json_value, plain_rows
 from .errors import DegeneratePathError, ParseError
+from .geometry import row_norms
 
 CAD_CSV_HEADER = "x_mm,y_mm,z_mm"
 
@@ -84,7 +85,7 @@ def traverse(points: np.ndarray, closed: bool) -> np.ndarray:
 
 def arc_lengths(points: np.ndarray) -> np.ndarray:
     """Arc length from the first vertex of a polyline to each vertex; the last is its length."""
-    return np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+    return np.concatenate([[0.0], row_norms(points[1:] - points[:-1]).cumsum()])
 
 
 def arc_fraction(cum: np.ndarray) -> np.ndarray:
@@ -106,8 +107,9 @@ def resample_cad(path: CadPath, spacing_mm: float) -> CadPath:
     if not (0.0 < spacing_mm < math.inf):
         raise ValueError(f"spacing_mm must be positive and finite, got {spacing_mm}")
     loop = traverse(path.waypoints, path.closed)
-    a, d = loop[:-1], np.diff(loop, axis=0)
-    pieces = np.maximum(np.ceil(path.segment_lengths() / spacing_mm), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # a length beyond the float range is over the limit below
+        a, d = loop[:-1], np.diff(loop, axis=0)
+        pieces = np.maximum(np.ceil(path.segment_lengths() / spacing_mm), 1.0)
     total = float(np.sum(pieces))  # in float, so an infinite or NaN count is over the limit
     if not total <= MAX_POINTS:
         raise ValueError(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
@@ -186,10 +187,11 @@ def _parse_vector3(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"expected 'x,y,z', got {text!r}")
     v = np.array([number(p) for p in parts])
-    n = float(np.linalg.norm(v))
-    if not np.all(np.isfinite(v)) or n == 0.0:
+    big = float(np.abs(v).max())
+    if not 0.0 < big < math.inf:
         raise ValueError(f"direction must be finite and nonzero, got {text!r}")
-    return v / n
+    v = v / big  # the largest component is now 1: the squares in the norm neither overflow nor vanish
+    return v / float(np.linalg.norm(v))
 
 
 def _parse_extras(items: Sequence[str]) -> tuple[tuple[str, str], ...]:
@@ -348,7 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = psub.add_parser("expand", help="replicate a single layer into a stack")
     p.add_argument("file")
     p.add_argument("--layers", type=integer, required=True)
-    p.add_argument("--direction", default="0,0,1", metavar="X,Y,Z")
+    p.add_argument("--direction", default="0,0,1", metavar="X,Y,Z",
+                   help="stacking direction: any finite nonzero vector, normalized (default 0,0,1)")
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_pathml_expand)
 

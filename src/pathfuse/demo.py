@@ -19,13 +19,14 @@ from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import _quat
 from ._read import csv_lines, csv_row, decode, plain_rows
 from ._rows import fill_rows
 from .cad import MAX_POINTS
 from .errors import ValidationError
+from .geometry import row_norms
 
 if TYPE_CHECKING:
     from .fusion import FusedPath
@@ -72,10 +73,11 @@ class PoseSeries:
                 f"shape mismatch: t has {n} samples, positions {p.shape}, "
                 f"orientations {o.shape}"
             )
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(p)) and np.all(np.isfinite(o))):
+        if not (np.isfinite(t).all() and np.isfinite(p).all() and np.isfinite(o).all()):
             raise ValidationError("pose series contains non-finite values")
-        if np.any(np.diff(t) <= 0.0):
-            bad = int(np.argmax(np.diff(t) <= 0.0)) + 1
+        back = t[1:] - t[:-1] <= 0.0
+        if back.any():
+            bad = int(back.argmax()) + 1
             raise ValidationError(f"timestamps must strictly increase (sample {bad})")
         for a in (t, p, o):
             a.flags.writeable = False
@@ -115,7 +117,7 @@ def _read_plain(data: bytes | str) -> PoseSeries | None:
     if data[start:body].rstrip(b"\r\n") != DEMO_CSV_HEADER.encode():
         return None
     rows = plain_rows(data, body, 7)
-    if rows is None or len(rows) < 2 or not np.all(rows[1:, 0] > rows[:-1, 0]):
+    if rows is None or len(rows) < 2 or not (rows[1:, 0] > rows[:-1, 0]).all():
         return None
     return PoseSeries(rows[:, 0], rows[:, 1:4], np.radians(rows[:, 4:7]))
 
@@ -183,7 +185,7 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
     c, n = x.shape
     h = window // 2
     limit = k * MAD_SCALE
-    full = sliding_window_view(x, window, axis=1)
+    full = _sliding_windows(x, window)
     med, flags = np.empty((c, n)), np.empty((c, n), dtype=bool)
     block = max(1, _PASS_WINDOWS // c)
     buf = np.empty((window + 1, c, min(block, n - 2 * h)))
@@ -205,7 +207,7 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
     # the windows centred on the first and last h samples, NaN beyond either end
     ends = np.full((c, 2, 3 * h), np.nan)
     ends[:, 0, h:], ends[:, 1, : 2 * h] = x[:, : 2 * h], x[:, n - 2 * h :]
-    edges = np.sort(sliding_window_view(ends, window, axis=2).reshape(c, 2 * h, window), axis=2)
+    edges = np.sort(_sliding_windows(ends, window).reshape(c, 2 * h, window), axis=2)
     lengths = np.r_[h + 1 : window, window - 1 : h : -1]  # samples each edge window holds
     edge_med = _sorted_median(edges, lengths)
     edge_mad = _sorted_median(np.sort(np.abs(edges - edge_med[..., None]), axis=2), lengths)
@@ -214,6 +216,13 @@ def _hampel(x: np.ndarray, window: int, k: float) -> tuple[np.ndarray, np.ndarra
     med[:, :h], med[:, n - h :] = edge_med[:, :h], edge_med[:, h:]
     flags[:, :h], flags[:, n - h :] = edge_flags[:, :h], edge_flags[:, h:]
     return med, flags
+
+
+def _sliding_windows(a: np.ndarray, window: int) -> np.ndarray:
+    """``sliding_window_view(a, window, axis=-1)``: the same read-only view, made by
+    ``as_strided`` without the argument handling that costs more than the view on short rows."""
+    shape = (*a.shape[:-1], a.shape[-1] - window + 1, window)
+    return as_strided(a, shape, (*a.strides, a.strides[-1]), writeable=False)
 
 
 def _network_sort(rows: list[np.ndarray]) -> list[np.ndarray]:
@@ -339,7 +348,7 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
     sample after the first, which turns a -0.0 there into 0.0.  Steps under
     pi are the rule, so only the others go through ``np.mod``.
     """
-    step = np.diff(p)
+    step = p[..., 1:] - p[..., :-1]
     big = ~(np.abs(step) < math.pi)  # as np.unwrap's ``abs(dd) < discont``: a NaN step is corrected
     jump = step[big]
     wrapped = np.mod(jump + math.pi, 2 * math.pi) - math.pi
@@ -347,7 +356,7 @@ def _unwrap(p: np.ndarray) -> np.ndarray:
     correction = np.zeros_like(step)
     correction[big] = wrapped - jump
     out = p.copy()
-    out[..., 1:] += np.cumsum(correction, axis=-1)
+    out[..., 1:] += correction.cumsum(axis=-1)
     return out
 
 
@@ -401,12 +410,12 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
     if not (0.0 < rate_hz < math.inf):
         raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
     pts = truth.positions
-    if np.any(truth.speeds <= 0.0):
+    if (truth.speeds <= 0.0).any():
         raise ValueError("truth speeds must be positive to traverse the path")
 
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    seg = row_norms(pts[1:] - pts[:-1])
     seg_v = (truth.speeds[:-1] + truth.speeds[1:]) / 2.0
-    t_wp = np.concatenate([[0.0], np.cumsum(seg / seg_v)])
+    t_wp = np.concatenate([[0.0], (seg / seg_v).cumsum()])
     total_t = float(t_wp[-1])
     if total_t <= 0.0:
         raise ValueError("truth path has no extent to traverse")
@@ -431,7 +440,7 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
     n = len(ts)
     noisy = clean_pos.copy()
 
-    dist = np.linalg.norm(clean_pos, axis=1)
+    dist = row_norms(clean_pos)
     noisy[:, 2] += model.z_bias_max * (np.minimum(dist, model.z_bias_range) / model.z_bias_range)
     with np.errstate(over="ignore"):  # such a draw raises just below
         noisy[:, 0] += rng.normal(0.0, model.xy_noise_sigma, n)

@@ -21,7 +21,7 @@ from ._rows import fill_rows
 from .errors import FrameMismatchError, ParseError
 from .cad import CadPath, arc_fraction, arc_lengths, traverse
 from .demo import PoseSeries
-from .geometry import CalibrationSet, Frame, compose, euler_zyx_from_rots, rots_from_euler_zyx
+from .geometry import CalibrationSet, Frame, compose, euler_zyx_from_rots, row_norms, rots_from_euler_zyx
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,9 +52,9 @@ class FusedPath:
             raise ValueError(
                 f"shape mismatch: {n} speeds, positions {p.shape}, orientations {o.shape}"
             )
-        if not (np.all(np.isfinite(p)) and np.all(np.isfinite(o)) and np.all(np.isfinite(v))):
+        if not (np.isfinite(p).all() and np.isfinite(o).all() and np.isfinite(v).all()):
             raise ValueError("fused path contains non-finite values")
-        if np.any(v < 0.0):
+        if (v < 0.0).any():
             raise ValueError("speeds must be >= 0")
         if not isinstance(self.frame, Frame):
             raise ValueError(f"frame must be a Frame, got {self.frame!r}")
@@ -98,12 +98,13 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
 
     j, frac = _quat.bracket(demo_params, arc_fraction(arc_lengths(positions)))
     at, m = np.concatenate([j, j + 1]), len(j)  # each CAD point's two samples
+    v = row_norms(slopes[at])
+    speeds = v[:m] + frac * (v[m:] - v[:m])
+    del fitted, slopes, demo_params  # frees the position fit's working array before the orientation fit
+
     q = _fit_rotations(t, demo.orientations, lo, hi, at)
     # (psi, theta, phi) reversed is the robot's fixed-axis (rx, ry, rz)
     orientations = _quat.to_euler_zyx(_quat.slerp(q[:m], q[m:], frac))[:, ::-1]
-
-    v = np.linalg.norm(slopes[at], axis=1)
-    speeds = v[:m] + frac * (v[m:] - v[:m])
 
     return FusedPath(
         positions=positions,
@@ -130,8 +131,8 @@ def _windows(t: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
     where the series allows, moved inside it near the ends (never shrunk), the
     whole series when shorter, and at least 2 samples."""
     start = np.maximum(np.minimum(t - width / 2.0, t[-1] - width), t[0])
-    lo = np.searchsorted(t, start)
-    hi = np.minimum(np.maximum(np.searchsorted(t, start + width, side="right"), lo + 2), len(t))
+    lo = t.searchsorted(start)
+    hi = np.minimum(np.maximum(t.searchsorted(start + width, side="right"), lo + 2), len(t))
     return np.minimum(lo, hi - 2), hi
 
 
@@ -154,9 +155,9 @@ def _line_fit(t, x, lo, hi, at=slice(None)):
     sums[0, 1:], sums[1, 1:] = tc, tc * tc
     np.subtract(x.T, x0[:, None], out=sums[2 : 2 + c, 1:])
     np.multiply(tc, sums[2 : 2 + c, 1:], out=sums[2 + c :, 1:])
-    np.cumsum(sums, axis=1, out=sums)
-    means = np.take(sums, hi, axis=1)
-    means -= np.take(sums, lo, axis=1)
+    sums.cumsum(axis=1, out=sums)
+    means = sums.take(hi, axis=1)
+    means -= sums.take(lo, axis=1)
     del sums
     means /= hi - lo
     t_bar, x_bar, tx_bar = means[0], means[2 : 2 + c], means[2 + c :]
@@ -168,27 +169,31 @@ def _line_fit(t, x, lo, hi, at=slice(None)):
 
 def _fit_rotations(t, angles_zyx, lo, hi, at) -> np.ndarray:
     """(len(at), 4) unit quaternions of the fitted orientation at samples ``at``, from
-    only the samples inside their windows (each window is contiguous among those).
+    only the samples inside their windows (each window is contiguous among those);
+    when the windows cover the whole capture, its arrays are read as they are.
 
     The chordal fit is exact only at a window's centre, so samples with an end
     window fit rotation vectors about its middle sample: exact for a steady turn.
     """
     lo_at, hi_at = lo[at], hi[at]
+    ends = [(lo_at == a) & (hi_at == b) for a, b in {(lo[0], hi[0]), (lo[-1], hi[-1])}]
     # how many windows of ``at`` hold each sample: +1 where one starts, -1 where one ends
-    held = np.cumsum(np.bincount(lo_at, minlength=len(t) + 1) - np.bincount(hi_at, minlength=len(t) + 1))
-    read = np.flatnonzero(held[:-1])
-    w_lo, w_hi, w_at = (np.searchsorted(read, i) for i in (lo_at, hi_at, at))  # places among them
-    t, q = t[read], _quat.make_continuous(_quat.from_euler_zyx(angles_zyx[read]))
-    fit = _line_fit(t, q, w_lo, w_hi, w_at)[0]
-    fit /= np.linalg.norm(fit, axis=1, keepdims=True)
-    for a, b in {(lo[0], hi[0]), (lo[-1], hi[-1])}:
-        end = (lo_at == a) & (hi_at == b)
+    held = (np.bincount(lo_at, minlength=len(t) + 1) - np.bincount(hi_at, minlength=len(t) + 1)).cumsum()[:-1]
+    if not held.all():  # gather the samples read and place the windows among them
+        read = np.flatnonzero(held)
+        lo_at, hi_at, at = (read.searchsorted(i) for i in (lo_at, hi_at, at))
+        t, angles_zyx = t[read], angles_zyx[read]
+    del held
+    q = _quat.make_continuous(_quat.from_euler_zyx(angles_zyx))
+    fit = _line_fit(t, q, lo_at, hi_at, at)[0]
+    fit /= row_norms(fit)[:, None]
+    for end in ends:
         if not end.any():
             continue
-        a, b = w_lo[end][0], w_hi[end][0]
+        a, b = lo_at[end][0], hi_at[end][0]
         mid = q[(a + b - 1) // 2]
         rel = _quat.to_rotvec(_quat.mul(mid * [1.0, -1.0, -1.0, -1.0], q[a:b]))
-        vec = _line_fit(t[a:b], rel, w_lo[end] - a, w_hi[end] - a, w_at[end] - a)[0]
+        vec = _line_fit(t[a:b], rel, lo_at[end] - a, hi_at[end] - a, at[end] - a)[0]
         fit[end] = _quat.mul(mid, _quat.from_rotvec(vec))
     return fit
 

@@ -45,6 +45,15 @@ class Frame(str, Enum):
     R = "R"  # robot base
 
 
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean length of each vector along the last axis of a float array.
+
+    Equal bit for bit to ``np.linalg.norm(x, axis=-1)``, whose own formula for
+    one axis this is, without the Python-level cost of its argument handling.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def rots_from_euler_zyx(angles: np.ndarray) -> np.ndarray:
     """Rotation matrices (..., 3, 3) for (..., 3) intrinsic z-y'-x'' angles.
 

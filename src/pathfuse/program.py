@@ -125,11 +125,12 @@ def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
     _, pts, address = _traverse(doc)
     # one row per point, one column per rule; NaN where a rule does not apply
     measured = np.full((len(pts), 4), np.nan)
-    with np.errstate(invalid="ignore"):  # inf - inf, cos(inf): NaN, which breaks no limit
+    # inf - inf, cos(inf): NaN, which breaks no limit; a length that overflows is inf, which breaks it
+    with np.errstate(over="ignore", invalid="ignore"):
         rots = rots_from_euler_zyx(np.radians(pts[:, 5:2:-1]))  # (rz, ry, rx) columns
         measured[1:, 0] = np.linalg.norm(np.diff(pts[:, :3], axis=0), axis=1)
         measured[1:, 1] = np.degrees(rotation_angle(np.swapaxes(rots[:-1], 1, 2) @ rots[1:]))
-    measured[:, 2] = np.linalg.norm(pts[:, :3] - limits.workspace_center, axis=1)
+        measured[:, 2] = np.linalg.norm(pts[:, :3] - limits.workspace_center, axis=1)
     measured[:, 3] = pts[:, 6]
     violations = tuple(
         LimitViolation(*address[pi].tolist(), rules[ri], float(measured[pi, ri]), limit[ri])
@@ -384,10 +385,12 @@ def deviation_report(
     if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
         raise ValueError(f"section breaks must strictly increase, got {breaks}")
 
-    devs = _point_to_polyline_mm(executed.positions, traverse(nominal.positions, nominal.closed))
-
-    # executed progress for sectioning; degenerate (zero-length) paths land in section 1
-    params = arc_fraction(arc_lengths(traverse(executed.positions, executed.closed)))[: len(executed)]
+    # coordinates near the float limit give inf or NaN distances, which fail the
+    # tolerance check, and NaN progress, which falls in the last section
+    with np.errstate(over="ignore", invalid="ignore"):
+        devs = _point_to_polyline_mm(executed.positions, traverse(nominal.positions, nominal.closed))
+        # executed progress for sectioning; degenerate (zero-length) paths land in section 1
+        params = arc_fraction(arc_lengths(traverse(executed.positions, executed.closed)))[: len(executed)]
 
     idx = np.searchsorted(np.array(breaks), params, side="right") if breaks else np.zeros(
         len(params), dtype=int

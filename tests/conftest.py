@@ -80,9 +80,12 @@ def long_capture(n=28_011, rate=240.0, seed=27):
 
 
 def child_env():
-    """Environment for a child Python process that imports this checkout's pathfuse."""
+    """Environment for a child Python process that imports this checkout's pathfuse, in
+    which a numpy floating-point warning raises, as pyproject's ``filterwarnings`` makes
+    it raise in the tests' own process."""
     paths = [str(Path(pathfuse.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p),
+            "PYTHONWARNINGS": "error::RuntimeWarning"}
 
 
 def shared_column_docs():

@@ -582,6 +582,20 @@ class TestExitCodes:
         assert code == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("extreme, plain", [("1e308,1e308,0", "1,1,0"), ("1e-200,0,0", "1,0,0"),
+                                                ("0,0,1e-160", "0,0,1")])
+    def test_expand_normalizes_a_direction_whose_squares_overflow_or_vanish(self, ws, extreme, plain):
+        run_chain(ws)
+        env = {**child_env(), "PYTHONWARNINGS": "error"}
+        stacks = []
+        for direction in (extreme, plain):
+            out = ws / f"stack_{len(stacks)}.aml"
+            argv = ["pathml", "expand", str(ws / "doc.aml"), "--layers", "3", f"--direction={direction}", "-o", str(out)]
+            proc = subprocess.run([sys.executable, "-m", "pathfuse", *argv], env=env, capture_output=True)
+            assert (proc.returncode, proc.stderr) == (0, b""), direction
+            stacks.append(out.read_bytes())
+        assert stacks[0] == stacks[1]
+
     def test_expand_beyond_the_point_limit(self, ws, capsys):
         run_chain(ws)
         code = main(["pathml", "expand", str(ws / "doc.aml"), "--layers", str(10**12)])

@@ -17,6 +17,7 @@ from pathfuse import (
 from pathfuse.geometry import (
     euler_zyx_from_rots,
     orthonormality_error,
+    row_norms,
     rots_from_euler_zyx,
 )
 
@@ -123,6 +124,17 @@ class TestRotationChecks:
         ref = [oracles.rotation_distance(np.eye(3), r) for r in stack]
         assert np.max(np.abs(got - ref)) < 1e-7
         assert rotation_angle(np.empty((0, 3, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("width", range(2, 8))
+def test_row_norms_are_numpys_bit_for_bit(width):
+    rng = np.random.default_rng(width)
+    x = rng.standard_normal((3000, width)) * 10.0 ** rng.uniform(-300.0, 300.0, (3000, 1))
+    x[::101, -1] = np.nan
+    with np.errstate(over="ignore"):  # rows past 1.3e154 overflow to inf in both
+        got, want = row_norms(x), np.linalg.norm(x, axis=1)
+    assert np.isinf(got).any() and np.isnan(got).any() and (got < 1e-150).any()
+    assert got.tobytes() == want.tobytes()
 
 
 def _hom(t):
