@@ -4,8 +4,9 @@
     python3 scripts/output_digest.py [--root CHECKOUT]
 
 Imports pathfuse from CHECKOUT/src and the benchmark's input generators from
-CHECKOUT/bench (CHECKOUT defaults to the one holding this script), and prints
-one sha256 per part:
+CHECKOUT/bench (CHECKOUT defaults to the one holding this script), takes the
+``synth`` truths from the ``noise_study.py`` beside this script, and prints one
+sha256 per part:
 
 * ``noise_sweep``: positions, orientations and speeds of the fused path of the
   first 240 operations (one full cycle of the grid) at seeds 1, 7 and 1431;
@@ -19,14 +20,19 @@ one sha256 per part:
   of four executed paths against the ``stack_dense`` nominal path (the chain's
   fused path) at seeds 7 and 11: the chain's jittered path, the same moved
   150 mm along z (``far150``), points at the loop's centre (``centre``, where
-  the search can skip no segment) and a log five times denser (``dense``).
+  the search can skip no segment) and a log five times denser (``dense``);
+* ``synth``: ``format_demo_csv`` of ``synth_demo`` captures of
+  ``noise_study.py``'s line and circle at 100 and 240 Hz, two seeds for each of
+  the study's 24 cells; the truth and the rate change every two captures, so
+  the first capture of each pair samples its truth afresh and the second reads
+  the traversal ``synth_demo`` kept.
 
 Then, for each chain workload, one sha256 per output file name over the same
 seeds (``OUTPUT_FILES``; ``capture*/fused.json`` are the quality pass's fused
 captures), so that two checkouts whose chain digests differ show which outputs
-moved.  The last line is one JSON object of the same digests, the per-file ones
-under ``"files"``.  Only the inputs are seeded, so equal digests from two
-checkouts mean equal outputs.
+moved.  The last line is one JSON object of the digests above but ``synth``,
+the per-file ones under ``"files"``.  Only the inputs are seeded, so equal
+digests from two checkouts mean equal outputs.
 """
 
 import argparse
@@ -34,6 +40,8 @@ import dataclasses
 import fnmatch
 import hashlib
 import importlib
+import importlib.util
+import itertools
 import json
 import sys
 import tempfile
@@ -44,6 +52,8 @@ import numpy as np
 NOISE_SEEDS = (1, 7, 1431)
 CHAIN_SEEDS = (1, 7, 11)
 NEAR_LOCK_CAPTURES = 50
+SYNTH_SEEDS = (0, 1)
+SYNTH_RATES_HZ = (100.0, 240.0)
 DEVIATION_SEEDS = (7, 11)
 DEVIATION_BREAKS = tuple(k / 20 for k in range(1, 20))
 OUTPUT_FILES = ("fused.json", "part.aml", "stack.aml", "program.txt", "report.json", "capture*/fused.json")
@@ -81,6 +91,20 @@ def chain(pf, workloads, spec) -> tuple[str, dict[str, str]]:
                     if fnmatch.fnmatchcase(rel, name):
                         per_file[name].update(entry)
     return h.hexdigest(), {name: d.hexdigest() for name, d in per_file.items()}
+
+
+def synth(pf) -> str:
+    spec = importlib.util.spec_from_file_location("noise_study", Path(__file__).with_name("noise_study.py"))
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    truths = (study.make_truth(), study.make_circle())
+    h = hashlib.sha256()
+    grid = itertools.product((0.0, 1.0, 2.0), (0.0, 0.5, 1.0, 2.0), (0.0, 0.02), truths, SYNTH_RATES_HZ, SYNTH_SEEDS)
+    for xy, orient, spike, truth, rate, seed in grid:
+        model = pf.TrackerErrorModel(z_bias_max=60.0, xy_noise_sigma=xy, orient_noise_sigma=orient,
+                                     spike_rate=spike, seed=seed)
+        h.update(pf.format_demo_csv(pf.synth_demo(truth, model, rate)))
+    return h.hexdigest()
 
 
 def near_lock(pf) -> str:
@@ -149,7 +173,7 @@ def main() -> int:
         "open_stack": chains["open_stack"][0],
         "deviation": deviation(pf, workloads),
     }
-    for name, digest in digests.items():
+    for name, digest in {**digests, "synth": synth(pf)}.items():
         print(f"{name:13s} {digest}")
     files = {workload: per_file for workload, (_, per_file) in chains.items()}
     for workload, per_file in files.items():

@@ -406,41 +406,34 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
     that would make more than ``MAX_POINTS`` samples raises ValueError
     before the samples are allocated, and so does an ``xy_noise_sigma``
     whose draw leaves the float range.
+
+    The noise-free traversal (sample times, positions, orientations and
+    distances from the origin) depends on the truth and the rate alone, so
+    it is kept for the next call: a Monte Carlo sweep redraws only the noise
+    for each seed.  It is keyed by the bytes of the truth's positions,
+    orientations and speeds and by ``rate_hz``, so a truth changed in place
+    is traversed afresh; one traversal is kept, the last one made.  The
+    checks on the rate, the speeds, the extent and the sample count run on
+    every call, before the traversal is looked up.
     """
     if not (0.0 < rate_hz < math.inf):
         raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
-    pts = truth.positions
     if (truth.speeds <= 0.0).any():
         raise ValueError("truth speeds must be positive to traverse the path")
-
-    seg = row_norms(pts[1:] - pts[:-1])
-    seg_v = (truth.speeds[:-1] + truth.speeds[1:]) / 2.0
-    t_wp = np.concatenate([[0.0], (seg / seg_v).cumsum()])
-    total_t = float(t_wp[-1])
+    total_t = float(_waypoint_times(truth.positions, truth.speeds)[-1])
     if total_t <= 0.0:
         raise ValueError("truth path has no extent to traverse")
-
     step = 1.0 / rate_hz
     samples = total_t / step + 1.0  # np.arange makes ceil(total_t / step), the last sample may add one
     if not samples <= MAX_POINTS:
         raise ValueError(f"sampling at {rate_hz} Hz would make {samples:.4g} samples; the limit is {MAX_POINTS}")
-    ts = np.arange(0.0, total_t, step)
-    if total_t - ts[-1] > 1e-12 * max(1.0, total_t):
-        ts = np.concatenate([ts, [total_t]])
-    else:
-        ts[-1] = total_t
-
-    clean_pos = np.column_stack([np.interp(ts, t_wp, pts[:, c]) for c in range(3)])
-
-    # truth orientations are robot-style (rx, ry, rz); the tracker reports
-    # the same rotations as (psi, theta, phi) = (rz, ry, rx)
-    orient = _quat.interpolate_zyx(t_wp, truth.orientations[:, ::-1], ts)
+    ts, clean_pos, orient, dist = _traversal(
+        truth.positions.tobytes(), truth.orientations.tobytes(), truth.speeds.tobytes(), rate_hz
+    )
 
     rng = np.random.default_rng(model.seed)
     n = len(ts)
     noisy = clean_pos.copy()
-
-    dist = row_norms(clean_pos)
     noisy[:, 2] += model.z_bias_max * (np.minimum(dist, model.z_bias_range) / model.z_bias_range)
     with np.errstate(over="ignore"):  # such a draw raises just below
         noisy[:, 0] += rng.normal(0.0, model.xy_noise_sigma, n)
@@ -457,3 +450,38 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
             noisy[i, axis] += sign * SPIKE_MAGNITUDE_MM
 
     return PoseSeries(ts, noisy, orient)
+
+
+def _waypoint_times(pts: np.ndarray, speeds: np.ndarray) -> np.ndarray:
+    """Time at which a traversal at the segments' mean endpoint speeds reaches each waypoint."""
+    seg = row_norms(pts[1:] - pts[:-1])
+    seg_v = (speeds[:-1] + speeds[1:]) / 2.0
+    return np.concatenate([[0.0], (seg / seg_v).cumsum()])
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _traversal(
+    positions: bytes, orientations: bytes, speeds: bytes, rate_hz: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only sample times, noise-free positions, (psi, theta, phi) orientations
+    and distances from the origin of the truth whose array bytes are given, at
+    ``rate_hz``.  ``typed`` keeps a rate of another type, whose step may round
+    differently, from reading this rate's traversal.
+    """
+    pts = np.frombuffer(positions).reshape(-1, 3)
+    t_wp = _waypoint_times(pts, np.frombuffer(speeds))
+    total_t = float(t_wp[-1])
+    ts = np.arange(0.0, total_t, 1.0 / rate_hz)
+    if total_t - ts[-1] > 1e-12 * max(1.0, total_t):
+        ts = np.concatenate([ts, [total_t]])
+    else:
+        ts[-1] = total_t
+
+    clean_pos = np.column_stack([np.interp(ts, t_wp, pts[:, c]) for c in range(3)])
+    # truth orientations are robot-style (rx, ry, rz); the tracker reports
+    # the same rotations as (psi, theta, phi) = (rz, ry, rx)
+    orient = _quat.interpolate_zyx(t_wp, np.frombuffer(orientations).reshape(-1, 3)[:, ::-1], ts)
+    traversal = ts, clean_pos, orient, row_norms(clean_pos)
+    for a in traversal:
+        a.flags.writeable = False
+    return traversal

@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import tracemalloc
 from pathlib import Path
@@ -19,9 +20,26 @@ from pathfuse import (
     expand_layers,
     validate_path,
 )
+from pathfuse import demo
 
 # limits no move between finite points breaks: a relative rotation is at most 180 degrees
 NO_LIMITS = PathLimits(max_step_mm=1e300, max_speed_mm_s=1e300, workspace_radius_mm=1e300, max_orient_step_deg=180.0)
+
+
+@pytest.fixture(autouse=True)
+def cold_traversal():
+    """Start each test with no traversal kept by ``synth_demo``, so that whether a call
+    samples its truth afresh never depends on which test ran before."""
+    demo._traversal.cache_clear()
+
+
+def noise_study():
+    """``scripts/noise_study.py`` as a module."""
+    path = Path(__file__).parents[1] / "scripts" / "noise_study.py"
+    spec = importlib.util.spec_from_file_location("noise_study", path)
+    study = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(study)
+    return study
 
 
 def emitted(doc):

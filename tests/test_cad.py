@@ -473,6 +473,4 @@ def test_resample_property(points, spacing):
     assert math.isclose(r.segment_lengths().sum(), p.segment_lengths().sum(), rel_tol=1e-9, abs_tol=1e-9)
     steps = np.linalg.norm(np.diff(r.waypoints, axis=0), axis=1)
     assert np.max(steps) <= spacing + 1e-6
-    poly = p.waypoints
-    for w in r.waypoints:
-        assert oracles.point_to_polyline(w, poly) < 1e-6
+    assert np.max(oracles.point_to_polyline_all_pairs(r.waypoints, p.waypoints)) < 1e-6

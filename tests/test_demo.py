@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import long_capture, traced_peak
+from conftest import long_capture, noise_study, traced_peak
 from pathfuse import (
     CadPath,
     Frame,
@@ -815,3 +815,88 @@ class TestSynth:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="beyond the float range"):
                 format_demo_csv(s)
+
+    @pytest.mark.parametrize("rate, change, message", [
+        (0.0, None, "rate_hz must be positive and finite"),
+        (math.inf, None, "rate_hz must be positive and finite"),
+        (100.0, "speeds", "truth speeds must be positive"),
+        (100.0, "positions", "truth path has no extent"),
+        (100.0, "bound", "would make 701 samples; the limit is 700"),
+    ])
+    def test_checks_run_before_the_kept_traversal_is_looked_up(self, monkeypatch, rate, change, message):
+        truth = self._truth()
+        synth_demo(truth, TrackerErrorModel(), 100.0)
+        if change == "bound":
+            monkeypatch.setattr(demo, "MAX_POINTS", 700)
+        elif change:
+            a = getattr(truth, change)
+            a.flags.writeable = True
+            a[:] = 0.0 if change == "speeds" else a[0].copy()
+        kept = demo._traversal.cache_info()
+        with pytest.raises(ValueError, match=message):
+            synth_demo(truth, TrackerErrorModel(), rate)
+        assert demo._traversal.cache_info() == kept
+
+
+# the noise study's grid of (xy sigma mm, orientation sigma deg, spike rate) cells
+NOISE_CELLS = [(xy, orient, spike) for xy in (0.0, 1.0, 2.0) for orient in (0.0, 0.5, 1.0, 2.0) for spike in (0.0, 0.02)]
+
+
+def study_model(cell, seed):
+    xy, orient, spike = cell
+    return TrackerErrorModel(z_bias_max=60.0, xy_noise_sigma=xy, orient_noise_sigma=orient, spike_rate=spike, seed=seed)
+
+
+def capture_bits(s):
+    return s.t.tobytes(), s.positions.tobytes(), s.orientations.tobytes()
+
+
+class TestKeptTraversal:
+    """``synth_demo`` keeps the last noise-free traversal and redraws only the noise."""
+
+    truths = {name: truth for name, truth, _ in noise_study().truths()}
+
+    @pytest.mark.parametrize("rate", [75.0, 100.0, 240.0])
+    @pytest.mark.parametrize("name", ["line", "circle"])
+    def test_a_warm_capture_equals_a_cold_one_bit_for_bit(self, name, rate):
+        truth = self.truths[name]
+        for seed, cell in enumerate(NOISE_CELLS):
+            demo._traversal.cache_clear()
+            cold = synth_demo(truth, study_model(cell, seed), rate)
+            warm = synth_demo(truth, study_model(cell, seed), rate)
+            assert demo._traversal.cache_info()[:2] == (1, 1)  # one hit, one miss
+            assert capture_bits(warm) == capture_bits(cold)
+
+    def test_interleaved_truths_and_rates_read_their_own_traversal(self):
+        model = study_model((2.0, 1.0, 0.02), 5)
+        keys = [("line", 100.0), ("circle", 100.0), ("line", 75.0), ("line", 100.0), ("line", 100.0)]
+        cold = {}
+        for name, rate in set(keys):
+            demo._traversal.cache_clear()
+            cold[name, rate] = capture_bits(synth_demo(self.truths[name], model, rate))
+        demo._traversal.cache_clear()
+        for name, rate in keys:
+            assert capture_bits(synth_demo(self.truths[name], model, rate)) == cold[name, rate]
+        assert demo._traversal.cache_info()[:2] == (1, 4)  # the repeated line@100 hits
+
+    def test_a_truth_changed_in_place_is_traversed_afresh(self):
+        truth = noise_study().make_truth()
+        model = study_model((0.0, 0.0, 0.0), 3)
+        before = synth_demo(truth, model, 100.0)
+        truth.positions.flags.writeable = True
+        truth.positions[4, 1] = 50.0
+        changed = synth_demo(truth, model, 100.0)
+        demo._traversal.cache_clear()
+        fresh = synth_demo(FusedPath(truth.positions, truth.orientations, truth.speeds, Frame.S), model, 100.0)
+        assert capture_bits(changed) == capture_bits(fresh) != capture_bits(before)
+
+    def test_one_read_only_traversal_is_kept_and_none_of_it_is_returned(self):
+        for name, rate in [("line", 100.0), ("circle", 240.0), ("line", 75.0)]:
+            truth = self.truths[name]
+            s = synth_demo(truth, study_model((1.0, 0.5, 0.02), 1), rate)
+            assert demo._traversal.cache_info()[2:] == (1, 1)  # maxsize, currsize
+            kept = demo._traversal(truth.positions.tobytes(), truth.orientations.tobytes(), truth.speeds.tobytes(), rate)
+            assert len(kept[0]) == len(s)
+            for a in kept:
+                assert not a.flags.writeable
+                assert not any(np.shares_memory(a, b) for b in (s.t, s.positions, s.orientations))

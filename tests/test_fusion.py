@@ -1,8 +1,6 @@
-import importlib.util
 import json
 import math
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import oracles
-from conftest import long_capture, traced_peak
+from conftest import long_capture, noise_study, traced_peak
 from pathfuse import (
     CadPath,
     CalibrationSet,
@@ -501,14 +499,6 @@ NOISE_BOUNDS_DEG = {
     ("circle", 2.0, 2.0, 0.0): (1.976, 2.082, 12.061),
     ("circle", 2.0, 2.0, 0.02): (1.976, 2.082, 13.667),
 }
-
-
-def noise_study():
-    path = Path(__file__).parents[1] / "scripts" / "noise_study.py"
-    spec = importlib.util.spec_from_file_location("noise_study", path)
-    study = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(study)
-    return study
 
 
 def test_noise_study_within_pinned_bounds():
