@@ -25,14 +25,19 @@ sha256 per part:
   ``noise_study.py``'s line and circle at 100 and 240 Hz, two seeds for each of
   the study's 24 cells; the truth and the rate change every two captures, so
   the first capture of each pair samples its truth afresh and the second reads
-  the traversal ``synth_demo`` kept.
+  the traversal ``synth_demo`` kept;
+* ``validate``: the violation lines ``pathml validate`` prints for
+  ``validate_path`` of the chain's ``part.aml`` and ``stack.aml``, for
+  ``capture_long`` and ``stack_dense`` at seeds 1, 7 and 11, under limits of the
+  smallest positive float, so that every nonzero step, turn, reach and speed
+  is printed.
 
 Then, for each chain workload, one sha256 per output file name over the same
 seeds (``OUTPUT_FILES``; ``capture*/fused.json`` are the quality pass's fused
 captures), so that two checkouts whose chain digests differ show which outputs
-moved.  The last line is one JSON object of the digests above but ``synth``,
-the per-file ones under ``"files"``.  Only the inputs are seeded, so equal
-digests from two checkouts mean equal outputs.
+moved.  The last line is one JSON object of the digests above but ``synth``
+and ``validate``, the per-file ones under ``"files"``.  Only the inputs are
+seeded, so equal digests from two checkouts mean equal outputs.
 """
 
 import argparse
@@ -148,6 +153,21 @@ def deviation(pf, workloads) -> str:
     return h.hexdigest()
 
 
+def validate(pf, workloads) -> str:
+    tiny = 5e-324  # the smallest positive float
+    limits = pf.PathLimits(max_step_mm=tiny, max_speed_mm_s=tiny, workspace_radius_mm=tiny, max_orient_step_deg=tiny)
+    h = hashlib.sha256()
+    for name, seed in itertools.product(("capture_long", "stack_dense"), CHAIN_SEEDS):
+        with tempfile.TemporaryDirectory() as tmp:
+            work = Path(tmp)
+            workloads.ChainWorkload(workloads.CHAIN_SPECS[name], seed, work, pf.cli.main).op()
+            for aml in ("part.aml", "stack.aml"):
+                report = pf.validate_path(pf.parse_xml((work / aml).read_bytes()), limits)
+                lines = [f"{name} {seed} {aml}"] + [str(v) for v in report.document + report.violations]
+                h.update("\n".join(lines).encode() + b"\n")
+    return h.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -173,7 +193,7 @@ def main() -> int:
         "open_stack": chains["open_stack"][0],
         "deviation": deviation(pf, workloads),
     }
-    for name, digest in {**digests, "synth": synth(pf)}.items():
+    for name, digest in {**digests, "synth": synth(pf), "validate": validate(pf, workloads)}.items():
         print(f"{name:13s} {digest}")
     files = {workload: per_file for workload, (_, per_file) in chains.items()}
     for workload, per_file in files.items():

@@ -21,7 +21,6 @@ from .geometry import (
     Transform4,
     compose,
     rot_from_fixed_xyz,
-    rotation_angle,
 )
 from .demo import (
     PoseSeries,
@@ -107,7 +106,6 @@ __all__ = [
     "parse_xml",
     "resample_cad",
     "rot_from_fixed_xyz",
-    "rotation_angle",
     "synth_demo",
     "to_robot_frame",
     "validate_document",

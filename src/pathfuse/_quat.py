@@ -1,8 +1,8 @@
 """Internal unit-quaternion helpers for orientation interpolation.
 
 Quaternions are float arrays in [w, x, y, z] order.  This module is an
-implementation detail of the fusion and capture-synthesis code; orientations in the
-public API are always Euler angles or rotation matrices.
+implementation detail of the fusion, capture-synthesis and path-validation code;
+orientations in the public API are always Euler angles or rotation matrices.
 
 ``interpolate_zyx`` is one vectorized pass: ``bracket`` each query, ``slerp``
 along the shorter arc (Shoemake 1985), and read angles with ``to_euler_zyx``.
@@ -58,6 +58,17 @@ def from_rotvec(r: np.ndarray) -> np.ndarray:
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", a, b)
+
+
+def angles_between(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(m,) angles in [0, pi] of the rotations from the rows of (m, 4) unit quaternions ``a`` to those of ``b``.
+
+    Each ``b`` row is put in its ``a`` row's hemisphere (q and -q are one
+    rotation), then Kahan's angle between unit vectors, 2 atan2(|a - b|, |a + b|),
+    is doubled: exact at 0 and at a half turn, where an arccos loses digits.
+    """
+    b = b * np.where(_dot(a, b) < 0.0, -1.0, 1.0)[:, None]
+    return 4.0 * np.arctan2(row_norms(a - b), row_norms(a + b))
 
 
 def make_continuous(qs: np.ndarray) -> np.ndarray:

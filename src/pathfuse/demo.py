@@ -328,15 +328,11 @@ def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = 
     return PoseSeries(series.t, pos, orient)
 
 
-def _wrap_angle(a):
-    """Wrap angles (scalar or array) to the interval (-pi, pi]."""
-    a = np.asarray(a, dtype=float)
+def _wrap_angle(a: np.ndarray) -> np.ndarray:
+    """Wrap float angles to the interval (-pi, pi]."""
     r = np.mod(a + np.pi, 2.0 * np.pi) - np.pi
     # mod maps odd multiples of pi to -pi; the convention here is +pi.
-    r = np.where(r == -np.pi, np.pi, r)
-    if r.ndim == 0:
-        return float(r)
-    return r
+    return np.where(r == -np.pi, np.pi, r)
 
 
 def _unwrap(p: np.ndarray) -> np.ndarray:

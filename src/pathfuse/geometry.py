@@ -129,17 +129,6 @@ def check_rotations(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def rotation_angle(r: np.ndarray) -> float | np.ndarray:
-    """Angle in radians of the rotation encoded by ``r``, in [0, pi].
-
-    A float for one 3x3 matrix, an (m,) array for an (m, 3, 3) stack.
-    """
-    r = np.asarray(r, dtype=float)
-    c = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
-    angle = np.arccos(np.clip(c, -1.0, 1.0))
-    return float(angle) if angle.ndim == 0 else angle
-
-
 @dataclass(frozen=True, eq=False)
 class Transform4:
     """Rigid transform: rotation plus translation, optionally frame-tagged.

@@ -16,15 +16,16 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from . import _quat
 from ._rows import fill_rows
 from .cad import arc_fraction, arc_lengths, traverse
 from .errors import FrameMismatchError, ValidationError
 from .fusion import FusedPath
-from .geometry import rotation_angle, rots_from_euler_zyx
+from .geometry import row_norms
 from .pathml import PROCESS_NUMBERS, Layer, PathMLDocument, Violation, unsign_zeros, validate_document
 
 
@@ -119,6 +120,10 @@ def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
     pair rules precede the point rules (reachability, speed).  A violation's
     ``layer`` is the layer's position in ``doc.layers``.  A non-finite field
     is a ``finite`` document violation; a NaN measured from it breaks no limit.
+    An orientation step is 4 atan2(|a - b|, |a + b|) of the two points' unit
+    quaternions a, b, with b in a's hemisphere: exact at 0 and at a half
+    turn, where an arccos of the relative rotation's trace reads a 1e-7
+    degree step as 0 and a 179.9999999 degree step as 180.
     """
     rules = ("step", "orient_step", "reachability", "speed")
     limit = (limits.max_step_mm, limits.max_orient_step_deg, limits.workspace_radius_mm, limits.max_speed_mm_s)
@@ -127,10 +132,10 @@ def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
     measured = np.full((len(pts), 4), np.nan)
     # inf - inf, cos(inf): NaN, which breaks no limit; a length that overflows is inf, which breaks it
     with np.errstate(over="ignore", invalid="ignore"):
-        rots = rots_from_euler_zyx(np.radians(pts[:, 5:2:-1]))  # (rz, ry, rx) columns
-        measured[1:, 0] = np.linalg.norm(np.diff(pts[:, :3], axis=0), axis=1)
-        measured[1:, 1] = np.degrees(rotation_angle(np.swapaxes(rots[:-1], 1, 2) @ rots[1:]))
-        measured[:, 2] = np.linalg.norm(pts[:, :3] - limits.workspace_center, axis=1)
+        q = _quat.from_euler_zyx(np.radians(pts[:, 5:2:-1]))  # (rz, ry, rx) columns
+        measured[1:, 0] = row_norms(np.diff(pts[:, :3], axis=0))
+        measured[1:, 1] = np.degrees(_quat.angles_between(q[:-1], q[1:]))
+        measured[:, 2] = row_norms(pts[:, :3] - limits.workspace_center)
     measured[:, 3] = pts[:, 6]
     violations = tuple(
         LimitViolation(*address[pi].tolist(), rules[ri], float(measured[pi, ri]), limit[ri])
@@ -208,26 +213,16 @@ class SectionDeviation:
 
 @dataclass(frozen=True)
 class DeviationReport:
-    sections: tuple[SectionDeviation, ...]
-    overall_max_mm: float
+    """``deviation_report``'s result.  The fields, and ``SectionDeviation``'s,
+    are declared in the order ``to_json`` writes them."""
+
     tolerance_mm: float
+    overall_max_mm: float
     within_tolerance: bool
+    sections: tuple[SectionDeviation, ...]
 
     def to_json(self) -> str:
-        obj = {
-            "tolerance_mm": self.tolerance_mm,
-            "overall_max_mm": self.overall_max_mm,
-            "within_tolerance": self.within_tolerance,
-            "sections": [
-                {
-                    "label": s.label,
-                    "max_deviation_mm": s.max_deviation_mm,
-                    "point_count": s.point_count,
-                }
-                for s in self.sections
-            ],
-        }
-        return json.dumps(obj, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 _BLOCK = 16  # consecutive segments under one bounding ball
@@ -392,24 +387,15 @@ def deviation_report(
         # executed progress for sectioning; degenerate (zero-length) paths land in section 1
         params = arc_fraction(arc_lengths(traverse(executed.positions, executed.closed)))[: len(executed)]
 
-    idx = np.searchsorted(np.array(breaks), params, side="right") if breaks else np.zeros(
-        len(params), dtype=int
-    )
-    sections = []
-    for s in range(len(breaks) + 1):
-        mask = idx == s
-        count = int(np.sum(mask))
-        sections.append(
-            SectionDeviation(
-                label=f"section_{s + 1}",
-                max_deviation_mm=float(np.max(devs[mask])) if count else 0.0,
-                point_count=count,
-            )
-        )
+    idx = np.searchsorted(breaks, params, side="right")  # no breaks: all in section 1
+    masks = [idx == s for s in range(len(breaks) + 1)]
     overall = float(np.max(devs))
     return DeviationReport(
-        sections=tuple(sections),
-        overall_max_mm=overall,
         tolerance_mm=float(tolerance_mm),
+        overall_max_mm=overall,
         within_tolerance=bool(overall <= tolerance_mm),
+        sections=tuple(
+            SectionDeviation(f"section_{s}", float(np.max(devs[m], initial=0.0)), int(np.count_nonzero(m)))
+            for s, m in enumerate(masks, 1)
+        ),
     )

@@ -12,7 +12,6 @@ from pathfuse import (
     Transform4,
     compose,
     rot_from_fixed_xyz,
-    rotation_angle,
 )
 from pathfuse.geometry import (
     euler_zyx_from_rots,
@@ -108,22 +107,6 @@ class TestRotationChecks:
         m[0, 0] = math.nan
         with pytest.raises(ValueError):
             check_rotation(m)
-
-    def test_rotation_angle_known_values(self):
-        assert rotation_angle(np.eye(3)) == 0.0
-        assert math.isclose(rotation_angle(oracles.rot_z(1.2)), 1.2, abs_tol=1e-12)
-        assert math.isclose(rotation_angle(oracles.rot_x(math.pi)), math.pi, abs_tol=1e-12)
-
-    def test_rotation_angle_of_a_stack(self):
-        rng = np.random.default_rng(5)
-        stack = np.array([oracles.rand_rotation(rng) for _ in range(20)])
-        got = rotation_angle(stack)
-        assert isinstance(rotation_angle(stack[0]), float)
-        assert got.shape == (20,)
-        assert got.tolist() == [rotation_angle(r) for r in stack]
-        ref = [oracles.rotation_distance(np.eye(3), r) for r in stack]
-        assert np.max(np.abs(got - ref)) < 1e-7
-        assert rotation_angle(np.empty((0, 3, 3))).shape == (0,)
 
 
 @pytest.mark.parametrize("width", range(2, 8))

@@ -30,7 +30,7 @@ from pathfuse import (
     validate_document,
     validate_path,
 )
-from pathfuse import program
+from pathfuse import _quat, program
 from pathfuse.program import _movel_lines, _point_to_polyline_mm
 
 GOLDEN = Path(__file__).parent / "data" / "golden_program.txt"
@@ -103,6 +103,19 @@ class TestValidatePath:
         doc = doc_with_points([pt(rz=170.0), pt(x=1.0, rz=-170.0)])
         report = validate_path(doc, PathLimits(max_orient_step_deg=30.0))
         assert report.passed
+
+    @pytest.mark.parametrize("deg", [1e-7, 1e-5, 1e-3, 45.0, 179.999, 179.9999999])
+    def test_orient_step_accurate_from_zero_to_a_half_turn(self, deg):
+        doc = doc_with_points([pt(), pt(rz=deg)])
+        (v,) = validate_path(doc, PathLimits(max_orient_step_deg=1e-9)).violations
+        assert v.rule == "orient_step"
+        assert abs(v.measured - deg) <= 1e-12
+
+    def test_opposite_quaternions_are_no_step(self):
+        q = _quat.from_euler_zyx(np.random.default_rng(6).uniform(-math.pi, math.pi, (50, 3)))
+        assert _quat.angles_between(q, -q).tolist() == [0.0] * 50
+        # a full turn about z is q -> -q; only rounding of sin(pi) is left
+        assert validate_path(doc_with_points([pt(), pt(rz=360.0)]), PathLimits(max_orient_step_deg=1e-9)).passed
 
     def test_reachability_from_offset_center(self):
         doc = doc_with_points([pt(0, 0, 0), pt(10.0, 0, 0)])
@@ -236,7 +249,7 @@ def _scaled(limits, f):
 
 coords = st.floats(-500.0, 500.0)
 # Within +-30 degrees per axis, consecutive orientations stay well short of a
-# half turn, where the trace formula for the angle loses its accuracy.
+# half turn, where the oracle's asin of the chord loses its accuracy.
 tilts = st.floats(-30.0, 30.0)
 rows = st.tuples(coords, coords, coords, tilts, tilts, tilts, st.floats(0.0, 2000.0))
 stacks = st.lists(st.lists(st.lists(rows, max_size=6), min_size=1, max_size=3), min_size=1, max_size=3)
@@ -508,6 +521,58 @@ class TestDeviation:
         assert set(obj) == {"tolerance_mm", "overall_max_mm", "within_tolerance", "sections"}
         assert [s["label"] for s in obj["sections"]] == ["section_1", "section_2"]
         assert set(obj["sections"][0]) == {"label", "max_deviation_mm", "point_count"}
+
+    def test_overflowing_progress_falls_in_the_last_section(self):
+        # arc length overflows to inf: every point past the first has NaN progress
+        executed = fused([[-1e308, 0, 0], [1e308, 0, 0], [1e308, 1.0, 0]])
+        rep = deviation_report(executed, fused([[0, 0, 0], [10.0, 0, 0]]), section_breaks=(0.3, 0.6))
+        assert [(s.point_count, s.max_deviation_mm) for s in rep.sections] == [(1, math.inf), (0, 0.0), (2, math.inf)]
+        assert sum(s.point_count for s in rep.sections) == len(executed)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        hnp.arrays(float, st.tuples(st.integers(2, 30), st.just(3)), elements=st.floats(-100.0, 100.0)),
+        st.lists(st.floats(0.01, 0.99), max_size=5, unique=True).map(sorted),
+        st.booleans(),
+    )
+    def test_sections_match_a_mask_per_section(self, positions, breaks, closed):
+        nominal = fused([[0, 0, 0], [50.0, 20.0, 0], [80.0, -10.0, 5.0]])
+        executed = fused(positions, closed=closed)
+        rep = deviation_report(executed, nominal, section_breaks=tuple(breaks))
+        devs = _point_to_polyline_mm(executed.positions, nominal.positions)
+        walk = np.vstack([positions, positions[:1]]) if closed else positions
+        cum = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(walk, axis=0), axis=1))])
+        params = (cum / cum[-1] if cum[-1] > 0.0 else np.zeros(len(cum)))[: len(executed)]
+        idx = np.searchsorted(np.array(breaks), params, side="right")
+        want = []
+        for s in range(len(breaks) + 1):
+            mask = idx == s
+            count = int(np.sum(mask))
+            want.append((f"section_{s + 1}", float(np.max(devs[mask])) if count else 0.0, count))
+        assert [(s.label, s.max_deviation_mm, s.point_count) for s in rep.sections] == want
+
+    def test_json_text(self):
+        nominal = fused([[0, 0, 0], [10.0, 0, 0]])
+        executed = fused([[0, 0, 0], [5.0, 1.5, 0], [10.0, 0, 0]])
+        assert deviation_report(executed, nominal, section_breaks=(0.6,), tolerance_mm=1.0).to_json() == (
+            "{\n"
+            '  "tolerance_mm": 1.0,\n'
+            '  "overall_max_mm": 1.5,\n'
+            '  "within_tolerance": false,\n'
+            '  "sections": [\n'
+            "    {\n"
+            '      "label": "section_1",\n'
+            '      "max_deviation_mm": 1.5,\n'
+            '      "point_count": 2\n'
+            "    },\n"
+            "    {\n"
+            '      "label": "section_2",\n'
+            '      "max_deviation_mm": 0.0,\n'
+            '      "point_count": 1\n'
+            "    }\n"
+            "  ]\n"
+            "}\n"
+        )
 
     def test_errors(self):
         a = fused([[0, 0, 0], [10.0, 0, 0]])
