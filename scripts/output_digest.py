@@ -30,13 +30,18 @@ sha256 per part:
   ``validate_path`` of the chain's ``part.aml`` and ``stack.aml``, for
   ``capture_long`` and ``stack_dense`` at seeds 1, 7 and 11, under limits of the
   smallest positive float, so that every nonzero step, turn, reach and speed
-  is printed.
+  is printed;
+* ``readers``: the outcome of each reader on a seeded corpus of byte-mutated
+  inputs, each read as ``bytes`` and as ``str``: the value bits, or the
+  exception's type, message and line.  ``parse_demo`` reads 7,000 captures,
+  ``parse_cad`` 4,000 CSV files with directives and 3,000 JSON files, and
+  ``fused_path_from_json`` and ``cli.load_calibration`` 3,000 files each.
 
 Then, for each chain workload, one sha256 per output file name over the same
 seeds (``OUTPUT_FILES``; ``capture*/fused.json`` are the quality pass's fused
 captures), so that two checkouts whose chain digests differ show which outputs
-moved.  The last line is one JSON object of the digests above but ``synth``
-and ``validate``, the per-file ones under ``"files"``.  Only the inputs are
+moved.  The last line is one JSON object of the digests above but ``synth``,
+``validate`` and ``readers``, the per-file ones under ``"files"``.  Only the inputs are
 seeded, so equal digests from two checkouts mean equal outputs.
 """
 
@@ -48,6 +53,8 @@ import importlib
 import importlib.util
 import itertools
 import json
+import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -61,6 +68,17 @@ SYNTH_SEEDS = (0, 1)
 SYNTH_RATES_HZ = (100.0, 240.0)
 DEVIATION_SEEDS = (7, 11)
 DEVIATION_BREAKS = tuple(k / 20 for k in range(1, 20))
+READER_SEED = 31
+READER_CASES = {"capture": 7000, "cad_csv": 4000, "cad_json": 3000, "fused_json": 3000, "calibration": 3000}
+# What a mutation inserts, or puts in place of a token: field and line breaks,
+# numbers each reader refuses or takes, directives, BOMs, bytes that are not
+# UTF-8 and JSON values of every type.
+READER_TOKENS = (
+    b",", b"\n", b"\r\n", b"\r", b" ", b"\t", b"\v", b"", b"0", b"-1", b"0.5", b"-0", b"1e999", b"nan", b"-inf",
+    b"1_0", b"\xd9\xa1", b"\xff", b"\xef\xbb\xbf", b"# closed=true", b"#Closed = FALSE", b"# loop", b"x",
+    b"true", b"null", b'"1"', b"[]", b"{}", b"[1, 2, 3]", b"NaN", b"Infinity", b"1e400", b"9" * 400,
+)
+_READER_TOKEN = re.compile(rb'-?[0-9][0-9.eE+-]*|true|false|null|"[^"\n]*"|[\[\]{}]')
 OUTPUT_FILES = ("fused.json", "part.aml", "stack.aml", "program.txt", "report.json", "capture*/fused.json")
 
 
@@ -168,6 +186,83 @@ def validate(pf, workloads) -> str:
     return h.hexdigest()
 
 
+def _mutated(rng, base: bytes) -> bytes:
+    """``base`` after one to three mutations: a byte deleted, a token inserted or put in
+    place of a number, string, literal or bracket, or a line repeated."""
+    data = base
+    for _ in range(rng.randint(1, 3)):
+        op, k = rng.randrange(5), rng.randrange(len(data) + 1)
+        if op == 0:
+            data = data[:k] + data[k + 1 :]
+        elif op == 1:
+            data = data[:k] + rng.choice(READER_TOKENS) + data[k:]
+        elif op < 4 and (tokens := list(_READER_TOKEN.finditer(data))):
+            m = rng.choice(tokens)
+            data = data[: m.start()] + rng.choice(READER_TOKENS) + data[m.end() :]
+        else:
+            lines = data.split(b"\n")
+            i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
+            data = b"\n".join(lines[:j] + [lines[i]] + lines[j:])
+    return data
+
+
+def _reader_bases(rng) -> dict[str, list[bytes]]:
+    """The inputs each corpus mutates, written here so that every checkout reads the same bytes."""
+    def table(n, width):
+        return [[round(rng.uniform(-500.0, 500.0), rng.randrange(7)) for _ in range(width)] for _ in range(n)]
+
+    def csv(header, rows, sep=",", eol="\n"):
+        return (header + eol + "".join(sep.join(map(repr, row)) + eol for row in rows)).encode()
+
+    def capture(n, sep=",", eol="\n"):
+        rows = [[round(0.004 * i + rng.uniform(0.0, 0.002), 6), *row] for i, row in enumerate(table(n, 6))]
+        return csv("t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg", rows, sep, eol)
+
+    def fused(frame, closed, n):
+        keys = ("x_mm", "y_mm", "z_mm", "rx_deg", "ry_deg", "rz_deg", "v_mm_s")
+        points = [dict(zip(keys, [*row, rng.uniform(0.0, 100.0)])) for row in table(n, 6)]
+        return json.dumps({"frame": frame, "closed": closed, "points": points}, indent=1).encode()
+
+    cad_header = "x_mm,y_mm,z_mm"
+    return {
+        "capture": [capture(12), capture(6, ", ", "\r\n"), b"\xef\xbb\xbf" + capture(3) + b"\n \t\n"],
+        "cad_csv": [csv(cad_header, table(8, 3)) + b"# closed=true\n",
+                    csv(cad_header, table(5, 3), " ,\t", "\r\n").replace(b"\r\n", b"\r\n#Closed = FALSE\r\n\r\n", 1),
+                    b"x_mm,y_mm,z_mm\n 1 ,\t2, 3e2 \n-.5,+4.,5E-3\n# closed=true\n0,0,1\n"],
+        "cad_json": [json.dumps({"waypoints": table(6, 3), "closed": True}).encode(),
+                     json.dumps({"waypoints": table(3, 3)}, indent=1).encode()],
+        "fused_json": [fused("R", False, 5), fused("S", True, 3)],
+        "calibration": [json.dumps({key: {"translation_mm": row[:3], "rotation_deg_fixed_xyz": row[3:]}
+                                    for key, row in zip(("t_r_f", "t_f_s"), table(2, 6))}, indent=1).encode()],
+    }
+
+
+def readers(pf) -> str:
+    def values(result):
+        if isinstance(result, pf.PoseSeries):
+            return [result.t, result.positions, result.orientations]
+        if isinstance(result, pf.CadPath):
+            return [result.waypoints, [result.closed]]
+        if isinstance(result, pf.FusedPath):
+            return [result.positions, result.orientations, result.speeds, [result.closed, result.frame == pf.Frame.R]]
+        return [result.t_r_f.rotation, result.t_r_f.translation, result.t_f_s.rotation, result.t_f_s.translation]
+
+    read = {"capture": pf.parse_demo, "cad_csv": pf.parse_cad, "cad_json": pf.parse_cad,
+            "fused_json": pf.fused_path_from_json, "calibration": pf.cli.load_calibration}
+    rng = random.Random(READER_SEED)
+    h = hashlib.sha256()
+    for name, bases in _reader_bases(rng).items():
+        for case in range(READER_CASES[name]):
+            data = _mutated(rng, bases[case % len(bases)])
+            for given in (data, data.decode("utf-8", "surrogateescape")):
+                try:
+                    _update(h, *values(read[name](given)))
+                except (pf.PathfuseError, ValueError) as e:
+                    outcome = f"{type(e).__name__}\0{e}\0{getattr(e, 'line', None)}"
+                    h.update(outcome.encode(errors="surrogateescape"))
+    return h.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -193,7 +288,8 @@ def main() -> int:
         "open_stack": chains["open_stack"][0],
         "deviation": deviation(pf, workloads),
     }
-    for name, digest in {**digests, "synth": synth(pf), "validate": validate(pf, workloads)}.items():
+    for name, digest in {**digests, "synth": synth(pf), "validate": validate(pf, workloads),
+                          "readers": readers(pf)}.items():
         print(f"{name:13s} {digest}")
     files = {workload: per_file for workload, (_, per_file) in chains.items()}
     for workload, per_file in files.items():

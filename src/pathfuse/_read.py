@@ -83,6 +83,23 @@ def csv_row(line: str, width: int, lineno: int) -> list[float]:
     return values
 
 
+def csv_table(data: bytes | str, header: str, width: int) -> np.ndarray:
+    """The ``(n, width)`` rows of ``width`` finite numbers after the line ``header``, blank lines skipped.
+
+    The exact header line after one optional BOM, then rows ``plain_rows``
+    takes, are read by numpy's C text reader in one call, in place for
+    ``bytes``.  Any other input goes to ``csv_lines`` and ``csv_row``, which
+    read the same values and raise ParseError naming the first bad line.
+    """
+    raw = data.encode(errors="replace") if isinstance(data, str) else data  # text that is not ASCII fails the gate
+    start = 3 if raw.startswith(b"\xef\xbb\xbf") else 0
+    body = raw.find(b"\n", start) + 1 or len(raw)  # where the line after the header starts
+    if raw[start:body].rstrip(b"\r\n") == header.encode() and (rows := plain_rows(raw, body, width)) is not None:
+        return rows
+    rows = [csv_row(line, width, lineno) for lineno, line in csv_lines(decode(data), header)]
+    return np.array(rows).reshape(-1, width)
+
+
 def plain_rows(data: bytes, start: int, width: int) -> np.ndarray | None:
     """The rows of ``data[start:]`` as one ``(n, width)`` array, read by numpy's C reader, or None.
 
@@ -136,12 +153,12 @@ def json_number(value, name: str) -> float:
 def json_rows(rows: list, width: int, name: str) -> np.ndarray:
     """The ``(len(rows), width)`` float array of rows of ``width`` finite JSON numbers.
 
-    ValueError names the first other row as ``f"{name} {i}"``.
+    ParseError names the first other row as ``f"{name} {i}"``.
     """
     values = _floats(rows, width)
     if values is None or not np.isfinite(values).all():
         i = next(i for i, row in enumerate(rows) if (v := _floats([row], width)) is None or not np.isfinite(v).all())
-        raise ValueError(f"{name} {i}: expected {width} finite JSON numbers")
+        raise ParseError(f"{name} {i}: expected {width} finite JSON numbers")
     return values
 
 

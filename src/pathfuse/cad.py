@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._read import csv_lines, csv_row, decode, json_rows, json_value, plain_rows
+from ._read import csv_lines, csv_table, decode, json_rows, json_value
 from .errors import DegeneratePathError, ParseError
 from .geometry import row_norms
 
@@ -132,10 +132,7 @@ def _parse_cad_json(text: str) -> CadPath:
     wps = obj["waypoints"]
     if not isinstance(wps, list):
         raise ParseError("'waypoints' must be an array of [x, y, z] triples")
-    try:
-        w = json_rows(wps, 3, "waypoint")
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    w = json_rows(wps, 3, "waypoint")
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):
         raise ParseError("'closed' must be a boolean")
@@ -145,27 +142,20 @@ def _parse_cad_json(text: str) -> CadPath:
 
 
 def _parse_cad_csv(text: str) -> CadPath:
-    """Directive lines set ``closed``; the other lines go through ``plain_rows``, and
-    rows it declines to ``csv_row``, which raises each error with its line."""
-    rows = []
+    """Directive lines set ``closed`` and are blanked, which keeps the line numbers;
+    ``csv_table`` reads the rest and raises each error with its line."""
+    lines = text.splitlines()
     closed = False
     for lineno, line in csv_lines(text, CAD_CSV_HEADER):
         stripped = line.strip()
         if stripped.startswith("#"):
             directive = stripped[1:].strip().replace(" ", "").lower()
-            if directive == "closed=true":
-                closed = True
-            elif directive == "closed=false":
-                closed = False
-            else:
-                for n, row in rows:  # a bad row above it is the first error
-                    csv_row(row, 3, n)
+            if directive not in ("closed=true", "closed=false"):
+                csv_table("\n".join(lines[: lineno - 1]), CAD_CSV_HEADER, 3)  # a bad row above it is the first error
                 raise ParseError(f"unknown directive {stripped!r}", line=lineno)
-            continue
-        rows.append((lineno, line))
-    wps = plain_rows("\n".join(line for _, line in rows).encode(errors="replace"), 0, 3)
-    if wps is None:
-        wps = np.array([csv_row(line, 3, lineno) for lineno, line in rows])
+            closed = directive == "closed=true"
+            lines[lineno - 1] = ""
+    wps = csv_table("\n".join(lines), CAD_CSV_HEADER, 3)
     if len(wps) < 2:
         raise DegeneratePathError("a path needs at least 2 waypoints")
     return CadPath(wps, closed=closed)

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .demo import (
     parse_demo,
     synth_demo,
 )
-from .errors import PathfuseError
+from .errors import ParseError, PathfuseError
 from .fusion import MIN_ARC_MM, fuse, fused_path_from_json, fused_path_to_json, to_robot_frame
 from .geometry import CalibrationSet, Frame, Transform4, rot_from_fixed_xyz
 from .pathml import (
@@ -99,8 +99,7 @@ def load_config(data: bytes | str) -> PipelineConfig:
     if "tolerance_mm" in obj:
         kwargs["tolerance_mm"] = json_number(obj["tolerance_mm"], "config tolerance_mm")
 
-    lim = _section(obj, "limits", ("max_step_mm", "max_speed_mm_s", "workspace_center",
-                                   "workspace_radius_mm", "max_orient_step_deg"))
+    lim = _section(obj, "limits", [limit.name for limit in fields(PathLimits)])
     limits = {k: json_number(v, f"config limits.{k}") for k, v in lim.items() if k != "workspace_center"}
     if "workspace_center" in lim:
         center = lim["workspace_center"]
@@ -145,7 +144,7 @@ def load_calibration(data: bytes | str) -> CalibrationSet:
         _require_keys(entry, ("translation_mm", "rotation_deg_fixed_xyz"), f"calibration {key}")
         try:
             t, deg = json_rows([entry["translation_mm"], entry["rotation_deg_fixed_xyz"]], 3, "vector")
-        except (KeyError, ValueError):
+        except (KeyError, ParseError):
             raise ValueError(
                 f"calibration {key!r} translation_mm and rotation_deg_fixed_xyz must be finite 3-vectors"
             ) from None

@@ -22,10 +22,10 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import _quat
-from ._read import csv_lines, csv_row, decode, plain_rows
+from ._read import csv_lines, csv_table, decode
 from ._rows import fill_rows
 from .cad import MAX_POINTS
-from .errors import ValidationError
+from .errors import ParseError, ValidationError
 from .geometry import row_norms
 
 if TYPE_CHECKING:
@@ -92,53 +92,34 @@ class PoseSeries:
 def parse_demo(data: bytes | str) -> PoseSeries:
     """Parse demonstration CSV text.  Raises ParseError/ValidationError.
 
-    A plain capture is read by numpy's C text reader in one call: the exact
-    header line after an optional BOM, then only ASCII digits, ``.,+-eE``,
-    line breaks, spaces and tabs; seven fields on each line that is not blank,
-    two or more rows, finite values and strictly increasing time.  Any other
-    input goes to the line reader, which raises every error with its line.
-    The gate and numpy read ``bytes`` input in place, without a copy of its body.
+    ``_read.csv_table`` reads the rows, a plain capture in one call of
+    numpy's C text reader, in place for ``bytes``; then the capture needs
+    two or more rows and strictly increasing time.  The first fault in line
+    order is raised: a time step that does not increase above a bad row
+    comes before that row's ParseError.
     """
-    series = _read_plain(data)
-    return series if series is not None else _parse_lines(data)
-
-
-def _read_plain(data: bytes | str) -> PoseSeries | None:
-    """The series of a plain capture (see ``parse_demo``), or None.
-
-    ``_read.plain_rows`` reads the rows after the header, each value as the
-    line reader reads it, and ``np.radians`` matches ``math.radians`` bit for
-    bit, so the series equals the line reader's.
-    """
-    if isinstance(data, str):
-        data = data.encode(errors="replace")  # text that is not ASCII fails the gate
-    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
-    body = data.find(b"\n", start) + 1 or len(data)  # where the line after the header starts
-    if data[start:body].rstrip(b"\r\n") != DEMO_CSV_HEADER.encode():
-        return None
-    rows = plain_rows(data, body, 7)
-    if rows is None or len(rows) < 2 or not (rows[1:, 0] > rows[:-1, 0]).all():
-        return None
+    try:
+        rows = csv_table(data, DEMO_CSV_HEADER, 7)
+    except ParseError as e:
+        if (e.line or 0) > 3:  # two rows or more above the bad line, which all read
+            above = "\n".join(decode(data).splitlines()[: e.line - 1])
+            _check_time(csv_table(above, DEMO_CSV_HEADER, 7), above)
+        raise
+    if len(rows) < 2:
+        raise ValidationError("a demonstration needs at least 2 samples")
+    _check_time(rows, data)
     return PoseSeries(rows[:, 0], rows[:, 1:4], np.radians(rows[:, 4:7]))
 
 
-def _parse_lines(data: bytes | str) -> PoseSeries:
-    """Read the rows after the header one line at a time, skipping blank lines."""
-    t, pos, orient = [], [], []
-    for lineno, line in csv_lines(decode(data), DEMO_CSV_HEADER):
-        vals = csv_row(line, 7, lineno)
-        if t and vals[0] <= t[-1]:
-            raise ValidationError(
-                f"timestamps must strictly increase (line {lineno}: "
-                f"{vals[0]!r} after {t[-1]!r})"
-            )
-        t.append(vals[0])
-        pos.append(vals[1:4])
-        orient.append([math.radians(v) for v in vals[4:7]])
-
-    if len(t) < 2:
-        raise ValidationError("a demonstration needs at least 2 samples")
-    return PoseSeries(np.array(t), np.array(pos), np.array(orient))
+def _check_time(rows: np.ndarray, data: bytes | str) -> None:
+    """ValidationError naming the line of the first time in ``rows``, read from ``data``,
+    that does not increase."""
+    back = rows[1:, 0] <= rows[:-1, 0]
+    if back.any():
+        k = int(back.argmax()) + 1
+        before, t = rows[k - 1 : k + 1, 0].tolist()
+        lineno = csv_lines(decode(data), DEMO_CSV_HEADER)[k][0]
+        raise ValidationError(f"timestamps must strictly increase (line {lineno}: {t!r} after {before!r})")
 
 
 def format_demo_csv(series: PoseSeries) -> bytes:

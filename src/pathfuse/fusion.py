@@ -255,10 +255,7 @@ def fused_path_from_json(data: bytes | str) -> FusedPath:
             rows.append(fields(pt))
         except KeyError as e:
             raise ParseError(f"point {i} is missing {e.args[0]!r}") from None
-    try:
-        arr = json_rows(rows, len(_JSON_KEYS), "point")
-    except ValueError as e:
-        raise ParseError(str(e)) from None
+    arr = json_rows(rows, len(_JSON_KEYS), "point")
     return FusedPath(
         positions=arr[:, 0:3],
         orientations=np.radians(arr[:, 3:6]),

@@ -52,7 +52,13 @@ PROCESS_NUMBERS = (
     ("layer_height", "LayerHeight_mm"),
 )
 
-RESERVED_PROCESS_ATTRS = frozenset({"ProcessType", *(attr for _, attr in PROCESS_NUMBERS)})
+# Project attribute names an extra may not take: the parser reads a point
+# attribute there as a stray, not as an extra.
+RESERVED_PROCESS_ATTRS = frozenset({"ProcessType", *(attr for _, attr in PROCESS_NUMBERS), *POINT_ATTRS})
+
+# The characters XML 1.0 cannot carry, escaped or not: C0 controls other than
+# tab, LF and CR, lone surrogates, U+FFFE and U+FFFF.
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
 class ProcessType(str, Enum):
@@ -208,6 +214,13 @@ def validate_document(doc: PathMLDocument) -> list[Violation]:
         out.append(
             Violation("process", "process", f"LayerHeight_mm must be positive, got {p.layer_height}")
         )
+    texts = [("document", "project name", doc.project_name)]
+    texts += [("process", "extra", text) for pair in p.extra for text in pair]
+    texts += [(layer.name, "layer name", layer.name) for layer in doc.layers]
+    texts += [(f"{layer.name}/{t.name}", "track name", t.name) for layer in doc.layers for t in layer.tracks]
+    for where, what, text in texts:
+        if _NOT_XML.search(text):
+            out.append(Violation(where, "character", f"{what} {text!r} holds a character XML 1.0 cannot carry"))
     seen_extra = set()
     for k, _ in p.extra:
         if k in RESERVED_PROCESS_ATTRS:

@@ -15,7 +15,7 @@ from pathfuse import (
     parse_cad,
     resample_cad,
 )
-from pathfuse import cad
+from pathfuse import _read
 from pathfuse.cad import arc_fraction, arc_lengths, traverse
 
 HEADER = "x_mm,y_mm,z_mm"
@@ -298,6 +298,25 @@ class TestParse:
         with pytest.raises(ParseError, match="directive"):
             parse_cad(f"{HEADER}\n# loop=yes\n0,0,0\n1,0,0\n")
 
+    @pytest.mark.parametrize(
+        "lines, message",
+        [
+            # a bad row above an unknown directive, on the gate's path and off it
+            ([HEADER, "0,0,0", "", "1,0", "# loop=yes"], "^line 4: expected 3 fields, got 2$"),
+            ([HEADER, "0,0,0", "1,0,x", "# loop=yes", "2,0,0"], r"^line 3: bad number in row: '1,0,x'$"),
+            # the directive above the bad row; blanked directives keep the line numbers
+            ([HEADER, "# closed=true", "0,0,0", "# loop=yes", "1,0"], "^line 4: unknown directive '# loop=yes'$"),
+            ([HEADER, "# closed=true", "0,0,0", "#closed=false", "1,0,0", "2,0"], "^line 6: expected 3 fields, got 2$"),
+            # a bad header above everything
+            (["x_mm,y_mm", "0,0,0", "# loop=yes"], "^line 1: expected header 'x_mm,y_mm,z_mm'$"),
+        ],
+    )
+    def test_csv_raises_the_first_fault_in_line_order(self, lines, message):
+        text = "\n".join(lines) + "\n"
+        for data in (text, text.encode(), "\ufeff" + text.replace("\n", "\r\n")):
+            with pytest.raises(ParseError, match=message):
+                parse_cad(data)
+
     def test_csv_bad_header(self):
         with pytest.raises(ParseError) as exc:
             parse_cad("x,y\n0,0\n")
@@ -396,15 +415,15 @@ def outcome(data):
 
 def read_by_lines(data):
     """parse_cad's outcome with every row read by ``csv_row``, as before the plain-number gate."""
-    with mock.patch.object(cad, "plain_rows", lambda *args: None):
+    with mock.patch.object(_read, "plain_rows", lambda *args: None):
         return outcome(data)
 
 
 def gate_reads(data) -> bool:
     """Whether parse_cad reads the rows of ``data`` through the plain-number gate."""
     read = []
-    gate = cad.plain_rows
-    with mock.patch.object(cad, "plain_rows", lambda *args: read.append(gate(*args)) or read[-1]):
+    gate = _read.plain_rows
+    with mock.patch.object(_read, "plain_rows", lambda *args: read.append(gate(*args)) or read[-1]):
         parse_cad(data)
     return len(read) == 1 and read[0] is not None
 

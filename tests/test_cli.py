@@ -272,6 +272,28 @@ class TestStreamedWriter:
             assert not (ws / "new.aml").exists()
             assert (ws / "kept.aml").read_bytes() == b"earlier output\n"
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--extra", "Velocity_mm_s=3", "extra key 'Velocity_mm_s' collides with a reserved attribute"),
+            # a byte that is not UTF-8 reaches Python's argv as a lone surrogate
+            ("--extra", b"note=\xff".decode("utf-8", "surrogateescape"), "extra '\\udcff' holds a character"),
+            ("--extra", "a\x01b=1", "extra 'a\\x01b' holds a character XML 1.0 cannot carry"),
+            ("--project", "a\x01b", "project name 'a\\x01b' holds a character XML 1.0 cannot carry"),
+        ],
+    )
+    def test_gen_refuses_what_validate_refuses_before_opening_the_output(self, tmp_path, capsys, flag, value, message):
+        n = 3
+        pos = np.column_stack([np.linspace(0.0, 20.0, n), np.zeros(n), np.zeros(n)])
+        fused = FusedPath(pos, np.zeros((n, 3)), np.full(n, 50.0), Frame.R)
+        (tmp_path / "fused.json").write_text(fused_path_to_json(fused))
+        (tmp_path / "kept.aml").write_bytes(b"earlier output\n")
+        args = {"--fused": str(tmp_path / "fused.json"), "--project": "p", "--process-type": "other",
+                "-o": str(tmp_path / "kept.aml"), flag: value}
+        assert main(["pathml", "gen", *(a for pair in args.items() for a in pair)]) == 2
+        assert message in capsys.readouterr().err
+        assert (tmp_path / "kept.aml").read_bytes() == b"earlier output\n"
+
 
 class TestOneCheck:
     """``pathml validate`` and ``emit`` run the same check, once per command."""

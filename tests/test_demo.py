@@ -1,6 +1,7 @@
 import math
 import random
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -164,8 +165,9 @@ def mutate_capture(rows, rng):
 
 
 def read_by_lines(data):
-    """The line reader alone, as parse_demo runs it on every input that is not plain."""
-    return demo._parse_lines(data)
+    """parse_demo with every row read by ``csv_row``, as it reads each input the gate declines."""
+    with mock.patch.object(_read, "plain_rows", lambda *args: None):
+        return parse_demo(data)
 
 
 def outcome(parse, data):
@@ -184,7 +186,15 @@ def mutated_captures(cases=600, seed=5):
 
 
 def is_plain(data):
-    return demo._read_plain(data) is not None
+    """Whether parse_demo reads the rows of ``data`` through the plain-number gate."""
+    read = []
+    gate = _read.plain_rows
+    with mock.patch.object(_read, "plain_rows", lambda *args: read.append(gate(*args)) or read[-1]):
+        try:
+            parse_demo(data)
+        except (ParseError, ValidationError):
+            pass
+    return bool(read) and read[0] is not None
 
 
 class TestArrayReader:
@@ -246,9 +256,32 @@ class TestArrayReader:
         for data in (f"{HEADER}\n{body}", f"{HEADER}\n{body}".encode()):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                assert not is_plain(data)
+                # a one-row body reads through the gate, then fails the count
+                assert is_plain(data) == (body == "0,0,0,0,0,0,0\n")
                 with pytest.raises(ValidationError, match="at least 2 samples"):
                     parse_demo(data)
+
+    @pytest.mark.parametrize(
+        "rows, error, message",
+        [
+            # a time step that does not increase, above a bad row
+            (["0", "0.5", "", "0.5", "1,1,2"], ValidationError,
+             r"^timestamps must strictly increase \(line 5: 0\.5 after 0\.5\)$"),
+            (["0", "1", "0.25", "0.5", "2,x"], ValidationError,
+             r"^timestamps must strictly increase \(line 4: 0\.25 after 1\.0\)$"),
+            # a bad row above such a step
+            (["0", "1", "", "2,x", "0.5"], ParseError, r"^line 5: expected 7 fields, got 8$"),
+            (["0", "1e999", "0"], ParseError, r"^line 3: non-finite value in row$"),
+            # no bad row: the step alone, on the gate's path, blank lines counted
+            (["0", "", " ", "1", "1"], ValidationError,
+             r"^timestamps must strictly increase \(line 6: 1\.0 after 1\.0\)$"),
+        ],
+    )
+    def test_the_first_fault_in_line_order_is_raised(self, rows, error, message):
+        text = f"{HEADER}\n" + "".join(f"{r},1,2,3,10,20,30\n" if r.strip() else r + "\n" for r in rows)
+        for data in (text, text.encode(), "\ufeff" + text.replace("\n", "\r\n")):
+            with pytest.raises(error, match=message):
+                parse_demo(data)
 
 
 class TestFormat:

@@ -159,6 +159,38 @@ class TestValidate:
         doc = make_doc(process=ProcessParameters("other", extra={"ProcessType": "x"}))
         assert any("reserved" in d for d in self._details(doc))
 
+    def test_point_attribute_extra_names_are_reserved(self):
+        # the parser reads a point attribute at project level as a stray, not as an extra
+        for name in POINT_ATTRS:
+            doc = make_doc(process=ProcessParameters("other", extra={name: "3"}))
+            assert self._details(doc) == [f"extra key {name!r} collides with a reserved attribute"]
+
+    @staticmethod
+    def _named(text):
+        """Documents holding ``text`` as the project name, an extra key or value, a layer or a track name."""
+        track = make_doc().layers[0].tracks[0]
+        return [
+            make_doc(project=text),
+            make_doc(process=ProcessParameters("other", extra={text: "v"})),
+            make_doc(process=ProcessParameters("other", extra={"k": text})),
+            PathMLDocument("p", ProcessParameters("other"), (Layer(text, 0, (track,)),)),
+            PathMLDocument("p", ProcessParameters("other"), (Layer("L", 0, (Track(text, track.points, True),)),)),
+        ]
+
+    @pytest.mark.parametrize("char", ["\x00", "\x01", "\x0b", "\x0c", "\x1f", "\ud800", "\udcff", "\ufffe", "\uffff"])
+    def test_characters_xml_cannot_carry(self, char):
+        for doc in self._named(f"a{char}b"):
+            found = validate_document(doc)
+            assert [v.rule for v in found] == ["character"]
+            assert found[0].detail.endswith(f"{'a' + char + 'b'!r} holds a character XML 1.0 cannot carry")
+            with pytest.raises(ValidationError, match="holds a character XML 1.0 cannot carry"):
+                write_xml(doc)
+
+    def test_tab_lf_cr_and_the_other_characters_xml_carries_are_kept(self):
+        for doc in self._named("a\t\n\r\x7f\x85\ud7ff\ue000\ufffd\U0001f600b"):
+            assert validate_document(doc) == []
+            assert parse_xml(write_xml(doc)) == doc
+
     def test_duplicate_extra_name(self):
         p = ProcessParameters("other", extra=(("A", "1"), ("A", "2")))
         assert any("duplicate extra" in d for d in self._details(make_doc(process=p)))

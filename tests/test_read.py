@@ -92,5 +92,5 @@ def test_json_rows_names_the_first_bad_row():
     assert np.array_equal(json_rows(good, 3, "row"), [[0.0, 1.5, -2.0], [3.0, 4.0, 1e30]])
     assert json_rows([], 3, "row").shape == (0, 3)
     for bad in ([1, 2], [1, 2, True], [1, 2, "3"], [1, 2, 10**400], [1, 2, math.nan], "abc", 5, None, {"a": 1, "b": 2, "c": 3}):
-        with pytest.raises(ValueError, match="^point 2: expected 3 finite JSON numbers$"):
+        with pytest.raises(ParseError, match="^point 2: expected 3 finite JSON numbers$"):
             json_rows(good + [bad, bad], 3, "point")
