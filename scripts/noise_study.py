@@ -22,8 +22,7 @@ from pathfuse import (
     Frame,
     FusedPath,
     TrackerErrorModel,
-    filter_outliers,
-    fuse,
+    fuse_capture,
     synth_demo,
 )
 from pathfuse.geometry import rots_from_euler_zyx
@@ -76,8 +75,7 @@ def one_cell(truth, cad, xy_sigma, orient_sigma, spike_rate, seeds, rate):
             spike_rate=spike_rate,
             seed=seed,
         )
-        series = filter_outliers(synth_demo(truth, model, rate))
-        fused = fuse(cad, series)
+        fused = fuse_capture(cad, synth_demo(truth, model, rate))
         positions_pinned &= fused.positions.tobytes() == truth.positions.tobytes()
         orient_errs.append(float(np.max(geodesic_deg(truth.orientations, fused.orientations))))
         speed_err = max(speed_err, float(np.max(np.abs(fused.speeds - truth.speeds))))

@@ -35,13 +35,18 @@ sha256 per part:
   inputs, each read as ``bytes`` and as ``str``: the value bits, or the
   exception's type, message and line.  ``parse_demo`` reads 7,000 captures,
   ``parse_cad`` 4,000 CSV files with directives and 3,000 JSON files, and
-  ``fused_path_from_json`` and ``cli.load_calibration`` 3,000 files each.
+  ``fused_path_from_json`` and ``cli.load_calibration`` 3,000 files each;
+* ``capture``: the ``noise_sweep`` and ``near_lock`` digests, taken again with
+  each capture fused by ``fuse_capture`` in one call, hashed together.  The
+  script exits 1, after printing every line, when it differs from the same
+  hash of the two digests above, whose captures go through ``filter_outliers``
+  then ``fuse``.
 
 Then, for each chain workload, one sha256 per output file name over the same
 seeds (``OUTPUT_FILES``; ``capture*/fused.json`` are the quality pass's fused
 captures), so that two checkouts whose chain digests differ show which outputs
 moved.  The last line is one JSON object of the digests above but ``synth``,
-``validate`` and ``readers``, the per-file ones under ``"files"``.  Only the inputs are
+``validate``, ``readers`` and ``capture``, the per-file ones under ``"files"``.  Only the inputs are
 seeded, so equal digests from two checkouts mean equal outputs.
 """
 
@@ -57,6 +62,7 @@ import random
 import re
 import sys
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +151,18 @@ def near_lock(pf) -> str:
         fused = pf.fuse(cad, pf.filter_outliers(demo))
         _update(h, demo.t, demo.positions, demo.orientations, fused.orientations, fused.speeds)
     return h.hexdigest()
+
+
+def joined(*digests: str) -> str:
+    return hashlib.sha256("".join(digests).encode()).hexdigest()
+
+
+def capture(pf, workloads) -> str:
+    """``joined`` ``noise_sweep`` and ``near_lock`` digests of ``pf`` with each capture fused by
+    ``fuse_capture``: they call ``filter_outliers`` then ``fuse``, here the capture as it is
+    and ``fuse_capture``."""
+    one_call = types.SimpleNamespace(**{**vars(pf), "filter_outliers": lambda demo: demo, "fuse": pf.fuse_capture})
+    return joined(noise_sweep(one_call, workloads), near_lock(one_call))
 
 
 def deviation(pf, workloads) -> str:
@@ -288,14 +306,18 @@ def main() -> int:
         "open_stack": chains["open_stack"][0],
         "deviation": deviation(pf, workloads),
     }
+    one_call = capture(pf, workloads)
     for name, digest in {**digests, "synth": synth(pf), "validate": validate(pf, workloads),
-                          "readers": readers(pf)}.items():
+                          "readers": readers(pf), "capture": one_call}.items():
         print(f"{name:13s} {digest}")
     files = {workload: per_file for workload, (_, per_file) in chains.items()}
     for workload, per_file in files.items():
         for name, digest in per_file.items():
             print(f"{workload + ' ' + name:33s} {digest}")
     print(json.dumps({**digests, "files": files}))
+    if one_call != joined(digests["noise_sweep"], digests["near_lock"]):
+        print("capture: fuse_capture's output differs from filter_outliers then fuse", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -34,6 +34,7 @@ from .cad import CadPath, parse_cad, resample_cad
 from .fusion import (
     FusedPath,
     fuse,
+    fuse_capture,
     fused_path_from_json,
     fused_path_to_json,
     to_robot_frame,
@@ -99,6 +100,7 @@ __all__ = [
     "filter_outliers",
     "format_demo_csv",
     "fuse",
+    "fuse_capture",
     "fused_path_from_json",
     "fused_path_to_json",
     "parse_cad",

@@ -27,13 +27,13 @@ from .demo import (
     FILTER_K,
     FILTER_WINDOW,
     TrackerErrorModel,
-    filter_outliers,
+    _filter_window,
     format_demo_csv,
     parse_demo,
     synth_demo,
 )
 from .errors import ParseError, PathfuseError
-from .fusion import MIN_ARC_MM, fuse, fused_path_from_json, fused_path_to_json, to_robot_frame
+from .fusion import MIN_ARC_MM, fuse_capture, fused_path_from_json, fused_path_to_json, to_robot_frame
 from .geometry import CalibrationSet, Frame, Transform4, rot_from_fixed_xyz
 from .pathml import (
     PROCESS_NUMBERS,
@@ -226,11 +226,11 @@ def _cmd_fuse(args) -> int:
     series = parse_demo(_read(args.demo))
     calib = load_calibration(_read(args.calib))
 
-    series = filter_outliers(series, config.filter_window, config.filter_k)
+    _filter_window(len(series), config.filter_window, config.filter_k)  # refused before the CAD spacing
     if config.resample_spacing_mm is not None:
         cad = resample_cad(cad, config.resample_spacing_mm)
 
-    fused = fuse(cad, series)
+    fused = fuse_capture(cad, series, config.filter_window, config.filter_k)
     if fused.time_parameterized:
         print(f"note: the demonstration travels under {MIN_ARC_MM:g} mm; matched to CAD by normalized time",
               file=sys.stderr)

@@ -290,16 +290,7 @@ def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = 
     bit-for-bit unchanged.  The window is odd, at least 3 and at most
     ``MAX_FILTER_WINDOW``; anything else raises ValueError.
     """
-    window = int(window)
-    if window < 3 or window % 2 == 0:
-        raise ValueError(f"window must be an odd integer >= 3, got {window}")
-    if window > MAX_FILTER_WINDOW:
-        raise ValueError(f"window must be at most {MAX_FILTER_WINDOW}, got {window}")
-    if window > len(series):
-        raise ValueError(f"window {window} exceeds series length {len(series)}")
-    if not (k > 0.0):
-        raise ValueError(f"k must be positive, got {k}")
-
+    window = _filter_window(len(series), window, k)
     med, flags = _hampel(np.vstack([series.positions.T, _unwrap(series.orientations.T)]), window, k)
     pos, orient = series.positions.copy(), series.orientations.copy()
     np.copyto(pos, med[:3].T, where=flags[:3].T)
@@ -307,6 +298,38 @@ def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = 
     orient[bad] = _wrap_angle(med[3:].T[bad])
     del med, flags, bad  # before the series copies pos and orient
     return PoseSeries(series.t, pos, orient)
+
+
+def _filter_window(n: int, window: int, k: float) -> int:
+    """``int(window)``, or ValueError where ``filter_outliers`` of ``n`` samples refuses it or ``k``."""
+    window = int(window)
+    if window < 3 or window % 2 == 0:
+        raise ValueError(f"window must be an odd integer >= 3, got {window}")
+    if window > MAX_FILTER_WINDOW:
+        raise ValueError(f"window must be at most {MAX_FILTER_WINDOW}, got {window}")
+    if window > n:
+        raise ValueError(f"window {window} exceeds series length {n}")
+    if not (k > 0.0):
+        raise ValueError(f"k must be positive, got {k}")
+    return window
+
+
+def _filtered(values: np.ndarray, window: int, k: float, read=slice(None), angles: bool = False) -> np.ndarray:
+    """``filter_outliers``' (n, 3) positions from ``values``, or with ``angles`` its orientations,
+    at samples ``read`` (sorted indices, or ``slice(None)`` for all).  Angles are unwrapped whole,
+    as there.  ``_hampel`` gets only the runs of read samples and ``window // 2`` samples either side
+    (clipped at the series ends; all samples if under a window), so each read sample keeps its window."""
+    x, at = (_unwrap(values.T) if angles else np.ascontiguousarray(values.T)), read
+    if not isinstance(read, slice):
+        h, n = window // 2, len(values)  # read samples within h of each: +1 h before each one, -1 h past it
+        near = np.bincount(np.maximum(read - h, 0), minlength=n + 1) - np.bincount(
+            np.minimum(read + h + 1, n), minlength=n + 1)
+        if len(runs := np.flatnonzero(near.cumsum()[:-1])) >= window:
+            x, at = x[:, runs], runs.searchsorted(read)
+    med, flags = _hampel(x, window, k)
+    out, bad = values[read].copy(), flags[:, at].T
+    out[bad] = _wrap_angle(med[:, at].T[bad]) if angles else med[:, at].T[bad]
+    return out
 
 
 def _wrap_angle(a: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from ._read import json_rows, json_value
 from ._rows import fill_rows
 from .errors import FrameMismatchError, ParseError
 from .cad import CadPath, arc_fraction, arc_lengths, traverse
-from .demo import PoseSeries
+from .demo import FILTER_K, FILTER_WINDOW, PoseSeries, _filter_window, _filtered
 from .geometry import CalibrationSet, Frame, compose, euler_zyx_from_rots, row_norms, rots_from_euler_zyx
 
 
@@ -90,9 +90,23 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
     2007).  Each CAD point blends the two fitted samples bracketing its progress,
     whose orientations alone are fitted; the result is in receiver frame S.
     """
-    t = demo.t
+    return _fuse(cad, demo.t, demo.positions, demo.orientations.__getitem__)
+
+
+def fuse_capture(cad: CadPath, capture: PoseSeries, window: int = FILTER_WINDOW, k: float = FILTER_K) -> FusedPath:
+    """``fuse(cad, filter_outliers(capture, window, k))`` bit for bit, and its ValueError for a
+    bad ``window`` or ``k``.  Positions are Hampel-filtered at every sample, as progress reads
+    the fitted arc length of all of them; orientations only where the fit reads them, in the
+    smoothing windows of the two samples that bracket each CAD point."""
+    window = _filter_window(len(capture), window, k)
+    return _fuse(cad, capture.t, _filtered(capture.positions, window, k),
+                 lambda read: _filtered(capture.orientations, window, k, read, angles=True))
+
+
+def _fuse(cad: CadPath, t: np.ndarray, xyz: np.ndarray, angles_at) -> FusedPath:
+    """``fuse`` of a capture: times ``t``, positions ``xyz``, orientations ``angles_at(read)``."""
     lo, hi = _windows(t, SMOOTH_WINDOW_S)
-    fitted, slopes = _line_fit(t, demo.positions, lo, hi)
+    fitted, slopes = _line_fit(t, xyz, lo, hi)
     demo_params, time_based = _progress(fitted, t)
     positions = traverse(cad.waypoints, cad.closed)
 
@@ -102,7 +116,7 @@ def fuse(cad: CadPath, demo: PoseSeries) -> FusedPath:
     speeds = v[:m] + frac * (v[m:] - v[:m])
     del fitted, slopes, demo_params  # frees the position fit's working array before the orientation fit
 
-    q = _fit_rotations(t, demo.orientations, lo, hi, at)
+    q = _fit_rotations(t, angles_at, lo, hi, at)
     # (psi, theta, phi) reversed is the robot's fixed-axis (rx, ry, rz)
     orientations = _quat.to_euler_zyx(_quat.slerp(q[:m], q[m:], frac))[:, ::-1]
 
@@ -145,9 +159,9 @@ def _line_fit(t, x, lo, hi, at=slice(None)):
 
     Working memory, for m evaluated samples: the ``(2c + 2, n + 1)`` prefix sums, the
     ``(2c + 2, m)`` window means gathered at ``hi``, and while the sums at ``lo`` are
-    subtracted, that ``(2c + 2, m)`` gather; the sums are freed before the means are
-    divided.  Slope and value are then written into the means' rows, with one ``(c, m)``
-    product alive at a time, and both outputs are views of the means.
+    subtracted half the rows at a time, a ``(c + 1, m)`` gather; the sums are freed
+    before the means are divided.  Slope and value are then written into the means' rows,
+    with one ``(c, m)`` product alive at a time, and both outputs are views of the means.
     """
     n, c = x.shape
     tc, x0 = t - t[n // 2], x[n // 2]
@@ -157,7 +171,8 @@ def _line_fit(t, x, lo, hi, at=slice(None)):
     np.multiply(tc, sums[2 : 2 + c, 1:], out=sums[2 + c :, 1:])
     sums.cumsum(axis=1, out=sums)
     means = sums.take(hi, axis=1)
-    means -= sums.take(lo, axis=1)
+    for rows in (slice(None, c + 1), slice(c + 1, None)):  # half the rows at a time
+        means[rows] -= sums[rows].take(lo, axis=1)
     del sums
     means /= hi - lo
     t_bar, x_bar, tx_bar = means[0], means[2 : 2 + c], means[2 + c :]
@@ -167,10 +182,10 @@ def _line_fit(t, x, lo, hi, at=slice(None)):
     return fit.T, slope.T
 
 
-def _fit_rotations(t, angles_zyx, lo, hi, at) -> np.ndarray:
-    """(len(at), 4) unit quaternions of the fitted orientation at samples ``at``, from
-    only the samples inside their windows (each window is contiguous among those);
-    when the windows cover the whole capture, its arrays are read as they are.
+def _fit_rotations(t, angles_at, lo, hi, at) -> np.ndarray:
+    """(len(at), 4) unit quaternions of the fitted orientation at samples ``at``, from only
+    the samples inside their windows (each window is contiguous among those), whose angles
+    are ``angles_at`` of their sorted indices, or of ``slice(None)`` when they are all.
 
     The chordal fit is exact only at a window's centre, so samples with an end
     window fit rotation vectors about its middle sample: exact for a steady turn.
@@ -179,12 +194,13 @@ def _fit_rotations(t, angles_zyx, lo, hi, at) -> np.ndarray:
     ends = [(lo_at == a) & (hi_at == b) for a, b in {(lo[0], hi[0]), (lo[-1], hi[-1])}]
     # how many windows of ``at`` hold each sample: +1 where one starts, -1 where one ends
     held = (np.bincount(lo_at, minlength=len(t) + 1) - np.bincount(hi_at, minlength=len(t) + 1)).cumsum()[:-1]
+    read = slice(None)
     if not held.all():  # gather the samples read and place the windows among them
         read = np.flatnonzero(held)
         lo_at, hi_at, at = (read.searchsorted(i) for i in (lo_at, hi_at, at))
-        t, angles_zyx = t[read], angles_zyx[read]
+        t = t[read]
     del held
-    q = _quat.make_continuous(_quat.from_euler_zyx(angles_zyx))
+    q = _quat.make_continuous(_quat.from_euler_zyx(angles_at(read)))
     fit = _line_fit(t, q, lo_at, hi_at, at)[0]
     fit /= row_norms(fit)[:, None]
     for end in ends:

@@ -591,7 +591,10 @@ def _parse_tree(data: bytes | str) -> PathMLDocument:
     import xml.etree.ElementTree as ET  # only input the scanner declines pays for loading it
 
     if isinstance(data, str):
-        data = data.encode("utf-8")
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError as e:  # a lone surrogate, on its line as expat numbers them
+            raise ParseError(f"malformed XML: {e.reason}", line=len(re.split("\r\n?|\n", data[: e.start]))) from None
     try:
         root = ET.fromstring(data)
     except ET.ParseError as e:

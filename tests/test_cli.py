@@ -645,6 +645,20 @@ class TestExitCodes:
                 assert capsys.readouterr().err == f"error: window must be at most {MAX_FILTER_WINDOW}, got {window}\n"
             assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize("section, message", [({"window": 4}, "window must be an odd integer >= 3, got 4"),
+                                                  ({"k": -1.0}, "k must be positive, got -1.0")])
+    def test_fuse_reports_a_bad_filter_before_a_bad_spacing(self, ws, capsys, section, message):
+        demo, *_ = run_chain(ws)
+        (ws / "bad.json").write_text(json.dumps({"filter": section, "resample_spacing_mm": -1.0}))
+        capsys.readouterr()
+        code = main(["fuse", "--cad", str(ws / "cad.csv"), "--demo", demo, "--calib", str(ws / "calib.json"),
+                     "--config", str(ws / "bad.json")])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        (ws / "bad.json").write_text(json.dumps({"resample_spacing_mm": -1.0}))
+        code = main(["fuse", "--cad", str(ws / "cad.csv"), "--demo", demo, "--calib", str(ws / "calib.json"),
+                     "--config", str(ws / "bad.json")])
+        assert (code, capsys.readouterr().err) == (2, "error: spacing_mm must be positive and finite, got -1.0\n")
+
 
 def test_module_entry_point_smoke():
     proc = subprocess.run(

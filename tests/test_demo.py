@@ -403,6 +403,25 @@ class TestFilter:
         assert f.positions.tobytes() == pos.tobytes() and f.orientations.tobytes() == orient.tobytes()
         assert np.sum(f.positions != s.positions) >= 6 and np.sum(f.orientations != s.orientations) >= 8
 
+    @pytest.mark.parametrize("window", [3, 11, 101])
+    def test_angles_filtered_on_read_samples_are_filter_outliers_angles(self, monkeypatch, window):
+        n, rng = 400, np.random.default_rng(window)
+        turns = np.linspace(0.0, 6 * math.pi, n)[:, None] + rng.normal(0.0, 0.05, (n, 3))
+        turns[rng.random((n, 3)) < 0.05] += 1.5
+        s = PoseSeries(np.arange(n) / 100.0, np.zeros((n, 3)), wrap_angle(turns))
+        want = filter_outliers(s, window).orientations
+        sizes, hampel = [], demo._hampel
+        monkeypatch.setattr(demo, "_hampel", lambda x, *args: sizes.append(x.shape[1]) or hampel(x, *args))
+        h = window // 2
+        cases = [np.array([0]), np.array([n - 1]), np.array([n // 2]), np.array([h + 1, n - h - 2]),
+                 *(np.flatnonzero(rng.random(n) < p) for p in (0.01, 0.1, 0.5)), slice(None)]
+        for read in cases:
+            got = demo._filtered(s.orientations, window, 3.0, read, angles=True)
+            assert got.tobytes() == want[read].tobytes()
+        # a gather shorter than the window filters the whole series; one sample away from
+        # the ends, a run's context holds exactly one window
+        assert sizes[:4] == [n, n, window, 2 * window]
+
     def test_window_validation(self):
         s = make_series(n=20)
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from pathfuse import (
     Transform4,
     filter_outliers,
     fuse,
+    fuse_capture,
     fused_path_from_json,
     fused_path_to_json,
     resample_cad,
@@ -49,15 +50,15 @@ class TestFuse:
         assert not fused.closed
         assert fused.frame is Frame.S
 
-    def test_long_capture_holds_three_window_sum_arrays_at_most(self):
+    def test_long_capture_holds_two_window_sum_arrays_at_most(self):
         # tracemalloc peaks in (6, n) float arrays of a 28,011-sample capture,
-        # measured with Python 3.11 and numpy 2.4: 4.5 with the line fit's
-        # gathers written into one array, 4.8 with a fresh array per step
+        # measured with Python 3.11 and numpy 2.4: 3.83 with the sums at ``lo``
+        # gathered half the rows at a time, 4.5 with all rows in one gather
         demo, waypoints = long_capture()
         cad = CadPath(waypoints)
         fuse(cad, demo)
         peak, _ = traced_peak(lambda: fuse(cad, demo))
-        assert peak < 5.0 * demo.positions.nbytes * 2
+        assert peak < 4.2 * demo.positions.nbytes * 2
 
     def test_dense_cad_fits_orientations_after_the_position_fit_is_freed(self):
         # 4.5 (6, n) arrays under 1,169 CAD points, the position fit's own peak;
@@ -186,11 +187,12 @@ def sparse_cad(closed):
 
 
 def fit_call(monkeypatch, cad, demo):
-    """The arguments and the result of fuse's one ``_fit_rotations`` call."""
+    """The arguments of fuse's one ``_fit_rotations`` call, with the capture's angles in
+    place of the function that reads them, and its result."""
     calls = []
 
-    def spy(*args):
-        calls.append((args, _fit_rotations(*args)))
+    def spy(t, angles_at, *windows):
+        calls.append(((t, angles_at(slice(None)), *windows), _fit_rotations(t, angles_at, *windows)))
         return calls[-1][1]
 
     monkeypatch.setattr(fusion, "_fit_rotations", spy)
@@ -238,7 +240,7 @@ class TestFitOnReadSamples:
         lo, hi = _windows(t, SMOOTH_WINDOW_S)
         at = np.array({"first": [3, 4], "last": [n - 5, n - 4], "both": [3, 4, n - 5, n - 4]}[ends])
         assert {(lo[i], hi[i]) for i in at} <= {(lo[0], hi[0]), (lo[-1], hi[-1])}
-        got = _fit_rotations(t, demo.orientations, lo, hi, at)
+        got = _fit_rotations(t, demo.orientations.__getitem__, lo, hi, at)
         assert np.max(geodesic(got, oracles.fitted_rotations(t, demo.orientations, lo, hi, at))) < 1e-12
 
     def test_every_sample_read_is_the_full_series_fit_bit_for_bit(self, monkeypatch):
@@ -255,7 +257,7 @@ class TestFitOnReadSamples:
         demo, waypoints = long_capture()
         (t, angles, lo, hi, at), _ = fit_call(monkeypatch, resample_cad(CadPath(waypoints), 2.0), demo)
         assert read_samples(lo, hi, at) == set(range(len(t)))
-        peak, _ = traced_peak(lambda: _fit_rotations(t, angles, lo, hi, at))
+        peak, _ = traced_peak(lambda: _fit_rotations(t, angles.__getitem__, lo, hi, at))
         assert peak < 6.5 * angles.nbytes
 
     def test_converts_no_sample_outside_the_read_windows(self, monkeypatch):
@@ -263,6 +265,107 @@ class TestFitOnReadSamples:
         monkeypatch.setattr(_quat, "from_euler_zyx", lambda angles: sizes.append(len(angles)) or convert(angles))
         (t, _, lo, hi, at), _ = fit_call(monkeypatch, sparse_cad(False), weave_capture(seed=1))
         assert sizes and max(sizes) <= len(read_samples(lo, hi, at)) < len(t)
+
+
+def spiked(demo, seed=0, rate=0.02):
+    """``demo`` with 100 mm position spikes and 1 rad orientation spikes on ``rate`` of its
+    values, and its angles wrapped to (-pi, pi]."""
+    rng = np.random.default_rng(seed)
+    pos, angles = demo.positions.copy(), demo.orientations.copy()
+    pos[rng.random(pos.shape) < rate] += 100.0
+    angles[rng.random(angles.shape) < rate] += 1.0
+    return PoseSeries(demo.t, pos, np.angle(np.exp(1j * angles)))
+
+
+def assert_fused_alike(a, b):
+    assert [x.tobytes() for x in (a.positions, a.orientations, a.speeds)] == [
+        x.tobytes() for x in (b.positions, b.orientations, b.speeds)
+    ]
+    assert (a.frame, a.closed, a.time_parameterized) == (b.frame, b.closed, b.time_parameterized)
+
+
+class TestFuseCapture:
+    """``fuse_capture`` is ``fuse`` of ``filter_outliers``' output, bit for bit."""
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_open_and_closed_paths(self, monkeypatch, closed):
+        demo, cad = spiked(weave_capture(closed, seed=7), seed=7), sparse_cad(closed)
+        (t, _, lo, hi, at), _ = fit_call(monkeypatch, cad, demo)
+        assert len(read_samples(lo, hi, at)) < len(t) / 2  # the orientations are filtered on runs
+        monkeypatch.undo()
+        filtered = filter_outliers(demo)
+        assert (filtered.orientations != demo.orientations).sum() > 20
+        assert_fused_alike(fuse_capture(cad, demo), fuse(cad, filtered))
+
+    def test_every_sample_read(self, monkeypatch):
+        demo = spiked(weave_capture(seconds=2.0, rate=100.0, seed=5), seed=5, rate=0.05)
+        cad = CadPath(np.column_stack([np.linspace(0.0, 400.0, 60), np.zeros(60), np.zeros(60)]))
+        (t, _, lo, hi, at), _ = fit_call(monkeypatch, cad, demo)
+        assert read_samples(lo, hi, at) == set(range(len(t)))
+        monkeypatch.undo()
+        assert_fused_alike(fuse_capture(cad, demo), fuse(cad, filter_outliers(demo)))
+
+    def test_stationary_capture_falls_back_to_time(self):
+        n = 20
+        angles = np.zeros((n, 3))
+        angles[[0, 7, 19], [2, 1, 0]] = 0.5
+        demo = PoseSeries(np.linspace(0, 1, n), np.zeros((n, 3)), angles)
+        cad = CadPath(np.array([[0, 0, 0], [10.0, 0, 0]]))
+        fused = fuse_capture(cad, demo)
+        assert fused.time_parameterized
+        assert_fused_alike(fused, fuse(cad, filter_outliers(demo)))
+
+    @pytest.mark.parametrize("window", [3, 11, 101])
+    def test_angles_hovering_at_a_half_turn_and_spinning(self, window):
+        # yaw jitters across +-pi and roll turns four times, so unwrapping moves
+        # nearly every sample and its offsets differ from run to run
+        demo = weave_capture(seed=11)
+        rng = np.random.default_rng(11)
+        s = np.linspace(0.0, 1.0, len(demo))
+        angles = np.column_stack([np.pi + rng.normal(0.0, 0.05, len(s)), demo.orientations[:, 1], 8 * np.pi * s])
+        demo = spiked(PoseSeries(demo.t, demo.positions, angles), seed=11)
+        filtered = filter_outliers(demo, window)
+        assert (np.abs(filtered.orientations - demo.orientations) > 0.5).sum() > 10
+        assert_fused_alike(fuse_capture(sparse_cad(False), demo, window), fuse(sparse_cad(False), filtered))
+
+    @pytest.mark.parametrize("window", [3, 11, 101])
+    def test_spikes_seen_only_by_the_context(self, monkeypatch, window):
+        # orientation spikes on the first and last window // 2 samples, and on the
+        # window // 2 samples on either side of every run of read samples
+        demo, cad = weave_capture(seed=2), sparse_cad(False)
+        (t, _, lo, hi, at), _ = fit_call(monkeypatch, cad, demo)
+        monkeypatch.undo()
+        h, n = window // 2, len(t)
+        read = np.zeros(n + 2 * h, dtype=bool)
+        read[h + np.array(sorted(read_samples(lo, hi, at)))] = True
+        near = np.convolve(read, np.ones(2 * h + 1), "same")[h : n + h] > 0  # within h of a read sample
+        edge = (np.arange(n) < h) | (np.arange(n) >= n - h)
+        context = (near & ~read[h : n + h]) | edge
+        angles = demo.orientations.copy()
+        angles[context, 0] += 0.7 * (-1.0) ** np.arange(context.sum())
+        demo = PoseSeries(t, demo.positions, angles)
+        want = fuse(cad, filter_outliers(demo, window, 1.0))
+        assert_fused_alike(fuse_capture(cad, demo, window, 1.0), want)
+        assert want.orientations.tobytes() != fuse(cad, demo).orientations.tobytes()
+
+    @pytest.mark.parametrize("window, k", [(4, 3.0), (1, 3.0), (103, 3.0), (20001, 3.0), (21, 3.0), (11, 0.0),
+                                           (11, -1.0), (11, float("nan"))])
+    def test_refuses_what_filter_outliers_refuses_with_its_message(self, window, k):
+        demo, cad = ramp_demo(n=20), CadPath(SQUARE)
+        with pytest.raises(ValueError) as want:
+            filter_outliers(demo, window, k)
+        with pytest.raises(ValueError) as got:
+            fuse_capture(cad, demo, window, k)
+        assert str(got.value) == str(want.value)
+
+    def test_long_capture_peak(self):
+        # tracemalloc peak in (6, n) float arrays of a 28,011-sample capture, measured
+        # with Python 3.11 and numpy 2.4: 4.33, the filtered positions beside the line fit
+        demo, waypoints = long_capture()
+        cad = CadPath(waypoints)
+        fuse_capture(cad, demo)
+        peak, _ = traced_peak(lambda: fuse_capture(cad, demo))
+        assert peak < 4.7 * demo.positions.nbytes * 2
 
 
 def make_calib(seed=0):
@@ -539,6 +642,7 @@ def test_capture_path_calls_ufuncs_and_array_methods_directly(monkeypatch):
         for mod in [m for key, m in sys.modules.items() if key.split(".")[0] == "pathfuse"]:
             if getattr(mod, name, None) is real:  # imported by name
                 monkeypatch.setattr(mod, name, spy)
-    fused = fuse(cad, filter_outliers(synth_demo(truth, model, 100.0)))
-    assert len(fused) == len(cad)
+    demo = synth_demo(truth, model, 100.0)
+    for fused in (fuse(cad, filter_outliers(demo)), fuse_capture(cad, demo)):
+        assert len(fused) == len(cad)
     assert called == []

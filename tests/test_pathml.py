@@ -487,6 +487,14 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_xml(b"not xml at all")
 
+    def test_lone_surrogate_in_text_is_a_parse_error(self):
+        with pytest.raises(ParseError, match=r"^line 1: malformed XML: surrogates not allowed$"):
+            parse_xml("<a>\udcff</a>")
+        for text in ("<a>\n\n<b>\ud800</b></a>", "<a>\r\r<b>\ud800</b></a>", "<a>\r\n\r\n<b>\ud800</b></a>"):
+            with pytest.raises(ParseError) as exc:
+                parse_xml(text)
+            assert exc.value.line == 3  # as expat numbers the lines of "<a>\n\n<b"
+
 
 class TestExpand:
     def _doc(self):
