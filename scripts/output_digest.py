@@ -36,6 +36,11 @@ sha256 per part:
   exception's type, message and line.  ``parse_demo`` reads 7,000 captures,
   ``parse_cad`` 4,000 CSV files with directives and 3,000 JSON files, and
   ``fused_path_from_json`` and ``cli.load_calibration`` 3,000 files each;
+* ``pathml``: the outcome of ``parse_xml`` on 3,000 byte-mutated copies of
+  two documents ``write_xml`` made, each read as ``bytes`` and as ``str``
+  (where undecodable bytes become lone surrogates): the document's names,
+  process, indices, flags and point bits, or the exception's type, message
+  and line;
 * ``capture``: the ``noise_sweep`` and ``near_lock`` digests, taken again with
   each capture fused by ``fuse_capture`` in one call, hashed together.  The
   script exits 1, after printing every line, when it differs from the same
@@ -46,7 +51,7 @@ Then, for each chain workload, one sha256 per output file name over the same
 seeds (``OUTPUT_FILES``; ``capture*/fused.json`` are the quality pass's fused
 captures), so that two checkouts whose chain digests differ show which outputs
 moved.  The last line is one JSON object of the digests above but ``synth``,
-``validate``, ``readers`` and ``capture``, the per-file ones under ``"files"``.  Only the inputs are
+``validate``, ``readers``, ``pathml`` and ``capture``, the per-file ones under ``"files"``.  Only the inputs are
 seeded, so equal digests from two checkouts mean equal outputs.
 """
 
@@ -85,6 +90,19 @@ READER_TOKENS = (
     b"true", b"null", b'"1"', b"[]", b"{}", b"[1, 2, 3]", b"NaN", b"Infinity", b"1e400", b"9" * 400,
 )
 _READER_TOKEN = re.compile(rb'-?[0-9][0-9.eE+-]*|true|false|null|"[^"\n]*"|[\[\]{}]')
+PATHML_CASES = 3000
+# The same for PathML: markup, entities, names, numbers in and out of the
+# writer's form (which keep the file in its layout), process types, an encoding
+# declaration, and bytes that are not UTF-8 or not XML.
+PATHML_TOKENS = (
+    b"<", b">", b"&", b"&amp;", b"&#13;", b"&#0;", b'"', b"\n", b"\r\n", b"\r", b" ", b"\t", b"", b"\x00", b"\x01",
+    b"<Value>", b"</Value>", b"</InternalElement>", b'<Attribute Name="Index"><Value>1</Value></Attribute>',
+    b"<!-- note -->", b'<?xml version="1.0" encoding="latin-1"?>', b"0", b"-1", b"1e999", b"nan", b"1_0",
+    b"\xd9\xa1", b"0.000000", b"-0.000000", b"1.500000", b"-12.250000", b"1000000.000000", b"9" * 30 + b".000000",
+    b"true", b"FALSE", b"x", b"welding", b"other", b"Layer_0", b"Track_0", b"ProcessType", b"X_mm",
+    b"Velocity_mm_s", b"\xc3\xa9", b"\xff", b"\xed\xa0\x80", b"\xef\xbb\xbf",
+)
+_PATHML_TOKEN = re.compile(rb'-?[0-9][0-9.]*|"[^"\n]*"|[A-Za-z_][A-Za-z_0-9]*|[<>]')
 OUTPUT_FILES = ("fused.json", "part.aml", "stack.aml", "program.txt", "report.json", "capture*/fused.json")
 
 
@@ -204,19 +222,19 @@ def validate(pf, workloads) -> str:
     return h.hexdigest()
 
 
-def _mutated(rng, base: bytes) -> bytes:
-    """``base`` after one to three mutations: a byte deleted, a token inserted or put in
-    place of a number, string, literal or bracket, or a line repeated."""
+def _mutated(rng, base: bytes, inserts=READER_TOKENS, token=_READER_TOKEN) -> bytes:
+    """``base`` after one to three mutations: a byte deleted, one of ``inserts`` inserted or
+    put in place of a ``token`` match (a number, string, literal or bracket), or a line repeated."""
     data = base
     for _ in range(rng.randint(1, 3)):
         op, k = rng.randrange(5), rng.randrange(len(data) + 1)
         if op == 0:
             data = data[:k] + data[k + 1 :]
         elif op == 1:
-            data = data[:k] + rng.choice(READER_TOKENS) + data[k:]
-        elif op < 4 and (tokens := list(_READER_TOKEN.finditer(data))):
+            data = data[:k] + rng.choice(inserts) + data[k:]
+        elif op < 4 and (tokens := list(token.finditer(data))):
             m = rng.choice(tokens)
-            data = data[: m.start()] + rng.choice(READER_TOKENS) + data[m.end() :]
+            data = data[: m.start()] + rng.choice(inserts) + data[m.end() :]
         else:
             lines = data.split(b"\n")
             i, j = rng.randrange(len(lines)), rng.randrange(len(lines))
@@ -281,6 +299,42 @@ def readers(pf) -> str:
     return h.hexdigest()
 
 
+def pathml(pf) -> str:
+    rng = random.Random(READER_SEED)
+
+    def points(n):
+        return [[round(rng.uniform(-900.0, 900.0), 6) for _ in range(6)] + [round(rng.uniform(0.0, 90.0), 6)]
+                for _ in range(n)]
+
+    weld = pf.ProcessParameters("welding", wire_feed_rate=8.5, layer_height=1.25, extra=(("Gas", "argon"),))
+    glue = pf.ProcessParameters("adhesive", glue_flow_rate=12.0, extra={"Bead": "\u00e9 3 mm"})
+    bases = [
+        pf.write_xml(pf.PathMLDocument("cell 7", weld, tuple(
+            pf.Layer(f"Layer_{i}", i, (pf.Track("Track_0", points(3), True), pf.Track("Track_1", points(2), False)))
+            for i in range(2)
+        ))),
+        pf.write_xml(pf.PathMLDocument("glass", glue, (
+            pf.Layer("Layer_0", 0, (pf.Track("Track_0", points(5), True),)),
+        ))),
+    ]
+    h = hashlib.sha256()
+    for case in range(PATHML_CASES):
+        data = _mutated(rng, bases[case % len(bases)], PATHML_TOKENS, _PATHML_TOKEN)
+        for given in (data, data.decode("utf-8", "surrogateescape")):
+            try:
+                doc = pf.parse_xml(given)
+            except pf.PathfuseError as e:
+                h.update(f"{type(e).__name__}\0{e}\0{getattr(e, 'line', None)}".encode(errors="surrogateescape"))
+                continue
+            h.update(f"{doc.project_name}\0{doc.process!r}".encode(errors="surrogateescape"))
+            for layer in doc.layers:
+                h.update(f"{layer.name}\0{layer.index}".encode(errors="surrogateescape"))
+                for track in layer.tracks:
+                    h.update(f"{track.name}\0{track.tool_active}".encode(errors="surrogateescape"))
+                    _update(h, track.points)
+    return h.hexdigest()
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
@@ -308,7 +362,7 @@ def main() -> int:
     }
     one_call = capture(pf, workloads)
     for name, digest in {**digests, "synth": synth(pf), "validate": validate(pf, workloads),
-                          "readers": readers(pf), "capture": one_call}.items():
+                          "readers": readers(pf), "pathml": pathml(pf), "capture": one_call}.items():
         print(f"{name:13s} {digest}")
     files = {workload: per_file for workload, (_, per_file) in chains.items()}
     for workload, per_file in files.items():

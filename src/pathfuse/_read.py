@@ -86,38 +86,41 @@ def csv_row(line: str, width: int, lineno: int) -> list[float]:
 def csv_table(data: bytes | str, header: str, width: int) -> np.ndarray:
     """The ``(n, width)`` rows of ``width`` finite numbers after the line ``header``, blank lines skipped.
 
-    The exact header line after one optional BOM, then rows ``plain_rows``
-    takes, are read by numpy's C text reader in one call, in place for
-    ``bytes``.  Any other input goes to ``csv_lines`` and ``csv_row``, which
-    read the same values and raise ParseError naming the first bad line.
+    ``plain_rows`` reads a plain table in one call; any other input goes to
+    ``csv_lines`` and ``csv_row``, which read the same values and raise
+    ParseError naming the first bad line.
     """
-    raw = data.encode(errors="replace") if isinstance(data, str) else data  # text that is not ASCII fails the gate
-    start = 3 if raw.startswith(b"\xef\xbb\xbf") else 0
-    body = raw.find(b"\n", start) + 1 or len(raw)  # where the line after the header starts
-    if raw[start:body].rstrip(b"\r\n") == header.encode() and (rows := plain_rows(raw, body, width)) is not None:
-        return rows
-    rows = [csv_row(line, width, lineno) for lineno, line in csv_lines(decode(data), header)]
-    return np.array(rows).reshape(-1, width)
+    rows = plain_rows(data, header, width)
+    if rows is None:
+        rows = np.array([csv_row(line, width, lineno) for lineno, line in csv_lines(decode(data), header)])
+    return rows.reshape(-1, width)
 
 
-def plain_rows(data: bytes, start: int, width: int) -> np.ndarray | None:
-    """The rows of ``data[start:]`` as one ``(n, width)`` array, read by numpy's C reader, or None.
+def plain_rows(data: bytes | str, header: str, width: int) -> np.ndarray | None:
+    """The rows after the line ``header`` as one ``(n, width)`` array, read by numpy's C reader, or None.
 
-    The rows qualify when the bytes hold only ASCII digits, ``.,+-eE``, line
-    breaks, spaces and tabs, and each line that is not blank holds ``width``
-    fields; there is at least one row and every value is finite.  On those
-    bytes ``number`` accepts exactly what ``float()`` does, and ``float()`` and
-    loadtxt both convert a field with ``PyOS_string_to_double`` on its stripped
-    text, so every value equals ``csv_row``'s.  Rows of unequal width, a CR
-    inside a line and bad numbers make loadtxt raise.  ``data`` is read in
-    place, without a copy of its rows.
+    The table qualifies when, after one optional BOM, its first line is
+    exactly ``header`` and the bytes after it hold only ASCII digits,
+    ``.,+-eE``, line breaks, spaces and tabs, and each line that is not blank
+    holds ``width`` fields; there is at least one row and every value is
+    finite.  On those bytes ``number`` accepts exactly what ``float()`` does,
+    and ``float()`` and loadtxt both convert a field with
+    ``PyOS_string_to_double`` on its stripped text, so every value equals
+    ``csv_row``'s.  Rows of unequal width, a CR inside a line and bad numbers
+    make loadtxt raise.  ``bytes`` are read in place, without a copy of their
+    rows; a str is encoded once.
     """
+    data = data.encode(errors="replace") if isinstance(data, str) else data  # text that is not ASCII fails the gate
+    start = 3 if data.startswith(b"\xef\xbb\xbf") else 0
+    body = data.find(b"\n", start) + 1 or len(data)  # where the line after the header starts
+    if data[start:body].rstrip(b"\r\n") != header.encode():
+        return None
     # what the rows hold besides number bytes, without copying them out
-    rest = data.translate(None, _NUMBER_BYTES)[len(data[:start].translate(None, _NUMBER_BYTES)) :]
+    rest = data.translate(None, _NUMBER_BYTES)[len(data[:body].translate(None, _NUMBER_BYTES)) :]
     if rest.translate(None, b"\r \t"):
         return None
     lines = io.BytesIO(data)  # shares the bytes: nothing is copied
-    lines.seek(start)
+    lines.seek(body)
     if rest:  # csv_lines skips whitespace-only lines; loadtxt reads them as rows
         lines = filter(bytes.strip, lines)
     try:

@@ -125,7 +125,7 @@ def resample_cad(path: CadPath, spacing_mm: float) -> CadPath:
     return CadPath(out, closed=path.closed)
 
 
-def _parse_cad_json(text: str) -> CadPath:
+def _parse_cad_json(text: str) -> tuple[np.ndarray, bool]:
     obj = json_value(text)
     if not isinstance(obj, dict) or "waypoints" not in obj:
         raise ParseError("expected an object with a 'waypoints' array")
@@ -136,12 +136,10 @@ def _parse_cad_json(text: str) -> CadPath:
     closed = obj.get("closed", False)
     if not isinstance(closed, bool):
         raise ParseError("'closed' must be a boolean")
-    if len(w) < 2:
-        raise DegeneratePathError("a path needs at least 2 waypoints")
-    return CadPath(w, closed=closed)
+    return w, closed
 
 
-def _parse_cad_csv(text: str) -> CadPath:
+def _parse_cad_csv(text: str) -> tuple[np.ndarray, bool]:
     """Directive lines set ``closed`` and are blanked, which keeps the line numbers;
     ``csv_table`` reads the rest and raises each error with its line."""
     lines = text.splitlines()
@@ -155,15 +153,14 @@ def _parse_cad_csv(text: str) -> CadPath:
                 raise ParseError(f"unknown directive {stripped!r}", line=lineno)
             closed = directive == "closed=true"
             lines[lineno - 1] = ""
-    wps = csv_table("\n".join(lines), CAD_CSV_HEADER, 3)
-    if len(wps) < 2:
-        raise DegeneratePathError("a path needs at least 2 waypoints")
-    return CadPath(wps, closed=closed)
+    return csv_table("\n".join(lines), CAD_CSV_HEADER, 3), closed
 
 
 def parse_cad(data: bytes | str) -> CadPath:
-    """Parse a CAD path from JSON or CSV, sniffing the format."""
+    """Parse a CAD path from JSON or CSV, sniffing the format; a file of fewer than two
+    waypoints raises DegeneratePathError."""
     text = decode(data)
-    if text.lstrip()[:1] == "{":
-        return _parse_cad_json(text)
-    return _parse_cad_csv(text)
+    waypoints, closed = (_parse_cad_json if text.lstrip()[:1] == "{" else _parse_cad_csv)(text)
+    if len(waypoints) < 2:
+        raise DegeneratePathError("a path needs at least 2 waypoints")
+    return CadPath(waypoints, closed=closed)

@@ -47,6 +47,10 @@ from .program import TOLERANCE_MM, PathLimits, deviation_report, emit_program, v
 
 CONFIG_ENV = "PATHFUSE_CONFIG"
 
+# Each flag of ``pathfuse synth`` that sets a TrackerErrorModel field, and the field.
+_SYNTH_FLAGS = (("z-bias-max", "z_bias_max"), ("z-bias-range", "z_bias_range"), ("xy-noise", "xy_noise_sigma"),
+                ("orient-noise", "orient_noise_sigma"), ("spike-rate", "spike_rate"), ("seed", "seed"))
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -207,14 +211,7 @@ def _cmd_synth(args) -> int:
     truth = fused_path_from_json(_read(args.truth))
     if truth.frame != Frame.S:
         raise ValueError("truth path must be in the receiver frame (S) for capture simulation")
-    model = TrackerErrorModel(
-        z_bias_max=args.z_bias_max,
-        z_bias_range=args.z_bias_range,
-        xy_noise_sigma=args.xy_noise,
-        orient_noise_sigma=args.orient_noise,
-        spike_rate=args.spike_rate,
-        seed=args.seed,
-    )
+    model = TrackerErrorModel(**{name: getattr(args, flag.replace("-", "_")) for flag, name in _SYNTH_FLAGS})
     series = synth_demo(truth, model, args.rate)
     _write_out(args.output, format_demo_csv(series))
     return 0
@@ -310,12 +307,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="simulate a tracker capture of a true path")
     p.add_argument("--truth", required=True, help="fused-path JSON, frame S")
     p.add_argument("--rate", type=number, required=True, help="sample rate in Hz")
-    p.add_argument("--z-bias-max", type=number, default=60.0)
-    p.add_argument("--z-bias-range", type=number, default=800.0)
-    p.add_argument("--xy-noise", type=number, default=2.0)
-    p.add_argument("--orient-noise", type=number, default=1.0)
-    p.add_argument("--spike-rate", type=number, default=0.0)
-    p.add_argument("--seed", type=integer, default=0)
+    defaults = {f.name: f.default for f in fields(TrackerErrorModel)}
+    for flag, name in _SYNTH_FLAGS:
+        p.add_argument("--" + flag, type=integer if name == "seed" else number, default=defaults[name])
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_synth)
 

@@ -15,17 +15,18 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from . import _quat
-from ._read import csv_lines, csv_table, decode
+from . import _quat, _read
+from ._read import csv_lines, csv_row, decode
 from ._rows import fill_rows
 from .cad import MAX_POINTS
-from .errors import ParseError, ValidationError
+from .errors import ValidationError
 from .geometry import row_norms
 
 if TYPE_CHECKING:
@@ -92,34 +93,27 @@ class PoseSeries:
 def parse_demo(data: bytes | str) -> PoseSeries:
     """Parse demonstration CSV text.  Raises ParseError/ValidationError.
 
-    ``_read.csv_table`` reads the rows, a plain capture in one call of
-    numpy's C text reader, in place for ``bytes``; then the capture needs
-    two or more rows and strictly increasing time.  The first fault in line
-    order is raised: a time step that does not increase above a bad row
-    comes before that row's ParseError.
+    ``_read.plain_rows`` reads a plain capture in one call of numpy's C text
+    reader, in place for ``bytes``, and its rows are kept when there are two
+    or more and their time strictly increases.  Any other input is read a
+    line at a time by ``csv_lines`` and ``csv_row``, which raise the first
+    fault in line order: a bad row, or a time that does not increase on the
+    row above it.  A capture of fewer than two rows raises last.
     """
-    try:
-        rows = csv_table(data, DEMO_CSV_HEADER, 7)
-    except ParseError as e:
-        if (e.line or 0) > 3:  # two rows or more above the bad line, which all read
-            above = "\n".join(decode(data).splitlines()[: e.line - 1])
-            _check_time(csv_table(above, DEMO_CSV_HEADER, 7), above)
-        raise
-    if len(rows) < 2:
-        raise ValidationError("a demonstration needs at least 2 samples")
-    _check_time(rows, data)
+    rows = _read.plain_rows(data, DEMO_CSV_HEADER, 7)
+    if rows is None or len(rows) < 2 or not (rows[1:, 0] > rows[:-1, 0]).all():
+        rows = []
+        for lineno, line in csv_lines(decode(data), DEMO_CSV_HEADER):
+            row = csv_row(line, 7, lineno)
+            if rows and not row[0] > rows[-1][0]:
+                raise ValidationError(
+                    f"timestamps must strictly increase (line {lineno}: {row[0]!r} after {rows[-1][0]!r})"
+                )
+            rows.append(row)
+        if len(rows) < 2:
+            raise ValidationError("a demonstration needs at least 2 samples")
+        rows = np.array(rows)
     return PoseSeries(rows[:, 0], rows[:, 1:4], np.radians(rows[:, 4:7]))
-
-
-def _check_time(rows: np.ndarray, data: bytes | str) -> None:
-    """ValidationError naming the line of the first time in ``rows``, read from ``data``,
-    that does not increase."""
-    back = rows[1:, 0] <= rows[:-1, 0]
-    if back.any():
-        k = int(back.argmax()) + 1
-        before, t = rows[k - 1 : k + 1, 0].tolist()
-        lineno = csv_lines(decode(data), DEMO_CSV_HEADER)[k][0]
-        raise ValidationError(f"timestamps must strictly increase (line {lineno}: {t!r} after {before!r})")
 
 
 def format_demo_csv(series: PoseSeries) -> bytes:
@@ -301,8 +295,12 @@ def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = 
 
 
 def _filter_window(n: int, window: int, k: float) -> int:
-    """``int(window)``, or ValueError where ``filter_outliers`` of ``n`` samples refuses it or ``k``."""
-    window = int(window)
+    """``window`` as an int, or ValueError where ``filter_outliers`` of ``n`` samples refuses it or ``k``:
+    a window that is not an integer (a Python or numpy int) is refused, not truncated."""
+    try:
+        window = operator.index(window)
+    except TypeError:
+        raise ValueError(f"window must be an odd integer >= 3, got {window!r}") from None
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 3, got {window}")
     if window > MAX_FILTER_WINDOW:

@@ -417,21 +417,15 @@ def _text(raw: bytes) -> str:
     return text
 
 
-def _scan_canonical(data: bytes | str) -> PathMLDocument | None:
-    """Read the exact layout write_xml emits without building a tree.
+def _scan_canonical(data: bytes) -> PathMLDocument | None:
+    """Read the exact layout write_xml emits from ``data`` without building a tree.
 
-    Reads the bytes of ``data``; a str is encoded first.  Returns None on any
-    deviation from that layout, the character set or the point number form
-    above, so that _parse_tree reads the input instead.  Once the whole
-    layout has matched, the attribute texts go through the content rules
-    _parse_tree applies, in document order, so the result is _parse_tree's
-    document or its SchemaError.
+    Returns None on any deviation from that layout, the character set or the
+    point number form above, so that _parse_tree reads the bytes instead.
+    Once the whole layout has matched, the attribute texts go through the
+    content rules _parse_tree applies, in document order, so the result is
+    _parse_tree's document or its SchemaError.
     """
-    if isinstance(data, str):
-        try:
-            data = data.encode("utf-8")
-        except UnicodeEncodeError:
-            return None
     m = _HEAD_RE.match(data)
     if m is None or m[1] != m[2]:
         return None
@@ -580,21 +574,23 @@ def parse_xml(data: bytes | str) -> PathMLDocument:
     XML raises ParseError with the line number.  Semantic rules are *not*
     checked here; run validate_document on the result.
 
-    The exact layout write_xml emits is read by a scanner; every other
+    A str is encoded to UTF-8 once; a lone surrogate, which UTF-8 cannot
+    carry, raises ParseError on its line as expat numbers them.  The bytes
+    in the exact layout write_xml emits are read by a scanner; every other
     layout by an ElementTree walk, with the same result and the same errors.
     """
+    if isinstance(data, str):
+        try:
+            data = data.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise ParseError(f"malformed XML: {e.reason}", line=len(re.split("\r\n?|\n", data[: e.start]))) from None
     doc = _scan_canonical(data)
     return doc if doc is not None else _parse_tree(data)
 
 
-def _parse_tree(data: bytes | str) -> PathMLDocument:
+def _parse_tree(data: bytes) -> PathMLDocument:
     import xml.etree.ElementTree as ET  # only input the scanner declines pays for loading it
 
-    if isinstance(data, str):
-        try:
-            data = data.encode("utf-8")
-        except UnicodeEncodeError as e:  # a lone surrogate, on its line as expat numbers them
-            raise ParseError(f"malformed XML: {e.reason}", line=len(re.split("\r\n?|\n", data[: e.start]))) from None
     try:
         root = ET.fromstring(data)
     except ET.ParseError as e:

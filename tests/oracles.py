@@ -269,6 +269,36 @@ def demo_csv(t, positions, orientations):
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
+def capture_fault(text):
+    """(error type name, message) of the first fault in capture CSV text, read a line at a
+    time, or None: the header, then each row's field count, numbers and time, then the count.
+    Numbers go to ``float()``, which also takes ``1_0`` and non-ASCII digits: use ASCII rows."""
+    header = "t_s,x_mm,y_mm,z_mm,az_deg,el_deg,roll_deg"
+    lines = text.removeprefix("\ufeff").splitlines()
+    if not lines or lines[0].strip() != header:
+        return "ParseError", f"line 1: expected header {header!r}"
+    times = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 7:
+            return "ParseError", f"line {lineno}: expected 7 fields, got {len(fields)}"
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            return "ParseError", f"line {lineno}: bad number in row: {line!r}"
+        if not all(math.isfinite(v) for v in values):
+            return "ParseError", f"line {lineno}: non-finite value in row"
+        if times and values[0] <= times[-1]:
+            step = f"line {lineno}: {values[0]!r} after {times[-1]!r}"
+            return "ValidationError", f"timestamps must strictly increase ({step})"
+        times.append(values[0])
+    if len(times) < 2:
+        return "ValidationError", "a demonstration needs at least 2 samples"
+    return None
+
+
 def hampel(x, window, k, scale=1.4826):
     """Hampel filter of one channel, one window at a time with np.median.
 

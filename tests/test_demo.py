@@ -284,6 +284,42 @@ class TestArrayReader:
                 parse_demo(data)
 
 
+    def test_a_valid_capture_is_read_without_the_line_reader(self, monkeypatch):
+        data = format_demo_csv(make_series(n=30, seed=8))
+        want = outcome(parse_demo, data)
+        monkeypatch.setattr(demo, "csv_lines", lambda *args: pytest.fail("csv_lines read a valid capture"))
+        monkeypatch.setattr(demo, "csv_row", lambda *args: pytest.fail("csv_row read a valid capture"))
+        for given in (data, data.decode("ascii")):
+            assert outcome(parse_demo, given) == want
+
+    @settings(deadline=None, max_examples=150)
+    @given(
+        st.lists(st.integers(1, 400), min_size=2, max_size=12),
+        st.sampled_from(["back", "equal", "fields", "number", "non-finite"]),
+        st.data(),
+    )
+    def test_one_injected_fault_raises_what_a_line_reader_raises(self, steps, fault, data):
+        """Rows in strictly increasing time, blank lines between them, and one fault."""
+        rows = [[sum(steps[: i + 1]) / 64, *(float(v) for v in range(6))] for i in range(len(steps))]
+        fields = [[repr(v) for v in row] for row in rows]
+        r = data.draw(st.integers(1 if fault in ("back", "equal") else 0, len(rows) - 1), label="row")
+        if fault in ("back", "equal"):
+            fields[r][0] = repr(rows[r - 1][0] - (1.0 if fault == "back" else 0.0))
+        elif fault == "fields":
+            fields[r] = fields[r][: data.draw(st.sampled_from([1, 5, 7]), label="width")] + ["0.5"]
+        else:
+            bad = ["x", "", "1..5", "--1"] if fault == "number" else ["inf", "-nan", "1e999"]
+            fields[r][data.draw(st.integers(0, 6), label="field")] = data.draw(st.sampled_from(bad), label="bad")
+        lines = [HEADER] + [",".join(f) for f in fields]
+        for _ in range(data.draw(st.integers(0, 3), label="blank lines")):
+            lines.insert(data.draw(st.integers(1, len(lines)), label="at"), data.draw(st.sampled_from(["", " \t"])))
+        text = "\n".join(lines) + "\n"
+        want = oracles.capture_fault(text)
+        assert want is not None
+        for given in (text, text.encode()):
+            assert outcome(parse_demo, given)[:2] == want
+
+
 class TestFormat:
     def test_bytes_match_per_row_formatting(self):
         rng = np.random.default_rng(8)
@@ -432,6 +468,11 @@ class TestFilter:
             filter_outliers(s, window=21)
         with pytest.raises(ValueError):
             filter_outliers(s, k=0.0)
+        # a window that is not an integer is refused, not truncated; numpy integers pass
+        for window, shown in ((5.9, "5.9"), ("11", "'11'"), (np.float64(11.0), "11.0")):
+            with pytest.raises(ValueError, match=f"odd integer >= 3, got .*{shown}"):
+                filter_outliers(s, window=window)
+        assert filter_outliers(s, window=np.int64(5)).positions.tobytes() == filter_outliers(s, 5).positions.tobytes()
 
     def test_window_past_the_bound_is_refused(self, monkeypatch):
         widest = demo.MAX_FILTER_WINDOW

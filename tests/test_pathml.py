@@ -730,7 +730,12 @@ class TestScanner:
         for data in mutations(write_xml(MUTATION_BASE), rng):
             # as text too: undecodable bytes become lone surrogates, which UTF-8 cannot encode
             for given in (data, data.decode("utf-8", "surrogateescape")):
-                got, want = outcome(parse_xml, given), outcome(_parse_tree, given)
+                got = outcome(parse_xml, given)
+                try:
+                    want = outcome(_parse_tree, given.encode() if isinstance(given, str) else given)
+                except UnicodeEncodeError:  # refused before either reader
+                    assert got[0] is ParseError and got[1].endswith(": malformed XML: surrogates not allowed")
+                    continue
                 if isinstance(want, PathMLDocument):
                     assert isinstance(got, PathMLDocument) and same_document(got, want), given
                 else:
@@ -743,7 +748,7 @@ class TestScanner:
         blocks = re.compile('(?s)          <InternalElement Name="Point_.*?          </InternalElement>\n')
         track_1 = text.index('"Track_1"')
         empty = text[:track_1] + blocks.sub("", text[track_1:], count=2)
-        want = _parse_tree(empty)
+        want = _parse_tree(empty.encode())
         assert [len(t.points) for layer in want.layers for t in layer.tracks] == [2, 0, 2]
         monkeypatch.setattr(pathml, "_parse_tree", lambda data: pytest.fail("the scanner declined an empty track"))
         for given in (empty, empty.encode()):
@@ -755,7 +760,7 @@ class TestScanner:
         text = write_xml(MUTATION_BASE).decode()
         edited = text.replace(old, new, 1)
         assert edited != text
-        want = outcome(_parse_tree, edited)
+        want = outcome(_parse_tree, edited.encode())
 
         def no_tree(data):
             pytest.fail("the scanner declined input in the writer's layout")
