@@ -1,12 +1,14 @@
-"""Input text, as every reader takes it: UTF-8 after one optional BOM, numbers
-spelled as ASCII decimals in text (``number``, ``integer``) and as JSON numbers in JSON.
-"""
+"""Input text, as every reader takes it: UTF-8 after one optional BOM, numbers spelled as ASCII
+decimals in text (``number``, ``integer``) and as JSON numbers in JSON; and integer arguments
+that are not bools (``int_value``)."""
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+import operator
 import re
 import warnings
 from itertools import chain
@@ -56,6 +58,14 @@ def integer(text: str) -> int:
     if _INTEGER.fullmatch(text) is None:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
+
+
+def int_value(value, message: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer but not a bool, else ValueError naming it."""
+    if not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{message}, got {value!r}")
 
 
 def csv_lines(text: str, header: str) -> list[tuple[int, str]]:

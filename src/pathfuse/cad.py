@@ -16,7 +16,7 @@ import numpy as np
 
 from ._read import csv_lines, csv_table, decode, json_rows, json_value
 from .errors import DegeneratePathError, ParseError
-from .geometry import row_norms
+from .geometry import freeze, row_norms
 
 CAD_CSV_HEADER = "x_mm,y_mm,z_mm"
 
@@ -58,7 +58,7 @@ class CadPath:
             for i in range(len(keep), len(w)):
                 if np.linalg.norm(w[i] - w[keep[-1]], axis=-1) >= MERGE_EPS_MM:
                     keep.append(i)
-            w = w[keep].copy()
+            w = w[keep]
             closed = bool(self.closed)
             if closed and len(w) > 2 and np.linalg.norm(w[-1] - w[0], axis=-1) < MERGE_EPS_MM:
                 w = w[:-1]
@@ -66,8 +66,7 @@ class CadPath:
             raise DegeneratePathError(
                 "a path needs at least 2 distinct waypoints after deduplication"
             )
-        w.flags.writeable = False
-        object.__setattr__(self, "waypoints", w)
+        freeze(self, waypoints=w)
         object.__setattr__(self, "closed", closed)
 
     def __len__(self) -> int:

@@ -57,7 +57,8 @@ class PipelineConfig:
     """Settings for the fuse/emit/report pipeline, loadable from JSON.
 
     ``resample_spacing_mm`` of None skips CAD resampling.  The capture is
-    fused at its full rate; ``fusion.fuse`` smooths it over a fixed window.
+    fused at its full rate by ``fusion.fuse_capture``, which Hampel-filters it
+    with ``filter_window`` and ``filter_k`` and smooths it over a fixed window.
     """
 
     filter_window: int = FILTER_WINDOW

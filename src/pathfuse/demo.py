@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
@@ -23,11 +22,11 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import _quat, _read
-from ._read import csv_lines, csv_row, decode
+from ._read import csv_lines, csv_row, decode, int_value
 from ._rows import fill_rows
 from .cad import MAX_POINTS
 from .errors import ValidationError
-from .geometry import row_norms
+from .geometry import freeze, row_norms
 
 if TYPE_CHECKING:
     from .fusion import FusedPath
@@ -63,10 +62,8 @@ class PoseSeries:
     orientations: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float).reshape(-1).copy()
+        t, p, o = freeze(self, t=np.ravel(self.t), positions=self.positions, orientations=self.orientations)
         n = len(t)
-        p = np.asarray(self.positions, dtype=float).copy()
-        o = np.asarray(self.orientations, dtype=float).copy()
         if n < 2:
             raise ValidationError("a pose series needs at least 2 samples")
         if p.shape != (n, 3) or o.shape != (n, 3):
@@ -80,11 +77,6 @@ class PoseSeries:
         if back.any():
             bad = int(back.argmax()) + 1
             raise ValidationError(f"timestamps must strictly increase (sample {bad})")
-        for a in (t, p, o):
-            a.flags.writeable = False
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "positions", p)
-        object.__setattr__(self, "orientations", o)
 
     def __len__(self) -> int:
         return len(self.t)
@@ -296,17 +288,16 @@ def filter_outliers(series: PoseSeries, window: int = FILTER_WINDOW, k: float = 
 
 def _filter_window(n: int, window: int, k: float) -> int:
     """``window`` as an int, or ValueError where ``filter_outliers`` of ``n`` samples refuses it or ``k``:
-    a window that is not an integer (a Python or numpy int) is refused, not truncated."""
-    try:
-        window = operator.index(window)
-    except TypeError:
-        raise ValueError(f"window must be an odd integer >= 3, got {window!r}") from None
+    a window that is not a Python or numpy integer is refused, not truncated, and a bool for either."""
+    window = int_value(window, "window must be an odd integer >= 3")
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be an odd integer >= 3, got {window}")
     if window > MAX_FILTER_WINDOW:
         raise ValueError(f"window must be at most {MAX_FILTER_WINDOW}, got {window}")
     if window > n:
         raise ValueError(f"window {window} exceeds series length {n}")
+    if isinstance(k, (bool, np.bool_)):
+        raise ValueError(f"k must be a number, got {k!r}")
     if not (k > 0.0):
         raise ValueError(f"k must be positive, got {k}")
     return window

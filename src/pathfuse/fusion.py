@@ -21,7 +21,7 @@ from ._rows import fill_rows
 from .errors import FrameMismatchError, ParseError
 from .cad import CadPath, arc_fraction, arc_lengths, traverse
 from .demo import FILTER_K, FILTER_WINDOW, PoseSeries, _filter_window, _filtered
-from .geometry import CalibrationSet, Frame, compose, euler_zyx_from_rots, row_norms, rots_from_euler_zyx
+from .geometry import CalibrationSet, Frame, compose, euler_zyx_from_rots, freeze, row_norms, rots_from_euler_zyx
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,9 +42,7 @@ class FusedPath:
     time_parameterized: bool = False
 
     def __post_init__(self):
-        p = np.asarray(self.positions, dtype=float).copy()
-        o = np.asarray(self.orientations, dtype=float).copy()
-        v = np.asarray(self.speeds, dtype=float).reshape(-1).copy()
+        p, o, v = freeze(self, positions=self.positions, orientations=self.orientations, speeds=np.ravel(self.speeds))
         n = len(v)
         if n < 2:
             raise ValueError("a fused path needs at least 2 points")
@@ -58,11 +56,6 @@ class FusedPath:
             raise ValueError("speeds must be >= 0")
         if not isinstance(self.frame, Frame):
             raise ValueError(f"frame must be a Frame, got {self.frame!r}")
-        for a in (p, o, v):
-            a.flags.writeable = False
-        object.__setattr__(self, "positions", p)
-        object.__setattr__(self, "orientations", o)
-        object.__setattr__(self, "speeds", v)
 
     def __len__(self) -> int:
         return len(self.speeds)

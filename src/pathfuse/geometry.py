@@ -13,6 +13,7 @@ Conventions used throughout the package:
   the fixed axes in x, y, z order by (rx, ry, rz) produces the same matrix as
   the intrinsic z-y'-x'' sequence with psi=rz, theta=ry, phi=rx, so the two
   conventions exchange by swapping the angle order.
+* Records hold their arrays as read-only float64 copies, which ``freeze`` sets.
 
 Frames:
 
@@ -52,6 +53,15 @@ def row_norms(x: np.ndarray) -> np.ndarray:
     one axis this is, without the Python-level cost of its argument handling.
     """
     return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def freeze(record, **arrays) -> tuple[np.ndarray, ...]:
+    """Set each named field of the frozen dataclass ``record`` to a read-only float64 copy; return the copies."""
+    for name, a in arrays.items():
+        a = arrays[name] = np.array(a, dtype=float)
+        a.setflags(write=False)
+        object.__setattr__(record, name, a)
+    return tuple(arrays.values())
 
 
 def rots_from_euler_zyx(angles: np.ndarray) -> np.ndarray:
@@ -144,17 +154,12 @@ class Transform4:
     child: Frame | None = None
 
     def __post_init__(self):
-        r = np.array(self.rotation, dtype=float)  # a copy
+        r, t = freeze(self, rotation=self.rotation, translation=np.reshape(self.translation, 3))
         if r.shape != (3, 3):
             raise ValueError(f"rotation must be 3x3, got shape {r.shape}")
         check_rotations(r[None])
-        t = np.asarray(self.translation, dtype=float).reshape(3).copy()
         if not np.all(np.isfinite(t)):
             raise ValueError("translation contains non-finite entries")
-        r.flags.writeable = False
-        t.flags.writeable = False
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
 
 
 def compose(a: Transform4, b: Transform4) -> Transform4:

@@ -32,12 +32,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._read import integer, number
+from ._read import int_value, integer, number
 from ._rows import fill_rows
 from .cad import MAX_POINTS
 from .errors import FrameMismatchError, ParseError, SchemaError, ValidationError
 from .fusion import FusedPath
-from .geometry import Frame
+from .geometry import Frame, freeze
 
 if TYPE_CHECKING:
     import xml.etree.ElementTree as ET
@@ -119,13 +119,13 @@ class Track:
 
     def __post_init__(self):
         object.__setattr__(self, "name", str(self.name))
-        pts = np.array(self.points, dtype=float)
+        (pts,) = freeze(self, points=self.points)
         if pts.size == 0:
-            pts = pts.reshape(0, len(POINT_ATTRS))
+            (pts,) = freeze(self, points=pts.reshape(0, len(POINT_ATTRS)))  # empty: no value is copied twice
         if pts.ndim != 2 or pts.shape[1] != len(POINT_ATTRS):
             raise ValueError(f"track points must have shape (n, {len(POINT_ATTRS)}), got {pts.shape}")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
+        if not isinstance(self.tool_active, (bool, np.bool_)):
+            raise ValueError(f"tool_active must be a bool, got {self.tool_active!r}")
         object.__setattr__(self, "tool_active", bool(self.tool_active))
 
     def __eq__(self, other):
@@ -145,7 +145,7 @@ class Layer:
 
     def __post_init__(self):
         object.__setattr__(self, "name", str(self.name))
-        object.__setattr__(self, "index", int(self.index))
+        object.__setattr__(self, "index", int_value(self.index, "layer index must be an integer"))
         object.__setattr__(self, "tracks", tuple(self.tracks))
 
 
@@ -672,7 +672,7 @@ def expand_layers(doc: PathMLDocument, n_layers: int, direction) -> PathMLDocume
     approach speed ``v[0]``.  ``n_layers == 1`` returns the document
     unchanged; a result of more than ``MAX_POINTS`` points raises ValueError.
     """
-    n_layers = int(n_layers)
+    n_layers = int_value(n_layers, "n_layers must be an integer")
     if n_layers < 1:
         raise ValueError(f"n_layers must be >= 1, got {n_layers}")
     if len(doc.layers) != 1:

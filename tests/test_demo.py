@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import warnings
 from unittest import mock
 
@@ -473,6 +474,12 @@ class TestFilter:
             with pytest.raises(ValueError, match=f"odd integer >= 3, got .*{shown}"):
                 filter_outliers(s, window=window)
         assert filter_outliers(s, window=np.int64(5)).positions.tobytes() == filter_outliers(s, 5).positions.tobytes()
+        # a bool is refused for either argument, though operator.index(True) is 1
+        for flag in (True, np.True_):
+            with pytest.raises(ValueError, match=re.escape(f"window must be an odd integer >= 3, got {flag!r}")):
+                filter_outliers(s, window=flag)
+            with pytest.raises(ValueError, match=re.escape(f"k must be a number, got {flag!r}")):
+                filter_outliers(s, k=flag)
 
     def test_window_past_the_bound_is_refused(self, monkeypatch):
         widest = demo.MAX_FILTER_WINDOW

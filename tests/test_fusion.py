@@ -349,7 +349,8 @@ class TestFuseCapture:
         assert want.orientations.tobytes() != fuse(cad, demo).orientations.tobytes()
 
     @pytest.mark.parametrize("window, k", [(4, 3.0), (1, 3.0), (103, 3.0), (20001, 3.0), (21, 3.0), (11, 0.0),
-                                           (11, -1.0), (11, float("nan")), (5.9, 3.0), ("11", 3.0)])
+                                           (11, -1.0), (11, float("nan")), (5.9, 3.0), ("11", 3.0),
+                                           (True, 3.0), (11, True)])
     def test_refuses_what_filter_outliers_refuses_with_its_message(self, window, k):
         demo, cad = ramp_demo(n=20), CadPath(SQUARE)
         with pytest.raises(ValueError) as want:

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -6,9 +8,13 @@ from hypothesis import given, strategies as st
 
 import oracles
 from pathfuse import (
+    CadPath,
     CalibrationSet,
     Frame,
     FrameMismatchError,
+    FusedPath,
+    PoseSeries,
+    Track,
     Transform4,
     compose,
     rot_from_fixed_xyz,
@@ -141,6 +147,36 @@ class TestTransform4:
             tf.rotation[0, 0] = 2.0
         with pytest.raises(ValueError):
             tf.translation[0] = 2.0
+
+
+LINE = np.column_stack([np.arange(4.0) * 10.0, np.zeros(4), np.zeros(4)])
+
+
+@pytest.mark.parametrize(
+    "build, arrays",
+    [
+        (PoseSeries, dict(t=np.arange(4.0), positions=LINE, orientations=np.full((4, 3), 0.1))),
+        (CadPath, dict(waypoints=LINE)),
+        (functools.partial(FusedPath, frame=Frame.R),
+         dict(positions=LINE, orientations=np.zeros((4, 3)), speeds=np.full(4, 5.0))),
+        (functools.partial(Track, "T", tool_active=True), dict(points=np.ones((4, 7)))),
+        (Transform4, dict(rotation=np.eye(3), translation=np.array([1.0, 2.0, 3.0]))),
+    ],
+    ids=["PoseSeries", "CadPath", "FusedPath", "Track", "Transform4"],
+)
+def test_array_records_hold_read_only_float64_copies(build, arrays):
+    given = {name: a.copy() for name, a in arrays.items()}  # the caller's own writeable arrays
+    record = build(**given)
+    held = {f.name for f in dataclasses.fields(record) if isinstance(getattr(record, f.name), np.ndarray)}
+    assert held == set(given)
+    for name, a in given.items():
+        got = getattr(record, name)
+        kept = got.copy()
+        assert got.dtype == np.float64 and not got.flags.writeable and not np.shares_memory(got, a)
+        with pytest.raises(ValueError, match="read-only"):
+            got[...] = 0.0
+        a += 1.0
+        assert np.array_equal(got, kept)
 
 
 class TestComposeInvert:

@@ -110,6 +110,12 @@ class TestTrack:
         with pytest.raises(ValueError, match="shape"):
             Track("T", points, True)
 
+    def test_tool_active_must_be_a_bool(self):
+        for flag in ("false", 0, 1, None):
+            with pytest.raises(ValueError, match=re.escape(f"tool_active must be a bool, got {flag!r}")):
+                Track("T", (), flag)
+        assert Track("T", (), np.False_).tool_active is False
+
     def test_value_equality(self):
         rows = [(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)]
         assert Track("T", rows, True) == Track("T", np.array(rows), True)
@@ -117,6 +123,15 @@ class TestTrack:
         assert Track("T", rows, True) != Track("U", rows, True)
         assert Track("T", rows, True) != Track("T", [(0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 7.0)], True)
         assert Track("T", rows, True) != Track("T", rows * 2, True)
+
+
+class TestLayer:
+    def test_index_must_be_an_integer(self):
+        for index, shown in ((1.7, "1.7"), ("1", "'1'"), (True, "True")):
+            with pytest.raises(ValueError, match=f"layer index must be an integer, got {shown}"):
+                Layer("L", index, ())
+        index = Layer("L", np.int64(3), ()).index
+        assert index == 3 and type(index) is int
 
 
 class TestProcessParameters:
@@ -587,6 +602,11 @@ class TestExpand:
         two = PathMLDocument(doc.project_name, doc.process, (doc.layers[0], Layer("b", 1, doc.layers[0].tracks)))
         with pytest.raises(ValueError, match="single-layer"):
             expand_layers(two, 2, (0, 0, 1))
+        # a layer count that is not an integer is refused, not truncated; numpy integers pass
+        for n, shown in ((2.9, "2.9"), ("2", "'2'"), (True, "True")):
+            with pytest.raises(ValueError, match=f"n_layers must be an integer, got {shown}"):
+                expand_layers(doc, n, (0, 0, 1))
+        assert expand_layers(doc, np.int64(2), (0, 0, 1)) == expand_layers(doc, 2, (0, 0, 1))
 
     def test_refuses_more_than_max_points(self):
         # 10**12 layers of 3 points would be 24 TB of coordinates
