@@ -21,6 +21,9 @@ sha256 per part:
   fused path) at seeds 7 and 11: the chain's jittered path, the same moved
   150 mm along z (``far150``), points at the loop's centre (``centre``, where
   the search can skip no segment) and a log five times denser (``dense``);
+  and 40 points within 1 um of the centre of a regular 5,000-gon of radius
+  300 mm (``gon5000``), each of which keeps more point-segment pairs than one
+  slice of the search holds;
 * ``synth``: ``format_demo_csv`` of ``synth_demo`` captures of
   ``noise_study.py``'s line and circle at 100 and 240 Hz, two seeds for each of
   the study's 24 cells; the truth and the rate change every two captures, so
@@ -204,6 +207,12 @@ def deviation(pf, workloads) -> str:
             path = pf.FusedPath(pos, np.zeros_like(pos), np.full(len(pos), 100.0), executed.frame, executed.closed)
             report = pf.deviation_report(path, nominal, DEVIATION_BREAKS)
             h.update(f"{seed} {name}".encode() + b"\0" + report.to_json().encode())
+    a = np.arange(5000) * (2.0 * np.pi / 5000)
+    ring = np.column_stack([300.0 * np.cos(a), 300.0 * np.sin(a), np.zeros(5000)])
+    nominal = pf.FusedPath(ring, np.zeros_like(ring), np.full(5000, 100.0), pf.Frame.R, True)
+    pos = np.random.default_rng(5000).uniform(-1e-3, 1e-3, (40, 3))
+    path = pf.FusedPath(pos, np.zeros_like(pos), np.full(40, 100.0), pf.Frame.R)
+    h.update(b"gon5000\0" + pf.deviation_report(path, nominal, DEVIATION_BREAKS).to_json().encode())
     return h.hexdigest()
 
 

@@ -28,6 +28,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
+from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -72,8 +73,9 @@ class ProcessParameters:
     """Process metadata carried alongside the geometry.
 
     ``glue_flow_rate`` is ml/min, ``wire_feed_rate`` mm/s, ``layer_height``
-    mm.  ``extra`` is an ordered sequence of (name, text) pairs for
-    free-form attributes; order is preserved through serialization.
+    mm, each None or a real number other than a bool, stored as a float.
+    ``extra`` is an ordered sequence of (name, text) pairs for free-form
+    attributes; order is preserved through serialization.
     """
 
     process_type: ProcessType
@@ -92,15 +94,11 @@ class ProcessParameters:
         object.__setattr__(self, "process_type", pt)
         for name, _ in PROCESS_NUMBERS:
             v = getattr(self, name)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, Real)):
+                raise ValueError(f"{name} must be a number, got {v!r}")
             object.__setattr__(self, name, None if v is None else float(v))
-        extra = self.extra
-        if isinstance(extra, Mapping):
-            pairs = extra.items()
-        else:
-            pairs = extra
-        object.__setattr__(
-            self, "extra", tuple((str(k), str(v)) for k, v in pairs)
-        )
+        pairs = self.extra.items() if isinstance(self.extra, Mapping) else self.extra
+        object.__setattr__(self, "extra", tuple((str(k), str(v)) for k, v in pairs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,7 +154,8 @@ class PathMLDocument:
     layers: tuple[Layer, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "project_name", str(self.project_name))
+        if not isinstance(self.project_name, str):
+            raise ValueError(f"project_name must be a str, got {self.project_name!r}")
         object.__setattr__(self, "layers", tuple(self.layers))
 
 

@@ -89,22 +89,25 @@ class ValidationReport:
         return not (self.violations or self.document)
 
 
-def _traverse(doc: PathMLDocument) -> tuple[list[tuple[int, Layer]], np.ndarray, np.ndarray]:
+def _layers(doc: PathMLDocument) -> list[tuple[int, Layer]]:
+    """(position in ``doc.layers``, layer) pairs in the order moves are checked and emitted:
+    by ``Index``, a stable sort, so equal indices keep their listing order."""
+    return sorted(enumerate(doc.layers), key=lambda pair: pair[1].index)
+
+
+def _traverse(doc: PathMLDocument) -> tuple[np.ndarray, np.ndarray]:
     """The moves of a document in the one order they are checked and emitted.
 
-    Layers go by ``Index`` (a stable sort, so equal indices keep their listing
-    order), then tracks as listed, then points.  Returns the layers as
-    (position in ``doc.layers``, layer) pairs in that order, every point
-    joined into one ``(N, 7)`` array, and each point's (layer position,
+    Layers in ``_layers`` order, then tracks as listed, then points: every
+    point joined into one ``(N, 7)`` array, and each point's (layer position,
     track, point) address as an ``(N, 3)`` integer array.
     """
-    layers = sorted(enumerate(doc.layers), key=lambda pair: pair[1].index)
-    tracks = [(li, ti, t.points) for li, layer in layers for ti, t in enumerate(layer.tracks)]
+    tracks = [(li, ti, t.points) for li, layer in _layers(doc) for ti, t in enumerate(layer.tracks)]
     points = np.concatenate([np.empty((0, 7))] + [pts for _, _, pts in tracks])
     li, ti, n = np.array([(li, ti, len(pts)) for li, ti, pts in tracks], dtype=np.intp).reshape(-1, 3).T
     first = np.repeat(np.cumsum(n) - n, n)  # row where each point's track starts
     address = np.column_stack([np.repeat(li, n), np.repeat(ti, n), np.arange(len(points)) - first])
-    return layers, points, address
+    return points, address
 
 
 def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
@@ -127,7 +130,7 @@ def validate_path(doc: PathMLDocument, limits: PathLimits) -> ValidationReport:
     """
     rules = ("step", "orient_step", "reachability", "speed")
     limit = (limits.max_step_mm, limits.max_orient_step_deg, limits.workspace_radius_mm, limits.max_speed_mm_s)
-    _, pts, address = _traverse(doc)
+    pts, address = _traverse(doc)
     # one row per point, one column per rule; NaN where a rule does not apply
     measured = np.full((len(pts), 4), np.nan)
     # inf - inf, cos(inf): NaN, which breaks no limit; a length that overflows is inf, which breaks it
@@ -173,14 +176,14 @@ def emit_program(report: ValidationReport) -> RobotProgram:
     no check of its own.  A report that did not pass raises ValidationError
     naming every violation, document rules first, then limits, as ``pathml
     validate`` prints them.  The moves are emitted in the order
-    ``validate_path`` checks them (``_traverse``): layers by ``Index`` (equal
+    ``validate_path`` checks them (``_layers``): layers by ``Index`` (equal
     indices in listing order), then tracks, then points.
     Tool-active tracks are wrapped in SET_IO TOOL 1/0.
     """
     if not report.passed:
         raise ValidationError("refusing to emit: " + "; ".join(map(str, report.document + report.violations)))
     doc = report.doc
-    layers = _traverse(doc)[0]
+    layers = _layers(doc)
 
     p = doc.process
     lines = [_comment(f"program: {doc.project_name}"), _comment(f"process_type: {p.process_type.value}")]
@@ -252,18 +255,19 @@ def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     The skip pays when points lie near the polyline compared with a block's
     size.  A pass takes ``min(_BOUNDS // blocks, _PAIRS // _BLOCK)`` points,
     so its (point, block) bounds number at most ``_BOUNDS`` and its nearest
-    blocks' pairs at most ``_PAIRS``.  It measures the pairs of the other
-    blocks it keeps in slices of whole points, at most ``_PAIRS`` pairs each
-    unless one point alone has more, so memory stays bounded when nothing
-    can be skipped.  Every measurement gathers into one set of buffers, grown
-    to the largest so far, and ``_sq_gaps`` works in them, so slices reuse
-    their work space: freed after each slice, it would be handed back to the
-    system and faulted in again by the next one.
+    blocks' pairs at most ``_PAIRS``.  The (point, block) pairs it keeps of
+    the other blocks go in fixed slices of ``max(1, _PAIRS // _BLOCK)``, so
+    no measurement holds more than ``max(_PAIRS, _BLOCK)`` point-segment
+    pairs and memory stays bounded when nothing can be skipped; a point cut
+    over two slices keeps the smaller of its two minima.  Every measurement
+    gathers into one set of buffers, grown to the largest so far, and
+    ``_sq_gaps`` works in them, so slices reuse their work space: freed after
+    each slice, it would be handed back to the system and faulted in again
+    by the next one.
     """
     a = poly[:-1]
     d = poly[1:] - a
     dd = np.einsum("ij,ij->i", d, d)
-    dd_safe = np.where(dd > 0.0, dd, 1.0)  # zero-length segments act as points
 
     first = np.arange(0, len(a), _BLOCK)  # block b holds segments first[b]:last[b]
     last = np.minimum(first + _BLOCK, len(a))
@@ -277,7 +281,7 @@ def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     top = np.maximum(np.max(np.abs(poly)), np.max(np.abs(points), initial=0.0))  # NaN if any is
     margin = 1e-12 * top + 1e-150 if top < 2.0**500 else np.inf  # inf: skip nothing
 
-    work = []  # the buffers _sq_gaps works in: p, a, d, p - a, then dd, dd_safe, t
+    work = []  # the buffers _sq_gaps works in: p, a, d, p - a, then dd, t
 
     def min_sq(pts, pi, bi):
         """The points ``pi`` (ascending) and the smallest squared gap of each to the segments of its blocks ``bi``."""
@@ -285,15 +289,16 @@ def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
         seg = np.repeat(first[bi] - np.cumsum(n) + n, n) + np.arange(n.sum())
         row = np.repeat(pi, n)
         if not work or len(work[0]) < len(seg):
-            work[:] = [np.empty((len(seg), 3)) for _ in range(4)] + [np.empty(len(seg)) for _ in range(3)]
-        p, sa, sd, pa, sdd, sdd_safe, t = (w[: len(seg)] for w in work)
-        for src, idx, buf in ((pts, row, p), (a, seg, sa), (d, seg, sd), (dd, seg, sdd), (dd_safe, seg, sdd_safe)):
+            work[:] = [np.empty((len(seg), 3)) for _ in range(4)] + [np.empty(len(seg)) for _ in range(2)]
+        p, sa, sd, pa, sdd, t = (w[: len(seg)] for w in work)
+        for src, idx, buf in ((pts, row, p), (a, seg, sa), (d, seg, sd), (dd, seg, sdd)):
             np.take(src, idx, axis=0, out=buf, mode="clip")  # "clip": no copy of buf; idx is in range
         runs = np.flatnonzero(np.diff(pi, prepend=-1))  # each point's first (point, block) pair
-        return pi[runs], np.minimum.reduceat(_sq_gaps(p, sa, sd, sdd, sdd_safe, pa, t), (np.cumsum(n) - n)[runs])
+        return pi[runs], np.minimum.reduceat(_sq_gaps(p, sa, sd, sdd, pa, t), (np.cumsum(n) - n)[runs])
 
     out = np.empty(len(points))
-    chunk = max(1, min(_BOUNDS // len(first), _PAIRS // _BLOCK))
+    step = max(1, _PAIRS // _BLOCK)  # (point, block) pairs per slice
+    chunk = max(1, min(_BOUNDS // len(first), step))
     for start in range(0, len(points), chunk):
         pts = points[start : start + chunk]
         lower = _norm(pts[:, None, :] - centre) - radius
@@ -303,31 +308,24 @@ def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
         keep = ~(lower > np.sqrt(sq)[:, None] + margin)
         keep[every, near] = False
         pi, bi = np.nonzero(keep)
-        # cum[k]: the pairs of the points before k; each slice ends at the last point that fits
-        cum = np.concatenate([[0.0], np.cumsum(np.bincount(pi, size[bi], len(pts)))])
-        p0 = 0
-        while p0 < len(pts):
-            p1 = max(p0 + 1, int(np.searchsorted(cum, cum[p0] + _PAIRS, side="right")) - 1)
-            k0, k1 = np.searchsorted(pi, (p0, p1))
-            if k1 > k0:
-                rows, rest = min_sq(pts, pi[k0:k1], bi[k0:k1])
-                sq[rows] = np.minimum(sq[rows], rest)
-            p0 = p1
+        for k in range(0, len(pi), step):
+            rows, rest = min_sq(pts, pi[k : k + step], bi[k : k + step])
+            sq[rows] = np.minimum(sq[rows], rest)
         out[start : start + chunk] = np.sqrt(sq)
     return out
 
 
-def _sq_gaps(
-    p: np.ndarray, a: np.ndarray, d: np.ndarray, dd: np.ndarray, dd_safe: np.ndarray, pa: np.ndarray, t: np.ndarray
-) -> np.ndarray:
+def _sq_gaps(p: np.ndarray, a: np.ndarray, d: np.ndarray, dd: np.ndarray, pa: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Squared gap from each p to the segment a..a+d: clamp the projection, then square each axis.
 
+    A segment whose ``dd`` is not positive (zero length) acts as its point a.
     Works in place: ``p``, ``a`` and ``d`` are overwritten, ``pa`` (shaped like
     ``p``) is work space, and the result is written to ``t`` (shaped like ``dd``).
     """
     np.einsum("ij,ij->i", np.subtract(p, a, out=pa), d, out=t)
-    np.clip(np.divide(t, dd_safe, out=t), 0.0, 1.0, out=t)
-    t[~(dd > 0.0)] = 0.0
+    positive = dd > 0.0
+    np.clip(np.divide(t, dd, out=t, where=positive), 0.0, 1.0, out=t)
+    t[~positive] = 0.0
     g = np.subtract(p, np.add(a, np.multiply(t[:, None], d, out=d), out=a), out=p)
     np.multiply(g, g, out=g)
     return np.add(np.add(g[:, 0], g[:, 1], out=t), g[:, 2], out=t)
@@ -357,9 +355,9 @@ def deviation_report(
     measures the block whose ball comes nearest, and that distance is its
     upper bound.  So the distances are bit-identical to measuring every
     segment; the search needs no matching of progress, so it holds for any
-    executed path.  Points go in passes sized so that their (point, block)
-    bounds number at most 2**13, and kept pairs in slices of at most 2**12,
-    so memory stays bounded however few blocks can be skipped.  Skipping
+    executed path.  Points go in passes and kept pairs in slices of bounded
+    size (``_point_to_polyline_mm`` states the rule), so memory stays
+    bounded however few blocks can be skipped.  Skipping
     saves most on an executed path that stays near the nominal; one far from
     it costs about what measuring every segment costs.
     Sections split the executed path at the given normalized arc-length

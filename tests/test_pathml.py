@@ -147,6 +147,21 @@ class TestProcessParameters:
         p = ProcessParameters("other", extra={"Voltage_V": "24"})
         assert p.extra == (("Voltage_V", "24"),)
 
+    def test_numbers_must_be_numbers(self):
+        for field, value in (("glue_flow_rate", True), ("layer_height", "2.5"), ("wire_feed_rate", np.True_)):
+            with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
+                ProcessParameters("adhesive", **{field: value})
+        p = ProcessParameters("adhesive", glue_flow_rate=3, wire_feed_rate=np.float32(0.5), layer_height=np.int64(2))
+        assert [type(v) for v in (p.glue_flow_rate, p.wire_feed_rate, p.layer_height)] == [float] * 3
+        assert (p.glue_flow_rate, p.wire_feed_rate, p.layer_height) == (3.0, 0.5, 2.0)
+
+
+class TestPathMLDocument:
+    def test_project_name_must_be_a_str(self):
+        for name in (None, 7, b"p"):
+            with pytest.raises(ValueError, match=re.escape(f"project_name must be a str, got {name!r}")):
+                PathMLDocument(name, ProcessParameters("other"), ())
+
 
 class TestValidate:
     def _details(self, doc):

@@ -394,7 +394,7 @@ class TestEmit:
         assert report.doc is doc and report.passed
         moves = [line.split()[1:] for line in emit_program(report).lines if line.startswith("MOVEL")]
         read_back = np.array([[float(f.removeprefix("V=")) for f in fields] for fields in moves])
-        assert np.array_equal(read_back, program._traverse(doc)[1])
+        assert np.array_equal(read_back, program._traverse(doc)[0])
         assert np.array_equal(read_back, np.concatenate([rows[1], rows[2], rows[4], rows[3], rows[0]]))
 
     def test_multiline_names_collapsed_in_comments(self):
@@ -489,7 +489,7 @@ class TestDeviation:
 
     def test_point_to_polyline_across_chunks(self, monkeypatch):
         # 39 segments make 3 blocks: passes of min(_BOUNDS // 3, 1024 // 16) = 64 points, and
-        # slices of at most 1024 pairs
+        # slices of 64 (point, block) pairs, at most 1024 point-segment pairs
         monkeypatch.setattr(program, "_PAIRS", 1024)
         measured = _measured_pairs(monkeypatch)
         rng = np.random.default_rng(9)
@@ -620,6 +620,7 @@ class TestBlockPrune:
         poly = _polygon(1200, 300.0)
         points = poly[:-1] + np.random.default_rng(1).uniform(-1.0, 1.0, (1200, 3))
         _same(points, poly)
+        _same(points + [0.0, 0.0, 150.0], poly)  # far off: few blocks can be skipped
 
     def test_zero_length_segments(self):
         rng = np.random.default_rng(2)
@@ -658,9 +659,9 @@ class TestBlockPrune:
     @pytest.mark.parametrize("pairs", [1, 40, 100, 400, 1000, 1 << 18])
     def test_point_counts_across_the_chunk_size(self, monkeypatch, pairs):
         # 40 segments make 3 blocks: passes of max(1, pairs // 16) points, at most _BOUNDS // 3,
-        # and slices of whole points with at most `pairs` pairs unless one point alone has more.
-        # At 40 and 100 some passes take two slices; at 400 a pass holds 25 points, so 24, 25 and
-        # 26 straddle it.
+        # and slices of as many (point, block) pairs, so one point's blocks may fall in two slices.
+        # At 1 a slice holds one block; at 40 and 100 some passes take two slices; at 400 a pass
+        # holds 25 points, so 24, 25 and 26 straddle it.
         monkeypatch.setattr(program, "_PAIRS", pairs)
         rng = np.random.default_rng(pairs)
         poly = np.cumsum(rng.uniform(-10.0, 10.0, (41, 3)), axis=0)
@@ -688,6 +689,14 @@ class TestBlockPrune:
             tracemalloc.stop()
         assert peak < 5_900_757 + 2**20
         _same(points, poly)
+
+    def test_slices_cut_a_point_that_keeps_more_pairs_than_one_holds(self, monkeypatch):
+        # Points at the centre of a regular 4,000-gon keep all 250 blocks: 3,984 pairs besides
+        # their nearest block's, cut over slices of 1024 // 16 = 64 (point, block) pairs.
+        monkeypatch.setattr(program, "_PAIRS", 1024)
+        measured = _measured_pairs(monkeypatch)
+        _same(np.random.default_rng(6).uniform(-1e-3, 1e-3, (300, 3)), _polygon(4000))
+        assert max(measured) <= 1024
 
     @pytest.mark.parametrize("scale", [1e-160, 1e-3, 1e6, 1e150, 1e154, 1e300, 1e308])
     def test_extreme_coordinates(self, scale):
