@@ -48,14 +48,19 @@ sha256 per part:
   each capture fused by ``fuse_capture`` in one call, hashed together.  The
   script exits 1, after printing every line, when it differs from the same
   hash of the two digests above, whose captures go through ``filter_outliers``
-  then ``fuse``.
+  then ``fuse``;
+* ``nearest``: the segment and fraction bits ``cad.nearest_segments`` gives
+  each executed point of the ``deviation`` cases, so that equal digests land
+  every point on the same segment at the same place; ``absent`` for a
+  checkout that has no such search.
 
 Then, for each chain workload, one sha256 per output file name over the same
 seeds (``OUTPUT_FILES``; ``capture*/fused.json`` are the quality pass's fused
 captures), so that two checkouts whose chain digests differ show which outputs
 moved.  The last line is one JSON object of the digests above but ``synth``,
-``validate``, ``readers``, ``pathml`` and ``capture``, the per-file ones under ``"files"``.  Only the inputs are
-seeded, so equal digests from two checkouts mean equal outputs.
+``validate``, ``readers``, ``pathml``, ``capture`` and ``nearest``, the per-file
+ones under ``"files"``.  Only the inputs are seeded, so equal digests from two
+checkouts mean equal outputs.
 """
 
 import argparse
@@ -186,8 +191,9 @@ def capture(pf, workloads) -> str:
     return joined(noise_sweep(one_call, workloads), near_lock(one_call))
 
 
-def deviation(pf, workloads) -> str:
-    h = hashlib.sha256()
+def deviation_cases(pf, workloads) -> list[tuple[str, object, object]]:
+    """(label, executed path, nominal path) of each ``deviation`` case."""
+    out = []
     for seed in DEVIATION_SEEDS:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
@@ -205,14 +211,32 @@ def deviation(pf, workloads) -> str:
         }
         for name, pos in cases.items():
             path = pf.FusedPath(pos, np.zeros_like(pos), np.full(len(pos), 100.0), executed.frame, executed.closed)
-            report = pf.deviation_report(path, nominal, DEVIATION_BREAKS)
-            h.update(f"{seed} {name}".encode() + b"\0" + report.to_json().encode())
+            out.append((f"{seed} {name}", path, nominal))
     a = np.arange(5000) * (2.0 * np.pi / 5000)
     ring = np.column_stack([300.0 * np.cos(a), 300.0 * np.sin(a), np.zeros(5000)])
     nominal = pf.FusedPath(ring, np.zeros_like(ring), np.full(5000, 100.0), pf.Frame.R, True)
     pos = np.random.default_rng(5000).uniform(-1e-3, 1e-3, (40, 3))
-    path = pf.FusedPath(pos, np.zeros_like(pos), np.full(40, 100.0), pf.Frame.R)
-    h.update(b"gon5000\0" + pf.deviation_report(path, nominal, DEVIATION_BREAKS).to_json().encode())
+    out.append(("gon5000", pf.FusedPath(pos, np.zeros_like(pos), np.full(40, 100.0), pf.Frame.R), nominal))
+    return out
+
+
+def deviation(pf, cases) -> str:
+    h = hashlib.sha256()
+    for label, path, nominal in cases:
+        h.update(label.encode() + b"\0" + pf.deviation_report(path, nominal, DEVIATION_BREAKS).to_json().encode())
+    return h.hexdigest()
+
+
+def nearest(pf, cases) -> str:
+    """The digest of where ``cad.nearest_segments`` lands each executed point of ``cases`` on its
+    nominal polyline, or ``absent`` for a checkout without that search."""
+    cad = importlib.import_module("pathfuse.cad")
+    if not hasattr(cad, "nearest_segments"):
+        return "absent"
+    h = hashlib.sha256()
+    for label, path, nominal in cases:
+        _, segment, fraction = cad.nearest_segments(path.positions, cad.traverse(nominal.positions, nominal.closed))
+        h.update(label.encode() + b"\0" + segment.astype(np.int64).tobytes() + fraction.tobytes())
     return h.hexdigest()
 
 
@@ -356,6 +380,7 @@ def main() -> int:
         sys.exit(f"imported pathfuse from {pf.__file__}, not from {root / 'src'}")
 
     specs = workloads.CHAIN_SPECS
+    cases = deviation_cases(pf, workloads)
     chains = {
         "capture_long": chain(pf, workloads, specs["capture_long"]),
         "stack_dense": chain(pf, workloads, specs["stack_dense"]),
@@ -367,11 +392,12 @@ def main() -> int:
         "stack_dense": chains["stack_dense"][0],
         "near_lock": near_lock(pf),
         "open_stack": chains["open_stack"][0],
-        "deviation": deviation(pf, workloads),
+        "deviation": deviation(pf, cases),
     }
     one_call = capture(pf, workloads)
     for name, digest in {**digests, "synth": synth(pf), "validate": validate(pf, workloads),
-                          "readers": readers(pf), "pathml": pathml(pf), "capture": one_call}.items():
+                          "readers": readers(pf), "pathml": pathml(pf), "capture": one_call,
+                          "nearest": nearest(pf, cases)}.items():
         print(f"{name:13s} {digest}")
     files = {workload: per_file for workload, (_, per_file) in chains.items()}
     for workload, per_file in files.items():

@@ -1,6 +1,6 @@
 """Input text, as every reader takes it: UTF-8 after one optional BOM, numbers spelled as ASCII
-decimals in text (``number``, ``integer``) and as JSON numbers in JSON; and integer arguments
-that are not bools (``int_value``)."""
+decimals in text (``number``, ``integer``) and as JSON numbers in JSON; and integer and real
+arguments that are not bools (``int_value``, ``real_value``)."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import operator
 import re
 import warnings
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -65,6 +66,16 @@ def int_value(value, message: str) -> int:
     if not isinstance(value, (bool, np.bool_)):
         with contextlib.suppress(TypeError):
             return operator.index(value)
+    raise ValueError(f"{message}, got {value!r}")
+
+
+def real_value(value, message: str, positive: bool = False) -> float:
+    """``value`` as a float if it is a Python or numpy real number but not a bool, and with ``positive``
+    a finite one above 0; else ValueError naming it."""
+    if isinstance(value, Real) and not isinstance(value, (bool, np.bool_)):
+        with contextlib.suppress(OverflowError):
+            if not positive or 0.0 < float(value) < math.inf:
+                return float(value)
     raise ValueError(f"{message}, got {value!r}")
 
 

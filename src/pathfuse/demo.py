@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import _quat, _read
-from ._read import csv_lines, csv_row, decode, int_value
+from ._read import csv_lines, csv_row, decode, int_value, real_value
 from ._rows import fill_rows
 from .cad import MAX_POINTS
 from .errors import ValidationError
@@ -368,9 +368,12 @@ class TrackerErrorModel:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            if f.name != "seed" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+        object.__setattr__(self, "seed", int_value(self.seed, "seed must be an integer"))
+        for name in (f.name for f in fields(self) if f.name != "seed"):
+            v = real_value(getattr(self, name), f"{name} must be a number")
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+            object.__setattr__(self, name, v)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.z_bias_max < 0.0:
@@ -405,8 +408,7 @@ def synth_demo(truth: "FusedPath", model: TrackerErrorModel, rate_hz: float) -> 
     checks on the rate, the speeds, the extent and the sample count run on
     every call, before the traversal is looked up.
     """
-    if not (0.0 < rate_hz < math.inf):
-        raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
+    rate_hz = real_value(rate_hz, "rate_hz must be positive and finite", positive=True)
     if (truth.speeds <= 0.0).any():
         raise ValueError("truth speeds must be positive to traverse the path")
     total_t = float(_waypoint_times(truth.positions, truth.speeds)[-1])

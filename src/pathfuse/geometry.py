@@ -49,10 +49,14 @@ class Frame(str, Enum):
 def row_norms(x: np.ndarray) -> np.ndarray:
     """Euclidean length of each vector along the last axis of a float array.
 
-    Equal bit for bit to ``np.linalg.norm(x, axis=-1)``, whose own formula for
-    one axis this is, without the Python-level cost of its argument handling.
+    The squared columns are summed left to right, the order in which
+    ``np.add.reduce`` sums a last axis of fewer than 8, so the lengths equal
+    ``np.linalg.norm(x, axis=-1)`` bit for bit, at a fraction of its time.
     """
-    return np.sqrt(np.add.reduce(x * x, axis=-1))
+    sq = x[..., 0] * x[..., 0]
+    for j in range(1, x.shape[-1]):
+        sq += x[..., j] * x[..., j]
+    return np.sqrt(sq)
 
 
 def freeze(record, **arrays) -> tuple[np.ndarray, ...]:

@@ -28,12 +28,11 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
-from numbers import Real
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._read import int_value, integer, number
+from ._read import int_value, integer, number, real_value
 from ._rows import fill_rows
 from .cad import MAX_POINTS
 from .errors import FrameMismatchError, ParseError, SchemaError, ValidationError
@@ -94,9 +93,7 @@ class ProcessParameters:
         object.__setattr__(self, "process_type", pt)
         for name, _ in PROCESS_NUMBERS:
             v = getattr(self, name)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, Real)):
-                raise ValueError(f"{name} must be a number, got {v!r}")
-            object.__setattr__(self, name, None if v is None else float(v))
+            object.__setattr__(self, name, None if v is None else real_value(v, f"{name} must be a number"))
         pairs = self.extra.items() if isinstance(self.extra, Mapping) else self.extra
         object.__setattr__(self, "extra", tuple((str(k), str(v)) for k, v in pairs))
 

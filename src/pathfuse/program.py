@@ -21,8 +21,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import _quat
+from ._read import real_value
 from ._rows import fill_rows
-from .cad import arc_fraction, arc_lengths, traverse
+from .cad import arc_fraction, arc_lengths, nearest_segments, traverse
 from .errors import FrameMismatchError, ValidationError
 from .fusion import FusedPath
 from .geometry import row_norms
@@ -46,11 +47,8 @@ class PathLimits:
 
     def __post_init__(self):
         for name in ("max_step_mm", "max_speed_mm_s", "workspace_radius_mm", "max_orient_step_deg"):
-            v = float(getattr(self, name))
-            if not (math.isfinite(v) and v > 0.0):
-                raise ValueError(f"{name} must be positive and finite, got {v!r}")
-            object.__setattr__(self, name, v)
-        c = tuple(float(v) for v in self.workspace_center)
+            object.__setattr__(self, name, real_value(getattr(self, name), f"{name} must be positive and finite", True))
+        c = tuple(real_value(v, "workspace_center must hold numbers") for v in self.workspace_center)
         if len(c) != 3 or not all(math.isfinite(v) for v in c):
             raise ValueError(f"workspace_center must be a finite 3-vector, got {self.workspace_center!r}")
         object.__setattr__(self, "workspace_center", c)
@@ -228,114 +226,6 @@ class DeviationReport:
         return json.dumps(asdict(self), indent=2) + "\n"
 
 
-_BLOCK = 16  # consecutive segments under one bounding ball
-_BOUNDS = 1 << 13  # (point, block) bounds per pass
-_PAIRS = 1 << 12  # point-segment pairs per measurement: its work space stays under 0.6 MB
-
-
-def _point_to_polyline_mm(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Min distance of each point to any segment of a polyline.
-
-    Each pair is measured by one formula (``_sq_gaps``); each point keeps
-    the smallest squared gap, then ``sqrt``.  Pairs that cannot hold the
-    nearest segment are skipped.  The segments go in blocks of ``_BLOCK``
-    consecutive ones, each inside a ball (centre: the middle of its
-    vertices' bounding box; radius: the farthest vertex from there), so
-    every segment of a block lies at least ``|p-c|-r`` from a point p.
-    Each point first measures every segment of the block with the smallest
-    such lower bound; the nearest distance found there, ``ub``, bounds the
-    point's nearest segment from above.  Of the other blocks it measures
-    those whose lower bound does not exceed ``ub`` by more than a margin:
-    ``1e-12`` times the largest coordinate plus ``1e-150``, more than the
-    rounding of the bounds and of the measured distances.  So the result is
-    bit-identical to measuring every pair.  A NaN bound skips nothing, and
-    neither does a coordinate of 2**500 or more, where a square could
-    overflow.
-
-    The skip pays when points lie near the polyline compared with a block's
-    size.  A pass takes ``min(_BOUNDS // blocks, _PAIRS // _BLOCK)`` points,
-    so its (point, block) bounds number at most ``_BOUNDS`` and its nearest
-    blocks' pairs at most ``_PAIRS``.  The (point, block) pairs it keeps of
-    the other blocks go in fixed slices of ``max(1, _PAIRS // _BLOCK)``, so
-    no measurement holds more than ``max(_PAIRS, _BLOCK)`` point-segment
-    pairs and memory stays bounded when nothing can be skipped; a point cut
-    over two slices keeps the smaller of its two minima.  Every measurement
-    gathers into one set of buffers, grown to the largest so far, and
-    ``_sq_gaps`` works in them, so slices reuse their work space: freed after
-    each slice, it would be handed back to the system and faulted in again
-    by the next one.
-    """
-    a = poly[:-1]
-    d = poly[1:] - a
-    dd = np.einsum("ij,ij->i", d, d)
-
-    first = np.arange(0, len(a), _BLOCK)  # block b holds segments first[b]:last[b]
-    last = np.minimum(first + _BLOCK, len(a))
-    size = last - first
-    lo = np.minimum(np.minimum.reduceat(a, first), poly[last])
-    hi = np.maximum(np.maximum.reduceat(a, first), poly[last])
-    centre = (lo + hi) / 2.0
-    radius = np.maximum(
-        np.maximum.reduceat(_norm(a - np.repeat(centre, size, axis=0)), first), _norm(poly[last] - centre)
-    )
-    top = np.maximum(np.max(np.abs(poly)), np.max(np.abs(points), initial=0.0))  # NaN if any is
-    margin = 1e-12 * top + 1e-150 if top < 2.0**500 else np.inf  # inf: skip nothing
-
-    work = []  # the buffers _sq_gaps works in: p, a, d, p - a, then dd, t
-
-    def min_sq(pts, pi, bi):
-        """The points ``pi`` (ascending) and the smallest squared gap of each to the segments of its blocks ``bi``."""
-        n = size[bi]
-        seg = np.repeat(first[bi] - np.cumsum(n) + n, n) + np.arange(n.sum())
-        row = np.repeat(pi, n)
-        if not work or len(work[0]) < len(seg):
-            work[:] = [np.empty((len(seg), 3)) for _ in range(4)] + [np.empty(len(seg)) for _ in range(2)]
-        p, sa, sd, pa, sdd, t = (w[: len(seg)] for w in work)
-        for src, idx, buf in ((pts, row, p), (a, seg, sa), (d, seg, sd), (dd, seg, sdd)):
-            np.take(src, idx, axis=0, out=buf, mode="clip")  # "clip": no copy of buf; idx is in range
-        runs = np.flatnonzero(np.diff(pi, prepend=-1))  # each point's first (point, block) pair
-        return pi[runs], np.minimum.reduceat(_sq_gaps(p, sa, sd, sdd, pa, t), (np.cumsum(n) - n)[runs])
-
-    out = np.empty(len(points))
-    step = max(1, _PAIRS // _BLOCK)  # (point, block) pairs per slice
-    chunk = max(1, min(_BOUNDS // len(first), step))
-    for start in range(0, len(points), chunk):
-        pts = points[start : start + chunk]
-        lower = _norm(pts[:, None, :] - centre) - radius
-        every = np.arange(len(pts))
-        near = np.argmin(lower, axis=1)
-        sq = min_sq(pts, every, near)[1]
-        keep = ~(lower > np.sqrt(sq)[:, None] + margin)
-        keep[every, near] = False
-        pi, bi = np.nonzero(keep)
-        for k in range(0, len(pi), step):
-            rows, rest = min_sq(pts, pi[k : k + step], bi[k : k + step])
-            sq[rows] = np.minimum(sq[rows], rest)
-        out[start : start + chunk] = np.sqrt(sq)
-    return out
-
-
-def _sq_gaps(p: np.ndarray, a: np.ndarray, d: np.ndarray, dd: np.ndarray, pa: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Squared gap from each p to the segment a..a+d: clamp the projection, then square each axis.
-
-    A segment whose ``dd`` is not positive (zero length) acts as its point a.
-    Works in place: ``p``, ``a`` and ``d`` are overwritten, ``pa`` (shaped like
-    ``p``) is work space, and the result is written to ``t`` (shaped like ``dd``).
-    """
-    np.einsum("ij,ij->i", np.subtract(p, a, out=pa), d, out=t)
-    positive = dd > 0.0
-    np.clip(np.divide(t, dd, out=t, where=positive), 0.0, 1.0, out=t)
-    t[~positive] = 0.0
-    g = np.subtract(p, np.add(a, np.multiply(t[:, None], d, out=d), out=a), out=p)
-    np.multiply(g, g, out=g)
-    return np.add(np.add(g[:, 0], g[:, 1], out=t), g[:, 2], out=t)
-
-
-def _norm(v: np.ndarray) -> np.ndarray:
-    """Length of each vector along the last axis; a third of ``np.linalg.norm``'s time on these stacks."""
-    return np.sqrt(np.einsum("...i,...i->...", v, v))
-
-
 # deviation_report's default tolerance, which the CLI's config keeps too.
 TOLERANCE_MM = 4.0
 
@@ -349,17 +239,10 @@ def deviation_report(
     """Positional deviation of an executed path from a nominal one.
 
     Each executed point's deviation is its distance to the nearest point of
-    the nominal polyline (closing segments included for closed paths).  The
-    search skips only blocks of 16 consecutive segments whose bounding ball
-    is provably farther than a segment already measured: each point first
-    measures the block whose ball comes nearest, and that distance is its
-    upper bound.  So the distances are bit-identical to measuring every
-    segment; the search needs no matching of progress, so it holds for any
-    executed path.  Points go in passes and kept pairs in slices of bounded
-    size (``_point_to_polyline_mm`` states the rule), so memory stays
-    bounded however few blocks can be skipped.  Skipping
-    saves most on an executed path that stays near the nominal; one far from
-    it costs about what measuring every segment costs.
+    the nominal polyline (closing segments included for closed paths), as
+    ``cad.nearest_segments`` finds it: bit-identical to measuring every
+    segment, in bounded memory, and with no matching of progress, so it holds
+    for any executed path.
     Sections split the executed path at the given normalized arc-length
     breaks, which must be strictly increasing and inside (0, 1); deviations
     are reported per section and overall against ``tolerance_mm``.  The
@@ -370,9 +253,8 @@ def deviation_report(
         raise FrameMismatchError(
             f"paths are in different frames: {executed.frame} vs {nominal.frame}"
         )
-    if not (math.isfinite(tolerance_mm) and tolerance_mm > 0.0):
-        raise ValueError(f"tolerance_mm must be positive, got {tolerance_mm!r}")
-    breaks = tuple(float(b) for b in section_breaks)
+    tolerance_mm = real_value(tolerance_mm, "tolerance_mm must be positive and finite", positive=True)
+    breaks = tuple(real_value(b, "section breaks must be numbers") for b in section_breaks)
     if any(not (0.0 < b < 1.0) for b in breaks):
         raise ValueError(f"section breaks must lie strictly inside (0, 1), got {breaks}")
     if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
@@ -381,7 +263,7 @@ def deviation_report(
     # coordinates near the float limit give inf or NaN distances, which fail the
     # tolerance check, and NaN progress, which falls in the last section
     with np.errstate(over="ignore", invalid="ignore"):
-        devs = _point_to_polyline_mm(executed.positions, traverse(nominal.positions, nominal.closed))
+        devs = nearest_segments(executed.positions, traverse(nominal.positions, nominal.closed))[0]
         # executed progress for sectioning; degenerate (zero-length) paths land in section 1
         params = arc_fraction(arc_lengths(traverse(executed.positions, executed.closed)))[: len(executed)]
 
@@ -389,7 +271,7 @@ def deviation_report(
     masks = [idx == s for s in range(len(breaks) + 1)]
     overall = float(np.max(devs))
     return DeviationReport(
-        tolerance_mm=float(tolerance_mm),
+        tolerance_mm=tolerance_mm,
         overall_max_mm=overall,
         within_tolerance=bool(overall <= tolerance_mm),
         sections=tuple(

@@ -92,6 +92,30 @@ def point_to_polyline_all_pairs(points, poly):
     return out
 
 
+def nearest_segment_all_pairs(points, poly):
+    """Nearest segment of each point and the fraction of its foot along it, measuring every pair.
+
+    16 points at a time against every segment: the projection divided by the
+    squared length where that is positive and clamped to [0, 1], else 0; the
+    squared gap; then ``np.argmin``, which keeps the lowest segment on equal
+    gaps and takes the first NaN gap if there is one.
+    """
+    chunk = 16
+    a = poly[:-1]
+    d = poly[1:] - a
+    dd = np.einsum("ij,ij->i", d, d)
+    segment, fraction = np.empty(len(points), dtype=np.intp), np.empty(len(points))
+    for start in range(0, len(points), chunk):
+        p = points[start : start + chunk, None, :]
+        t = np.clip(np.einsum("kij,ij->ki", p - a, d) / np.where(dd > 0.0, dd, 1.0), 0.0, 1.0)
+        t = np.where(dd > 0.0, t, 0.0)
+        gap = p - (a + t[..., None] * d)
+        sq = gap * gap
+        k = np.argmin(sq[..., 0] + sq[..., 1] + sq[..., 2], axis=1)
+        segment[start : start + chunk], fraction[start : start + chunk] = k, t[np.arange(len(k)), k]
+    return segment, fraction
+
+
 def row_length(d):
     """Length of a 3-vector as a row norm measures it: its squares summed left to right."""
     x, y, z = map(float, d)

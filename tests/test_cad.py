@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -15,7 +16,7 @@ from pathfuse import (
     parse_cad,
     resample_cad,
 )
-from pathfuse import _read
+from pathfuse import _read, cad
 from pathfuse.cad import arc_fraction, arc_lengths, traverse
 
 HEADER = "x_mm,y_mm,z_mm"
@@ -23,16 +24,21 @@ HEADER = "x_mm,y_mm,z_mm"
 SQUARE = np.array([[0.0, 0, 0], [100.0, 0, 0], [100.0, 100.0, 0], [0.0, 100.0, 0]])
 
 
+def _lengths(path):
+    """Lengths of every segment a path traverses, closing one included if closed."""
+    return np.linalg.norm(np.diff(traverse(path.waypoints, path.closed), axis=0), axis=1)
+
+
 class TestCadPath:
     def test_lengths_open(self):
         p = CadPath(np.array([[0, 0, 0], [3.0, 0, 0], [3.0, 4.0, 0]]))
-        assert np.allclose(p.segment_lengths(), [3.0, 4.0])
-        assert math.isclose(p.segment_lengths().sum(), 7.0)
+        assert np.allclose(_lengths(p), [3.0, 4.0])
+        assert math.isclose(_lengths(p).sum(), 7.0)
 
     def test_lengths_closed_include_return_segment(self):
         p = CadPath(SQUARE, closed=True)
-        assert np.allclose(p.segment_lengths(), [100.0] * 4)
-        assert math.isclose(p.segment_lengths().sum(), 400.0)
+        assert np.allclose(_lengths(p), [100.0] * 4)
+        assert math.isclose(_lengths(p).sum(), 400.0)
 
     def test_merges_coincident_neighbors(self):
         pts = np.array([[0, 0, 0], [0, 0, 0], [10.0, 0, 0], [10.0, 0, 0], [10.0, 5.0, 0]])
@@ -131,7 +137,7 @@ class TestCadPath:
                 want = oracles.cad_waypoints(w, closed)
                 path = CadPath(w, closed)
                 assert path.waypoints.tobytes() == want.tobytes(), f"case {case}"
-                assert np.all(path.segment_lengths() >= eps), f"case {case}"
+                assert np.all(_lengths(path) >= eps), f"case {case}"
             kept += [oracles.row_length(v) >= eps for v in steps]
         assert 0.2 < np.mean(kept) < 0.8
 
@@ -139,7 +145,7 @@ class TestCadPath:
     def test_merge_of_a_resampled_loop_matches_the_per_waypoint_loop(self, closed):
         theta = np.linspace(0.0, 2.0 * np.pi, 13)[:-1]
         ring = np.column_stack([300.0 * np.cos(theta), 200.0 * np.sin(theta), np.full(12, 40.0)])
-        points = oracles.split_polyline(ring, closed, CadPath(ring, closed).segment_lengths().sum() / 1200.0)
+        points = oracles.split_polyline(ring, closed, _lengths(CadPath(ring, closed)).sum() / 1200.0)
         points = np.vstack([points, points[:1]])  # closed: the repeated first point is dropped
         assert len(points) > 1200
         want = oracles.cad_waypoints(points, closed)
@@ -201,7 +207,7 @@ class TestResample:
             pts[rng.random((n, 3)) < 0.2] = -0.0
             p = CadPath(pts, closed=closed)
             spacing = float(rng.uniform(1.0, 80.0))
-            if spacing > p.segment_lengths().sum():
+            if spacing > _lengths(p).sum():
                 continue
             got = resample_cad(p, spacing).waypoints
             want = CadPath(oracles.split_polyline(p.waypoints, closed, spacing), closed).waypoints
@@ -236,7 +242,7 @@ class TestResample:
         rng = np.random.default_rng(8)
         p = CadPath(np.cumsum(rng.uniform(0.5, 9.0, (9, 3)), axis=0))
         r = resample_cad(p, 2.5)
-        assert math.isclose(r.segment_lengths().sum(), p.segment_lengths().sum(), rel_tol=1e-12)
+        assert math.isclose(_lengths(r).sum(), _lengths(p).sum(), rel_tol=1e-12)
         assert r.closed == p.closed
 
     def test_exact_division_counts(self):
@@ -252,7 +258,7 @@ class TestResample:
                 warnings.simplefilter("error")
                 r = resample_cad(p, spacing)
             assert np.array_equal(r.waypoints, p.waypoints)
-            assert r.segment_lengths().sum() == p.segment_lengths().sum() == 7.0
+            assert _lengths(r).sum() == _lengths(p).sum() == 7.0
 
     def test_closed_path_wide_spacing_returns_path(self):
         p = CadPath(SQUARE, closed=True)
@@ -269,6 +275,14 @@ class TestResample:
         for spacing in (math.inf, math.nan):
             with pytest.raises(ValueError, match="positive and finite"):
                 resample_cad(p, spacing)
+
+    def test_spacing_must_be_a_number(self):
+        p = CadPath(SQUARE)
+        for spacing in (True, np.True_, "100", None):
+            with pytest.raises(ValueError, match=re.escape(f"spacing_mm must be positive and finite, got {spacing!r}")):
+                resample_cad(p, spacing)
+        want = resample_cad(p, 30.0).waypoints.tobytes()
+        assert all(resample_cad(p, s).waypoints.tobytes() == want for s in (30, np.int64(30), np.float32(30.0)))
 
     # 5e11 points (12 TB) and infinitely many: refused before any allocation
     @pytest.mark.parametrize("far", [1e12, 1e308])
@@ -434,6 +448,15 @@ class TestPlainRows:
         for data in (text, text.encode()):
             assert outcome(data) == read_by_lines(data)
 
+    def test_a_plain_table_is_read_without_the_line_reader(self, monkeypatch):
+        text = "\ufeff" + HEADER + "\r\n" + "".join(f"{i},{-i}.5,{i * 0.25:.2f}\r\n" for i in range(40))
+        want = outcome(text)
+        assert len(want[0]) == 40 * 3 * 8
+        for module in (cad, _read):
+            monkeypatch.setattr(module, "csv_lines", lambda *args: pytest.fail("csv_lines read a plain CAD table"))
+        for given in (text, text.encode()):
+            assert outcome(given) == want
+
     def test_directives_blank_lines_bom_and_crlf_keep_the_gate(self):
         rows = [f"{x!r},{-x / 3!r},{x * 1e-7!r}" for x in np.linspace(-400.0, 400.0, 12).tolist()]
         lines = ["# closed=true", "", *rows[:5], " \t", "#Closed = false", *rows[5:], "", "# closed=TRUE", ""]
@@ -489,7 +512,7 @@ def test_resample_property(points, spacing):
         return
     r = resample_cad(p, spacing)
     # length never changes, step never exceeds the request
-    assert math.isclose(r.segment_lengths().sum(), p.segment_lengths().sum(), rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(_lengths(r).sum(), _lengths(p).sum(), rel_tol=1e-9, abs_tol=1e-9)
     steps = np.linalg.norm(np.diff(r.waypoints, axis=0), axis=1)
     assert np.max(steps) <= spacing + 1e-6
     assert np.max(oracles.point_to_polyline_all_pairs(r.waypoints, p.waypoints)) < 1e-6

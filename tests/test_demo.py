@@ -901,6 +901,26 @@ class TestSynth:
         with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
             TrackerErrorModel(seed=-1)
 
+    def test_model_fields_must_be_numbers(self):
+        for value in (1.5, "3", True, np.True_, None):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {value!r}")):
+                TrackerErrorModel(seed=value)
+        for field, value in (("spike_rate", "0.1"), ("xy_noise_sigma", True), ("z_bias_max", np.False_),
+                             ("orient_noise_sigma", None), ("z_bias_range", "800")):
+            with pytest.raises(ValueError, match=re.escape(f"{field} must be a number, got {value!r}")):
+                TrackerErrorModel(**{field: value})
+        model = TrackerErrorModel(z_bias_max=60, xy_noise_sigma=np.float32(0.5), seed=np.int64(3))
+        assert (type(model.z_bias_max), type(model.xy_noise_sigma), type(model.seed)) == (float, float, int)
+        assert model == TrackerErrorModel(z_bias_max=60.0, xy_noise_sigma=0.5, seed=3)
+
+    def test_rate_must_be_a_number(self):
+        truth = self._truth()
+        for rate in (True, np.True_, "100", None):
+            with pytest.raises(ValueError, match=re.escape(f"rate_hz must be positive and finite, got {rate!r}")):
+                synth_demo(truth, TrackerErrorModel(), rate)
+        want = format_demo_csv(synth_demo(truth, TrackerErrorModel(seed=2), 100.0))
+        assert format_demo_csv(synth_demo(truth, TrackerErrorModel(seed=np.int64(2)), np.int64(100))) == want
+
     def test_a_tiny_bias_range_saturates_without_a_warning(self):
         truth = self._truth(z=400.0)
         model = TrackerErrorModel(z_bias_range=1e-308, xy_noise_sigma=0, orient_noise_sigma=0)

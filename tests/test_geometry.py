@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -124,6 +125,34 @@ def test_row_norms_are_numpys_bit_for_bit(width):
         got, want = row_norms(x), np.linalg.norm(x, axis=1)
     assert np.isinf(got).any() and np.isnan(got).any() and (got < 1e-150).any()
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_row_norms_sum_the_squared_columns_left_to_right(width):
+    # a 1 and small entries in every order: with 1.9e-8 the last bit of the length shows the order
+    x = np.array(sorted(set(itertools.permutations([1.0] + [1.9e-8] * (width - 1)))))
+    want = [math.sqrt(functools.reduce(lambda total, v: total + v * v, row, 0.0)) for row in x.tolist()]
+    assert len(set(want)) > 1
+    wide = np.zeros((len(x), 2 * width))
+    wide[:, ::2] = x
+    cases = {
+        "rows": (row_norms(x), want),
+        "1-D": ([row_norms(row) for row in x], want),
+        "3-D": (row_norms(np.stack([x, x[::-1]])), [want, want[::-1]]),
+        "strided columns": (row_norms(wide[:, ::2]), want),
+        "strided rows": (row_norms(np.repeat(x, 2, axis=0)[::2]), want),
+    }
+    for name, (got, expected) in cases.items():
+        assert np.asarray(got).tolist() == expected, name
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_row_norms_equal_numpys_on_stacks_and_views(width):
+    rng = np.random.default_rng(40 + width)
+    x = rng.standard_normal((6, 40, 2 * width)) * 10.0 ** rng.uniform(-8.0, 8.0, (6, 40, 1))
+    views = (x[..., :width], x[..., ::2], x[::2, ::3, 1 : width + 1], x[0, 0, :width], np.asfortranarray(x[..., :width]))
+    for view in views:
+        assert np.asarray(row_norms(view)).tobytes() == np.asarray(np.linalg.norm(view, axis=-1)).tobytes()
 
 
 def _hom(t):

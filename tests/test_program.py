@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -30,8 +31,9 @@ from pathfuse import (
     validate_document,
     validate_path,
 )
-from pathfuse import _quat, program
-from pathfuse.program import _movel_lines, _point_to_polyline_mm
+from pathfuse import _quat, cad, program
+from pathfuse.cad import nearest_segments
+from pathfuse.program import _movel_lines
 
 GOLDEN = Path(__file__).parent / "data" / "golden_program.txt"
 # the golden document's base -> cap move is 50.040 mm and 90 degrees
@@ -74,6 +76,18 @@ class TestLimits:
             PathLimits(max_orient_step_deg=math.inf)
         with pytest.raises(ValueError):
             PathLimits(workspace_center=(0.0, math.nan, 0.0))
+
+    def test_limits_must_be_numbers(self):
+        for name, value in (("max_step_mm", True), ("max_step_mm", "50"), ("max_speed_mm_s", np.True_),
+                            ("workspace_radius_mm", None), ("max_orient_step_deg", "30")):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be positive and finite, got {value!r}")):
+                PathLimits(**{name: value})
+        for value in (True, "1", None):
+            with pytest.raises(ValueError, match=re.escape(f"workspace_center must hold numbers, got {value!r}")):
+                PathLimits(workspace_center=(0.0, value, 2.0))
+        lim = PathLimits(max_step_mm=50, max_speed_mm_s=np.float32(0.5), workspace_center=(np.int64(1), 2, 0.5))
+        assert (lim.max_step_mm, lim.max_speed_mm_s, lim.workspace_center) == (50.0, 0.5, (1.0, 2.0, 0.5))
+        assert {type(v) for v in (lim.max_step_mm, lim.max_speed_mm_s, *lim.workspace_center)} == {float}
 
 
 class TestValidatePath:
@@ -490,7 +504,7 @@ class TestDeviation:
     def test_point_to_polyline_across_chunks(self, monkeypatch):
         # 39 segments make 3 blocks: passes of min(_BOUNDS // 3, 1024 // 16) = 64 points, and
         # slices of 64 (point, block) pairs, at most 1024 point-segment pairs
-        monkeypatch.setattr(program, "_PAIRS", 1024)
+        monkeypatch.setattr(cad, "_PAIRS", 1024)
         measured = _measured_pairs(monkeypatch)
         rng = np.random.default_rng(9)
         poly = rng.uniform(-100.0, 100.0, (40, 3))
@@ -590,22 +604,45 @@ class TestDeviation:
         with pytest.raises(ValueError):
             deviation_report(a, a, section_breaks=(0.6, 0.4))
 
+    def test_tolerance_and_breaks_must_be_numbers(self):
+        a = fused([[0, 0, 0], [10.0, 0, 0]])
+        for tolerance in (True, np.True_, "4", None, math.nan):
+            message = f"tolerance_mm must be positive and finite, got {tolerance!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                deviation_report(a, a, tolerance_mm=tolerance)
+        for breaks in (("0.5",), (True,), (0.2, None)):
+            with pytest.raises(ValueError, match="section breaks must be numbers, got"):
+                deviation_report(a, a, section_breaks=breaks)
+        rep = deviation_report(a, a, section_breaks=(np.float32(0.5),), tolerance_mm=np.int64(4))
+        assert type(rep.tolerance_mm) is float and rep.tolerance_mm == 4.0
+        assert [s.point_count for s in rep.sections] == [1, 1]
+
 
 def _measured_pairs(monkeypatch) -> list[int]:
     """The pair count of every ``_sq_gaps`` call from now on: one per nearest-block measurement and one per slice."""
-    counts, measure = [], program._sq_gaps
-    monkeypatch.setattr(program, "_sq_gaps", lambda p, *rest: counts.append(len(p)) or measure(p, *rest))
+    counts, measure = [], cad._sq_gaps
+    monkeypatch.setattr(cad, "_sq_gaps", lambda p, *rest: counts.append(len(p)) or measure(p, *rest))
     return counts
 
 
+def _point_to_polyline_mm(points, poly):
+    """The distances of ``nearest_segments``."""
+    return nearest_segments(points, poly)[0]
+
+
 def _same(points, poly):
-    """The block-pruned search gives exactly the all-pairs distances, NaN where they are NaN."""
+    """The block-pruned search gives exactly the all-pairs distances, NaN where they are NaN,
+    and exactly the all-pairs segments and fraction bits; returns the segments."""
     points, poly = np.asarray(points, dtype=float), np.asarray(poly, dtype=float)
     with np.errstate(all="ignore"):
         want = oracles.point_to_polyline_all_pairs(points, poly)
-        got = _point_to_polyline_mm(points, poly)
+        want_segment, want_fraction = oracles.nearest_segment_all_pairs(points, poly)
+        got, segment, fraction = nearest_segments(points, poly)
     assert got.shape == want.shape
     assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(segment, want_segment)
+    assert fraction.tobytes() == want_fraction.tobytes()
+    return segment
 
 
 def _polygon(sides, radius=100.0):
@@ -662,7 +699,7 @@ class TestBlockPrune:
         # and slices of as many (point, block) pairs, so one point's blocks may fall in two slices.
         # At 1 a slice holds one block; at 40 and 100 some passes take two slices; at 400 a pass
         # holds 25 points, so 24, 25 and 26 straddle it.
-        monkeypatch.setattr(program, "_PAIRS", pairs)
+        monkeypatch.setattr(cad, "_PAIRS", pairs)
         rng = np.random.default_rng(pairs)
         poly = np.cumsum(rng.uniform(-10.0, 10.0, (41, 3)), axis=0)
         for n in (1, 24, 25, 26, 77):
@@ -693,7 +730,7 @@ class TestBlockPrune:
     def test_slices_cut_a_point_that_keeps_more_pairs_than_one_holds(self, monkeypatch):
         # Points at the centre of a regular 4,000-gon keep all 250 blocks: 3,984 pairs besides
         # their nearest block's, cut over slices of 1024 // 16 = 64 (point, block) pairs.
-        monkeypatch.setattr(program, "_PAIRS", 1024)
+        monkeypatch.setattr(cad, "_PAIRS", 1024)
         measured = _measured_pairs(monkeypatch)
         _same(np.random.default_rng(6).uniform(-1e-3, 1e-3, (300, 3)), _polygon(4000))
         assert max(measured) <= 1024
@@ -709,6 +746,68 @@ class TestBlockPrune:
     def test_non_finite_points(self):
         points = np.array([[np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0], [10.0, 20.0, 0.0]])
         _same(points, _polygon(40))
+
+
+def _square_wave(teeth):
+    """A square wave of 10 mm steps, (0, 0), (0, 10), (10, 10), (10, 0), (20, 0), (20, 10), ...:
+    a point midway between two teeth lies exactly as far from both as from the segment joining them."""
+    k = np.arange(4 * teeth)
+    return np.column_stack([10.0 * (k // 2), np.where(k % 4 < 2, k % 4, 3 - k % 4) * 10.0, np.zeros(len(k))])
+
+
+class TestNearestSegments:
+    """``nearest_segments`` lands each point on the lowest segment at its smallest gap, as the
+    all-pairs oracle does; ``_same`` checks every ``TestBlockPrune`` case the same way."""
+
+    @pytest.mark.parametrize("pairs", [16, 64, cad._PAIRS])
+    def test_exact_ties_keep_the_lowest_segment(self, monkeypatch, pairs):
+        # at 16 a slice holds one (point, block) pair, so ties between blocks merge across slices
+        monkeypatch.setattr(cad, "_PAIRS", pairs)
+        poly = _square_wave(10)  # 39 segments in 3 blocks
+        assert np.array_equal(poly[14:18, :2], [[70.0, 10.0], [70.0, 0.0], [80.0, 0.0], [80.0, 10.0]])
+        # (75, 5) is 5 mm from segments 14, 15 and 16, the last in the second block; (5, 5) from
+        # 0, 1 and 2; (-5, 5) from 0 alone; (0, 10) is vertex 1, the end of 0 and the start of 1
+        segment = _same([[75.0, 5.0, 0.0], [5.0, 5.0, 0.0], [-5.0, 5.0, 0.0], [0.0, 10.0, 0.0]], poly)
+        assert segment.tolist() == [14, 0, 0, 0]
+        grid = np.stack(np.meshgrid(np.arange(-5.0, 200.0, 2.5), np.arange(-5.0, 15.1, 2.5)), axis=-1).reshape(-1, 2)
+        _same(np.column_stack([grid, np.zeros(len(grid))]), poly)
+        # A tooth of the second block reaching 400 mm down puts (80, -3) inside its ball, so the
+        # point measures that block first and finds segment 16 at 3 mm; segment 15 of the first
+        # block, measured later, ties it exactly (both feet are (80, 0)) and takes its place.
+        poly[25] = [120.0, -400.0, 0.0]
+        distance, segment, fraction = nearest_segments(np.array([[80.0, -3.0, 0.0]]), poly)
+        assert (distance.tolist(), segment.tolist(), fraction.tolist()) == ([3.0], [15], [1.0])
+        _same(np.column_stack([grid, np.zeros(len(grid))]), poly)
+
+    def test_fraction_of_the_foot(self):
+        poly = np.array([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 0.0, 0.0], [10.0, 20.0, 0.0]])
+        # (12, -1) is as far from the end of segment 0 as from the zero-length segment 1 and the
+        # start of segment 2, all at (10, 0): segment 0 keeps it, at fraction 1
+        points = np.array([[2.5, 3.0, 0.0], [14.0, 5.0, 0.0], [-1.0, 0.0, 0.0], [12.0, -1.0, 0.0]])
+        distance, segment, fraction = nearest_segments(points, poly)
+        assert distance.tolist() == [3.0, 4.0, 1.0, math.sqrt(5.0)]
+        assert segment.tolist() == [0, 2, 0, 0]
+        assert fraction.tolist() == [0.25, 0.25, 0.0, 1.0]
+
+    def test_centre_of_a_5000_gon_spans_slices(self):
+        # each point keeps the 312 blocks besides its nearest, more than the 256 (point, block)
+        # pairs one slice holds
+        poly = _polygon(5000, 300.0)
+        assert len(poly) // cad._BLOCK > cad._PAIRS // cad._BLOCK
+        _same(np.random.default_rng(5000).uniform(-1e-3, 1e-3, (40, 3)), poly)
+
+    def test_a_nan_point_lands_on_segment_0(self):
+        with np.errstate(invalid="ignore"):
+            points = np.array([[np.nan, 0.0, 0.0], [30.0, 0.0, 0.0]])
+            distance, segment, fraction = nearest_segments(points, _polygon(40))
+        assert math.isnan(distance[0]) and segment[0] == 0 and math.isnan(fraction[0])
+        assert segment.dtype == np.intp and distance[1] < 100.0
+
+    def test_a_nan_gap_orders_first(self):
+        # (inf, 5, 0) lies inf from the 17 sloped segments and NaN (inf * 0) from the upright
+        # segment 17, in the second block, which np.argmin takes and so does the search
+        poly = np.array([[10.0 * k, 10.0 * (k % 2), 0.0] for k in range(18)] + [[170.0, 30.0, 0.0]])
+        assert _same([[np.inf, 5.0, 0.0]], poly).tolist() == [17]
 
 
 @settings(deadline=None, max_examples=150)

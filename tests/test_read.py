@@ -2,13 +2,16 @@
 
 import itertools
 import math
+import re
 import struct
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from pathfuse import ParseError
-from pathfuse._read import csv_lines, csv_row, decode, integer, json_number, json_rows, number
+from pathfuse._read import csv_lines, csv_row, decode, integer, json_number, json_rows, number, real_value
 
 
 def bits(x):
@@ -76,6 +79,22 @@ def test_csv_row_errors_name_the_line():
         with pytest.raises(ParseError, match=f"line 9: {message}") as exc:
             csv_row(line, 2, 9)
         assert exc.value.line == 9
+
+
+def test_real_value_takes_real_numbers_but_not_bools():
+    for value in (3, -0.5, math.nan, -math.inf, np.float32(0.25), np.int64(-7), np.uint8(9), Fraction(1, 4)):
+        got = real_value(value, "v must be a number")
+        assert type(got) is float and (got == float(value) or math.isnan(value))
+    for value in (True, False, np.True_, "1", b"1", None, 1j, Decimal("1"), [1.0], np.array(1.0), 10**400):
+        with pytest.raises(ValueError, match=re.escape(f"v must be a number, got {value!r}")):
+            real_value(value, "v must be a number")
+
+
+def test_real_value_refuses_what_is_not_positive_and_finite_when_asked():
+    assert real_value(np.float64(1e-300), "v", positive=True) == 1e-300
+    for value in (0, -0.0, -1.0, math.inf, math.nan, True, "2"):
+        with pytest.raises(ValueError, match=re.escape(f"v must be positive and finite, got {value!r}")):
+            real_value(value, "v must be positive and finite", positive=True)
 
 
 def test_json_number_takes_ints_and_floats_only():
